@@ -22,12 +22,23 @@ from .symbolic import (
     evaluate,
     free_coords,
     is_zero_on,
+    join_signed,
     normalize,
     partial,
     substitute,
     to_latex,
 )
 from .verdicts import ZeroOutcome, ZeroStatus, combine_outcomes
+
+
+def perm_sign(seq):
+    """Sign (+1 or -1) of the permutation that sorts a sequence of distinct values."""
+    inversions = 0
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                inversions += 1
+    return -1 if inversions & 1 else 1
 
 
 def _merge_sign(left, right):
@@ -38,12 +49,19 @@ def _merge_sign(left, right):
     merged = left + right
     if len(set(merged)) != len(merged):
         return 0, ()
-    inversions = 0
-    for i in range(len(merged)):
-        for j in range(i + 1, len(merged)):
-            if merged[i] > merged[j]:
-                inversions += 1
-    return (-1 if inversions & 1 else 1), tuple(sorted(merged))
+    return perm_sign(merged), tuple(sorted(merged))
+
+
+def _paren_text(cs):
+    if " " in cs and not (cs.startswith("(") and cs.endswith(")")):
+        return "(%s)" % cs
+    return cs
+
+
+def _paren_latex(cs):
+    if "+" in cs or (" - " in cs):
+        return r"\left(%s\right)" % cs
+    return cs
 
 
 class DiffForm:
@@ -137,54 +155,34 @@ class DiffForm:
     def _basis_str(self, idx):
         return "^".join("d%s" % self.coords[i] for i in idx)
 
-    def __str__(self):
+    def _basis_latex(self, idx):
+        return r" \wedge ".join("d%s" % self.coords[i] for i in idx)
+
+    def _render(self, coeff, basis, paren, times):
+        """Shared term loop of the text and LaTeX printers."""
         if self.is_zero:
             return "0"
         bits = []
         for idx in sorted(self.coeffs):
-            c = self.coeffs[idx]
-            cs = str(c)
+            cs = coeff(self.coeffs[idx])
             if not idx:
                 bits.append(cs)
-                continue
-            if cs == "1":
-                bits.append(self._basis_str(idx))
+            elif cs == "1":
+                bits.append(basis(idx))
             elif cs == "-1":
-                bits.append("-" + self._basis_str(idx))
+                bits.append("-" + basis(idx))
             else:
-                if " " in cs and not (cs.startswith("(") and cs.endswith(")")):
-                    cs = "(%s)" % cs
-                bits.append("%s*%s" % (cs, self._basis_str(idx)))
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
+                bits.append(times % (paren(cs), basis(idx)))
+        return join_signed(bits)
+
+    def __str__(self):
+        return self._render(str, self._basis_str, _paren_text, "%s*%s")
 
     def __repr__(self):
         return "<%d-form %s>" % (self.degree, self)
 
     def to_latex(self):
-        if self.is_zero:
-            return "0"
-        bits = []
-        for idx in sorted(self.coeffs):
-            c = self.coeffs[idx]
-            basis = r" \wedge ".join("d%s" % self.coords[i] for i in idx)
-            cs = to_latex(c)
-            if not idx:
-                bits.append(cs)
-            elif cs == "1":
-                bits.append(basis)
-            elif cs == "-1":
-                bits.append("-" + basis)
-            else:
-                if "+" in cs or (" - " in cs):
-                    cs = r"\left(%s\right)" % cs
-                bits.append(r"%s \, %s" % (cs, basis))
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
+        return self._render(to_latex, self._basis_latex, _paren_latex, r"%s \, %s")
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +209,7 @@ def basis_form(coords, names):
     idx = tuple(coords.index(n) for n in names)
     if len(set(idx)) != len(idx):
         return zero_form(coords, len(idx))
-    inv = 0
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if idx[i] > idx[j]:
-                inv += 1
-    return DiffForm(coords, len(idx), {tuple(sorted(idx)): ONE if inv % 2 == 0 else -ONE})
+    return DiffForm(coords, len(idx), {tuple(sorted(idx)): ONE if perm_sign(idx) > 0 else -ONE})
 
 
 def differential(coords, name):

@@ -20,6 +20,7 @@ from .forms import (
     form_power,
     forms_equal,
     ideal_member,
+    perm_sign,
     scalar_form,
     wedge,
     wedge_all,
@@ -55,11 +56,7 @@ def adapted_gauge(fol: Foliation) -> ScalarExpr:
             "defining form of %r is not a single term over its transverse differentials; "
             "supply mu explicitly" % fol.name
         )
-    inversions = sum(
-        1 for a in range(len(idx)) for b in range(a + 1, len(idx)) if idx[a] > idx[b]
-    )
-    sign = -1 if inversions % 2 else 1
-    return fol.nu.coeffs[key] * rat(sign)
+    return fol.nu.coeffs[key] * rat(perm_sign(idx))
 
 
 def solve_mu(fol: Foliation, cfg: ZeroTestConfig | None = None) -> DiffForm:

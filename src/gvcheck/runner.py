@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .errors import (
@@ -409,7 +408,6 @@ def run_checks(
     samples: int | None = None,
     abs_tol: float | None = None,
     rel_tol: float | None = None,
-    parallel: bool = True,
 ) -> RunReport:
     """Run every check in the document under derived sub-seeds."""
     if seed is None:
@@ -429,12 +427,7 @@ def run_checks(
             rng_seed=mix_seed(seed, directive.index),
         )
 
-    jobs = [(d, config_for(d)) for d in doc.checks]
-    if parallel and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-            results = list(pool.map(lambda j: _execute(*j), jobs))
-    else:
-        results = [_execute(*j) for j in jobs]
+    results = [_execute(d, config_for(d)) for d in doc.checks]
     return RunReport(
         seed=seed,
         seed_source=seed_source,

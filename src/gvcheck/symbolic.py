@@ -6,6 +6,31 @@ coordinate symbols plus interned transcendental atoms ``exp``, ``log``,
 ``psi0`` and ``flatexp``.  Arithmetic normalizes eagerly, so structural
 equality decides semantic equality on the polynomial/rational fragment.
 
+Representation (packed monomials as in Monagan & Pearce, "Sparse
+polynomial multiplication and division in Maple 14", 2009):
+
+* A monomial is one Python int.  Every generator owns a fixed-width
+  exponent field, assigned once when the generator is interned, so
+  multiplying two monomials is one integer addition and dividing out
+  monomial content is one subtraction.  The top bit of each field is a
+  guard: an exponent that would reach it raises ``OverflowError``
+  instead of carrying into the next generator's field.
+  :func:`_mono_items` decodes a monomial into (generator, exponent)
+  pairs in generator order (coordinates by name, then atoms).
+* Coefficients are Python ints.  A canonical fraction has its shared
+  monomial content cancelled, its coefficients divided by their joint
+  gcd, and a positive leading denominator coefficient ``lead``, where
+  "leading" means the largest monomial in :func:`_mono_key` order.  Its
+  rational coefficients are the integer ones divided by ``lead``, which
+  makes the leading denominator coefficient 1.  Keys, rendering and
+  evaluation all read the coefficients that way.
+* ``key`` (sorted ``(_mono_key, (p, q))`` pairs of those rational
+  coefficients) is computed on first use and cached; equality compares
+  the integer term dicts, which is equivalent for canonical fractions.
+* Evaluation runs a plan built on first use and cached on the
+  expression: float coefficients, generator powers and terms in the
+  order the term dicts hold them.
+
 The two flat atoms are first class and are never expanded into
 exp-of-quotient trees, so their flatness at the boundary is exact by
 construction:
@@ -24,7 +49,6 @@ UNDECIDED.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,11 +74,30 @@ def mix_seed(seed, index):
 
 
 # ---------------------------------------------------------------------------
-# generators: coordinate symbols and interned atoms
+# generators: coordinate symbols and interned atoms, each with its own
+# exponent field in packed monomials
+
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+_GENS: list = []  # field index -> generator
+_GUARD = 0  # the top bit of every allocated field
+_HIGH = 0  # the top two bits of every allocated field
+
+
+def _new_field(gen):
+    """Give ``gen`` the next exponent field: sets ``gen.unit``, the monomial gen^1."""
+    global _GUARD, _HIGH
+    off = len(_GENS) * FIELD_BITS
+    _GENS.append(gen)
+    _GUARD |= 1 << (off + FIELD_BITS - 1)
+    _HIGH |= 3 << (off + FIELD_BITS - 2)
+    gen.unit = 1 << off
 
 
 class CoordGen:
-    __slots__ = ("name", "skey", "_h")
+    __slots__ = ("name", "skey", "_h", "unit")
 
     def __init__(self, name):
         self.name = name
@@ -74,7 +117,7 @@ class CoordGen:
 class AtomGen:
     """A transcendental atom applied to a canonical argument expression."""
 
-    __slots__ = ("kind", "arg", "skey", "_h")
+    __slots__ = ("kind", "arg", "skey", "_h", "unit")
 
     def __init__(self, kind, arg):
         self.kind = kind
@@ -99,7 +142,8 @@ _ATOM_GENS: dict = {}
 def _coord_gen(name):
     g = _COORD_GENS.get(name)
     if g is None:
-        g = _COORD_GENS.setdefault(name, CoordGen(name))
+        g = _COORD_GENS[name] = CoordGen(name)
+        _new_field(g)
     return g
 
 
@@ -107,69 +151,96 @@ def _atom_gen(kind, arg):
     key = (kind, arg.key)
     g = _ATOM_GENS.get(key)
     if g is None:
-        g = _ATOM_GENS.setdefault(key, AtomGen(kind, arg))
+        g = _ATOM_GENS[key] = AtomGen(kind, arg)
+        _new_field(g)
     return g
 
 
 # ---------------------------------------------------------------------------
-# sparse polynomials over the generators
+# packed monomials and sparse polynomials over the generators
 
-# A monomial is a tuple of (generator, positive exponent) pairs sorted by
-# the generator sort key; the empty tuple is the constant monomial.
+
+def _skey(item):
+    return item[0].skey
+
+
+def _mono_items(mono):
+    """Decode a packed monomial into (generator, exponent) pairs in generator order."""
+    items = []
+    while mono:
+        i = (mono.bit_length() - 1) // FIELD_BITS
+        off = i * FIELD_BITS
+        e = mono >> off
+        items.append((_GENS[i], e))
+        mono -= e << off
+    if len(items) > 1:
+        items.sort(key=_skey)
+    return items
 
 
 def _mono_key(mono):
-    return tuple((g.skey, e) for g, e in mono)
+    return tuple((g.skey, e) for g, e in _mono_items(mono))
 
 
-def _mono_mul(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ga, ea = a[i]
-        gb, eb = b[j]
-        if ga.skey == gb.skey:
-            out.append((ga, ea + eb))
-            i += 1
-            j += 1
-        elif ga.skey < gb.skey:
-            out.append((ga, ea))
-            i += 1
-        else:
-            out.append((gb, eb))
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _mono_min(a, b):
+    """Per-generator minimum of two packed monomials, all fields at once.
+
+    Exponents stay below the guard bits, so (field | guard) - other
+    never borrows across fields and keeps the guard bit exactly where
+    the first exponent is at least the second.
+    """
+    keep_b = ((((a | _GUARD) - b) & _GUARD) >> (FIELD_BITS - 1)) * _FIELD_MASK
+    return (b & keep_b) | (a & ~keep_b)
+
+
+def _overflow(mono):
+    """The error for a product whose exponent reached a field's guard bit."""
+    for i, gen in enumerate(_GENS):
+        e = (mono >> (i * FIELD_BITS)) & _FIELD_MASK
+        if e > MAX_EXPONENT:
+            return OverflowError(
+                "exponent %d of %s exceeds %d, the largest a monomial field holds" % (e, gen, MAX_EXPONENT)
+            )
+    raise AssertionError("no field overflowed")
 
 
 class Poly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial: packed monomial -> nonzero int coefficient."""
 
-    __slots__ = ("terms", "key")
+    __slots__ = ("terms", "_support")
 
     def __init__(self, terms):
         self.terms = terms
-        self.key = tuple(
-            sorted(((_mono_key(m), (c.numerator, c.denominator)) for m, c in terms.items()))
-        )
+        self._support = None
+
+    @property
+    def key(self):
+        """Sorted ``(_mono_key, (p, q))`` pairs, computed on demand."""
+        return _poly_key(self, 1)
 
     @property
     def is_zero(self):
         return not self.terms
 
+    def support(self):
+        """Bitwise or of all monomials: bounds every exponent field from above."""
+        s = self._support
+        if s is None:
+            s = 0
+            for m in self.terms:
+                s |= m
+            self._support = s
+        return s
+
     def add(self, other):
         out = dict(self.terms)
+        get = out.get
         for m, c in other.terms.items():
-            s = out.get(m)
+            s = get(m)
             if s is None:
                 out[m] = c
             else:
-                s = s + c
+                s += c
                 if s:
                     out[m] = s
                 else:
@@ -180,26 +251,27 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def mul(self, other):
+        # when every exponent of both factors is below 2^(FIELD_BITS - 2),
+        # no sum reaches a guard bit and the per-product check is skipped
+        guard = _GUARD if (self.support() | other.support()) & _HIGH else 0
         out = {}
+        get = out.get
+        b = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
+            for m2, c2 in b:
+                m = m1 + m2
+                if m & guard:
+                    raise _overflow(m)
+                s = get(m)
                 if s is None:
-                    out[m] = c
+                    out[m] = c1 * c2
                 else:
-                    s = s + c
+                    s += c1 * c2
                     if s:
                         out[m] = s
                     else:
                         del out[m]
         return Poly(out)
-
-    def scale(self, c):
-        if not c:
-            return _P_ZERO
-        return Poly({m: v * c for m, v in self.terms.items()})
 
     def pow(self, k):
         result = _P_ONE
@@ -207,52 +279,50 @@ class Poly:
         while k:
             if k & 1:
                 result = result.mul(base)
-            base = base.mul(base)
             k >>= 1
+            if k:
+                base = base.mul(base)
         return result
 
 
 _P_ZERO = Poly({})
-_P_ONE = Poly({(): Fraction(1)})
-
-
-def _poly_const(c):
-    c = Fraction(c)
-    return Poly({(): c}) if c else _P_ZERO
+_P_ONE = Poly({0: 1})
 
 
 def _poly_gen(gen):
-    return Poly({((gen, 1),): Fraction(1)})
+    return Poly({gen.unit: 1})
+
+
+def _is_const(poly):
+    """True for a nonzero constant polynomial."""
+    return len(poly.terms) == 1 and 0 in poly.terms
 
 
 def _content(poly):
-    """Per-generator minimum exponent across all terms."""
+    """Packed monomial of the per-generator minimum exponent across all terms."""
+    if 0 in poly.terms:
+        return 0
     it = iter(poly.terms)
-    first = next(it)
-    content = {g: e for g, e in first}
+    content = next(it)
     for mono in it:
         if not content:
             break
-        exps = {g: e for g, e in mono}
-        for g in list(content):
-            e = exps.get(g)
-            if e is None:
-                del content[g]
-            else:
-                content[g] = min(content[g], e)
+        content = _mono_min(content, mono)
     return content
 
 
 def _divide_content(poly, content):
-    out = {}
+    return Poly({mono - content: c for mono, c in poly.terms.items()})
+
+
+def _poly_key(poly, lead):
+    """Sorted (monomial key, (p, q)) pairs of the coefficients divided by ``lead`` > 0."""
+    out = []
     for mono, c in poly.terms.items():
-        kept = []
-        for g, e in mono:
-            e -= content.get(g, 0)
-            if e:
-                kept.append((g, e))
-        out[tuple(kept)] = c
-    return Poly(out)
+        g = math.gcd(c, lead)
+        out.append((_mono_key(mono), (c // g, lead // g)))
+    out.sort()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -264,39 +334,61 @@ class ScalarExpr:
 
     Use the module constructors (:func:`sym`, :func:`rat`, :func:`exp`,
     ...) and the arithmetic operators; the internal constructor assumes
-    already-canonical data.
+    already-canonical data, with ``lead`` the leading denominator
+    coefficient.
     """
 
-    __slots__ = ("num", "den", "key", "_h")
+    __slots__ = ("num", "den", "lead", "_key", "_h", "_plan")
 
-    def __init__(self, num, den):
+    def __init__(self, num, den, lead=1):
         self.num = num
         self.den = den
-        self.key = (num.key, den.key)
-        self._h = hash(self.key)
+        self.lead = lead
+        self._key = None
+        self._h = None
+        self._plan = None
+
+    @property
+    def key(self):
+        k = self._key
+        if k is None:
+            k = self._key = (_poly_key(self.num, self.lead), _poly_key(self.den, self.lead))
+        return k
 
     def __hash__(self):
-        return self._h
+        h = self._h
+        if h is None:
+            h = self._h = hash(self.key)
+        return h
 
     def __eq__(self, other):
-        return isinstance(other, ScalarExpr) and other.key == self.key
+        return (
+            isinstance(other, ScalarExpr)
+            and other.num.terms == self.num.terms
+            and other.den.terms == self.den.terms
+        )
 
     @property
     def is_zero(self):
-        return self.num.is_zero
+        return not self.num.terms
 
     @property
     def is_one(self):
-        return self.key == ONE.key
+        return self.num.terms == _P_ONE.terms and self.den.terms == _P_ONE.terms
+
+    @property
+    def is_polynomial(self):
+        """True when the denominator is a constant."""
+        return _is_const(self.den)
 
     def as_fraction(self):
         """Exact rational value, or None if the expression is not constant."""
-        if self.den.key != _P_ONE.key:
+        if not self.is_polynomial:
             return None
-        if self.num.is_zero:
+        if not self.num.terms:
             return Fraction(0)
-        if len(self.num.terms) == 1 and () in self.num.terms:
-            return self.num.terms[()]
+        if _is_const(self.num):
+            return Fraction(self.num.terms[0], self.lead)
         return None
 
     def is_constant(self):
@@ -317,7 +409,7 @@ class ScalarExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr(self.num.neg(), self.den)
+        return ScalarExpr(self.num.neg(), self.den, self.lead)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -363,10 +455,10 @@ class ScalarExpr:
     # -- rendering ----------------------------------------------------
 
     def __str__(self):
-        num = _poly_str(self.num)
-        if self.den.key == _P_ONE.key:
+        num = _poly_str(self.num, self.lead)
+        if self.is_polynomial:
             return num
-        den = _poly_str(self.den)
+        den = _poly_str(self.den, self.lead)
         if len(self.num.terms) > 1:
             num = "(%s)" % num
         return "%s / (%s)" % (num, den)
@@ -390,8 +482,19 @@ def _coerce(v):
     if isinstance(v, ScalarExpr):
         return v
     if isinstance(v, (int, Fraction)):
-        return ScalarExpr(_poly_const(v), _P_ONE)
+        return const(v)
     return NotImplemented
+
+
+def _over(poly, d):
+    """The canonical expression poly / d for a positive integer d."""
+    if d == 1:
+        return ScalarExpr(poly, _P_ONE)
+    g = math.gcd(d, *poly.terms.values())
+    if g != 1:
+        poly = Poly({m: c // g for m, c in poly.terms.items()})
+        d //= g
+    return ScalarExpr(poly, Poly({0: d}), d)
 
 
 def _make(num, den):
@@ -403,36 +506,34 @@ def _make(num, den):
     # cancel shared monomial content
     cn = _content(num)
     if cn:
-        cd = _content(den)
-        shared = {g: min(e, cd[g]) for g, e in cn.items() if g in cd}
-        shared = {g: e for g, e in shared.items() if e > 0}
+        shared = _mono_min(cn, _content(den))
         if shared:
             num = _divide_content(num, shared)
             den = _divide_content(den, shared)
+    nt, dt = num.terms, den.terms
     # fold num = c * den into the constant c
-    if len(num.terms) == len(den.terms):
+    if len(nt) == len(dt):
         ratio = None
-        for m, c in num.terms.items():
-            d = den.terms.get(m)
+        for m, c in nt.items():
+            d = dt.get(m)
             if d is None:
-                ratio = None
                 break
-            r = c / d
             if ratio is None:
-                ratio = r
-            elif ratio != r:
-                ratio = None
+                ratio = (c, d)
+            elif c * ratio[1] != d * ratio[0]:
                 break
-        if ratio is not None:
-            return ScalarExpr(_poly_const(ratio), _P_ONE)
-    # normalize scale: leading denominator coefficient becomes 1
-    lead = max(den.terms, key=_mono_key)
-    c = den.terms[lead]
-    if c != 1:
-        inv = 1 / c
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return ScalarExpr(num, den)
+        else:
+            return const(Fraction(*ratio))
+    # normalize scale: coprime coefficients, positive leading denominator coefficient
+    lead = dt[max(dt, key=_mono_key)] if len(dt) > 1 else next(iter(dt.values()))
+    g = math.gcd(*nt.values(), *dt.values())
+    if lead < 0:
+        g = -g
+    if g != 1:
+        num = Poly({m: c // g for m, c in nt.items()})
+        den = Poly({m: c // g for m, c in dt.items()})
+        lead //= g
+    return ScalarExpr(num, den, lead)
 
 
 ZERO = ScalarExpr(_P_ZERO, _P_ONE)
@@ -450,12 +551,16 @@ def sym(name):
 
 def rat(p, q=1):
     """Exact rational constant p/q."""
-    return ScalarExpr(_poly_const(Fraction(p, q)), _P_ONE)
+    return const(Fraction(p, q))
 
 
 def const(value):
     """Exact constant from an int or Fraction."""
-    return ScalarExpr(_poly_const(Fraction(value)), _P_ONE)
+    f = Fraction(value)
+    if not f:
+        return ZERO
+    d = f.denominator
+    return ScalarExpr(Poly({0: f.numerator}), Poly({0: d}) if d != 1 else _P_ONE, d)
 
 
 def _atom_expr(kind, arg):
@@ -536,10 +641,11 @@ def _atom_derivative(gen):
     raise AssertionError(gen.kind)
 
 
-def _poly_partial(poly, name):
+def _poly_partial(poly, name, d=1):
+    """d(poly / d) / d name for a positive integer d."""
     total = ZERO
     for mono, c in poly.terms.items():
-        for i, (g, e) in enumerate(mono):
+        for g, e in _mono_items(mono):
             if isinstance(g, CoordGen):
                 if g.name != name:
                     continue
@@ -549,11 +655,7 @@ def _poly_partial(poly, name):
                 if darg.is_zero:
                     continue
                 dgen = _atom_derivative(g) * darg
-            rest = list(mono[:i]) + list(mono[i + 1:])
-            if e > 1:
-                rest.append((g, e - 1))
-            rest.sort(key=lambda p: p[0].skey)
-            factor = ScalarExpr(Poly({tuple(rest): c * e}), _P_ONE)
+            factor = _over(Poly({mono - g.unit: c * e}), d)
             total = total + factor * dgen
     return total
 
@@ -561,30 +663,34 @@ def _poly_partial(poly, name):
 def partial(e, name):
     """Exact partial derivative of ``e`` with respect to coordinate ``name``."""
     e = normalize(e)
+    if e.is_polynomial:
+        return _poly_partial(e.num, name, e.lead)
     dn = _poly_partial(e.num, name)
-    if e.den.key == _P_ONE.key:
-        return dn
     dd = _poly_partial(e.den, name)
     den_expr = ScalarExpr(e.den, _P_ONE)
     num_expr = ScalarExpr(e.num, _P_ONE)
     return (dn * den_expr - num_expr * dd) / (den_expr * den_expr)
 
 
+def _poly_gens(poly):
+    """The generators a polynomial uses, in field order."""
+    s = poly.support()
+    return [g for i, g in enumerate(_GENS) if (s >> (i * FIELD_BITS)) & _FIELD_MASK]
+
+
 def free_coords(e):
     """Names of the coordinates the expression actually depends on."""
     out = set()
 
-    def walk_poly(p):
-        for mono in p.terms:
-            for g, _ in mono:
+    def walk(x):
+        for poly in (x.num, x.den):
+            for g in _poly_gens(poly):
                 if isinstance(g, CoordGen):
                     out.add(g.name)
                 else:
-                    walk_poly(g.arg.num)
-                    walk_poly(g.arg.den)
+                    walk(g.arg)
 
-    walk_poly(e.num)
-    walk_poly(e.den)
+    walk(e)
     return frozenset(out)
 
 
@@ -598,18 +704,15 @@ def denominators(e):
     found = []
     seen = set()
 
-    def note(poly):
-        expr = ScalarExpr(poly, _P_ONE)
-        if expr.key not in seen:
-            seen.add(expr.key)
-            found.append(expr)
-
     def walk(expr):
-        if expr.den.key != _P_ONE.key:
-            note(expr.den)
+        if not expr.is_polynomial:
+            den = _over(expr.den, expr.lead)
+            if den.key not in seen:
+                seen.add(den.key)
+                found.append(den)
         for poly in (expr.num, expr.den):
             for mono in poly.terms:
-                for g, _ in mono:
+                for g, _ in _mono_items(mono):
                     if isinstance(g, AtomGen):
                         walk(g.arg)
 
@@ -629,8 +732,8 @@ def substitute(e, mapping):
     def sub_poly(p):
         total = ZERO
         for mono, c in p.terms.items():
-            term = ScalarExpr(_poly_const(c), _P_ONE)
-            for g, exp_ in mono:
+            term = const(c)
+            for g, exp_ in _mono_items(mono):
                 if isinstance(g, CoordGen):
                     base = table.get(g.name)
                     if base is None:
@@ -694,25 +797,80 @@ def _eval_gen(gen, point, cache):
     return v
 
 
-def _eval_poly(poly, point, cache):
-    total = 0.0
-    for mono, c in poly.terms.items():
-        v = float(c)
-        for g, e in mono:
-            v *= _ipow(_eval_gen(g, point, cache), e)
-        total += v
-    return total
+class _PolyPlan:
+    """A polynomial laid out for repeated float evaluation.
+
+    ``gens`` lists the generators in order of first use, so evaluation
+    errors surface in the same order as a term-by-term walk.  ``powers``
+    lists the distinct (generator index, exponent) pairs, and each term
+    is (coefficient / lead as a float, indices into ``powers``) with its
+    factors in generator order and the terms in dict order.
+    """
+
+    __slots__ = ("gens", "powers", "terms")
+
+    def __init__(self, poly, lead):
+        gen_index = {}
+        power_index = {}
+        terms = []
+        for mono, c in poly.terms.items():
+            factors = []
+            for g, e in _mono_items(mono):
+                i = gen_index.get(g)
+                if i is None:
+                    i = gen_index[g] = len(gen_index)
+                j = power_index.get((i, e))
+                if j is None:
+                    j = power_index[(i, e)] = len(power_index)
+                factors.append(j)
+            terms.append((c / lead, tuple(factors)))
+        self.gens = tuple(gen_index)
+        self.powers = tuple(power_index)
+        self.terms = terms
+
+    def _powers(self, vals):
+        return [vals[i] if e == 1 else _ipow(vals[i], e) for i, e in self.powers]
+
+    def evaluate(self, point, cache):
+        pw = self._powers([_eval_gen(g, point, cache) for g in self.gens])
+        total = 0.0
+        for v, factors in self.terms:
+            for j in factors:
+                v *= pw[j]
+            total += v
+        return total
+
+    def abs_sum(self, point, cache):
+        """Sum of the absolute values of the terms."""
+        pw = self._powers([abs(_eval_gen(g, point, cache)) for g in self.gens])
+        total = 0.0
+        for v, factors in self.terms:
+            v = abs(v)
+            for j in factors:
+                v *= pw[j]
+            total += v
+        return total
+
+
+def _plan(e):
+    """(numerator plan, denominator plan or None), built once per expression."""
+    plan = e._plan
+    if plan is None:
+        den = None if e.is_polynomial else _PolyPlan(e.den, e.lead)
+        plan = e._plan = (_PolyPlan(e.num, e.lead), den)
+    return plan
 
 
 def _eval_expr(e, point, cache):
-    num = _eval_poly(e.num, point, cache)
-    if e.den.key == _P_ONE.key:
+    num_plan, den_plan = _plan(e)
+    num = num_plan.evaluate(point, cache)
+    if den_plan is None:
         return num
-    den = _eval_poly(e.den, point, cache)
+    den = den_plan.evaluate(point, cache)
     if den == 0.0:
         raise EvaluationError(
             "division by zero evaluating %s" % e,
-            offender=str(ScalarExpr(e.den, _P_ONE)),
+            offender=str(_over(e.den, e.lead)),
             point=dict(point),
         )
     return num / den
@@ -731,15 +889,11 @@ def evaluate(e, point):
 def _scale_at(e, point, cache):
     """Magnitude scale of e at a point: term-wise absolute sum of the numerator
     over the absolute denominator.  Used for relative tolerances."""
-    total = 0.0
-    for mono, c in e.num.terms.items():
-        v = abs(float(c))
-        for g, ex in mono:
-            v *= _ipow(abs(_eval_gen(g, point, cache)), ex)
-        total += v
-    if e.den.key == _P_ONE.key:
+    num_plan, den_plan = _plan(e)
+    total = num_plan.abs_sum(point, cache)
+    if den_plan is None:
         return total
-    den = _eval_poly(e.den, point, cache)
+    den = den_plan.evaluate(point, cache)
     if den == 0.0:
         raise EvaluationError("division by zero in scale", offender=str(e), point=dict(point))
     return total / abs(den)
@@ -807,6 +961,43 @@ def is_zero_on(e, region, cfg=None):
 # rendering
 
 
+def join_signed(bits):
+    """Join rendered terms with " + ", folding a leading minus into " - "."""
+    out = bits[0]
+    for b in bits[1:]:
+        out += " - " + b[1:] if b.startswith("-") else " + " + b
+    return out
+
+
+def _render_poly(p, lead, frac, gen, power, times, coeff_times):
+    """Shared term loop of the text and LaTeX polynomial printers.
+
+    Terms come in monomial key order with coefficients divided by
+    ``lead``; ``frac`` renders a Fraction, ``gen`` a generator, ``power``
+    is the format of gen^e, ``times`` joins the factors of a monomial and
+    ``coeff_times`` joins a coefficient to its monomial.
+    """
+    if p.is_zero:
+        return "0"
+    rows = sorted(
+        (tuple((g.skey, e) for g, e in items), items, c)
+        for items, c in ((_mono_items(m), c) for m, c in p.terms.items())
+    )
+    bits = []
+    for _, items, c in rows:
+        c = Fraction(c, lead)
+        ms = times.join(gen(g) if e == 1 else power % (gen(g), e) for g, e in items)
+        if not ms:
+            bits.append(frac(c))
+        elif c == 1:
+            bits.append(ms)
+        elif c == -1:
+            bits.append("-" + ms)
+        else:
+            bits.append(coeff_times % (frac(c), ms))
+    return join_signed(bits)
+
+
 def _frac_str(c):
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
 
@@ -817,32 +1008,8 @@ def _gen_str(g):
     return "%s(%s)" % (g.kind, g.arg)
 
 
-def _mono_str(mono):
-    parts = []
-    for g, e in mono:
-        s = _gen_str(g)
-        parts.append(s if e == 1 else "%s^%d" % (s, e))
-    return "*".join(parts)
-
-
-def _poly_str(p):
-    if p.is_zero:
-        return "0"
-    bits = []
-    for mono, c in sorted(p.terms.items(), key=lambda t: _mono_key(t[0])):
-        ms = _mono_str(mono)
-        if not ms:
-            bits.append(_frac_str(c))
-        elif c == 1:
-            bits.append(ms)
-        elif c == -1:
-            bits.append("-" + ms)
-        else:
-            bits.append("%s*%s" % (_frac_str(c), ms))
-    out = bits[0]
-    for b in bits[1:]:
-        out += " - " + b[1:] if b.startswith("-") else " + " + b
-    return out
+def _poly_str(p, lead=1):
+    return _render_poly(p, lead, _frac_str, _gen_str, "%s^%d", "*", "%s*%s")
 
 
 def _frac_latex(c):
@@ -866,32 +1033,14 @@ def _gen_latex(g):
     return r"%s\!\left(%s\right)" % (_ATOM_LATEX[g.kind], to_latex(g.arg))
 
 
-def _poly_latex(p):
-    if p.is_zero:
-        return "0"
-    bits = []
-    for mono, c in sorted(p.terms.items(), key=lambda t: _mono_key(t[0])):
-        ms = r" \, ".join(
-            _gen_latex(g) if e == 1 else "%s^{%d}" % (_gen_latex(g), e) for g, e in mono
-        )
-        if not ms:
-            bits.append(_frac_latex(c))
-        elif c == 1:
-            bits.append(ms)
-        elif c == -1:
-            bits.append("-" + ms)
-        else:
-            bits.append(r"%s \, %s" % (_frac_latex(c), ms))
-    out = bits[0]
-    for b in bits[1:]:
-        out += " - " + b[1:] if b.startswith("-") else " + " + b
-    return out
+def _poly_latex(p, lead=1):
+    return _render_poly(p, lead, _frac_latex, _gen_latex, "%s^{%d}", r" \, ", r"%s \, %s")
 
 
 def to_latex(e):
     """LaTeX rendering of a scalar expression."""
     e = normalize(e)
-    num = _poly_latex(e.num)
-    if e.den.key == _P_ONE.key:
+    num = _poly_latex(e.num, e.lead)
+    if e.is_polynomial:
         return num
-    return r"\frac{%s}{%s}" % (num, _poly_latex(e.den))
+    return r"\frac{%s}{%s}" % (num, _poly_latex(e.den, e.lead))

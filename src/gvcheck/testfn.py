@@ -21,6 +21,7 @@ from .symbolic import (
     ScalarExpr,
     ZERO,
     ZeroTestConfig,
+    _mono_items,
     const,
     evaluate,
     flatexp,
@@ -258,7 +259,7 @@ def _has_flat_atom(e: ScalarExpr) -> bool:
     if e.is_zero:
         return True
     for mono in e.num.terms:
-        if not any(getattr(g, "kind", None) in ("psi0", "flatexp") for g, _ in mono):
+        if not any(getattr(g, "kind", None) in ("psi0", "flatexp") for g, _ in _mono_items(mono)):
             return False
     return True
 

@@ -2,9 +2,11 @@
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+import gvcheck.runner
 from gvcheck.cli import ENV_SEED, main
 from gvcheck.runner import RunReport, render_json, render_report, run_checks
 from gvcheck.specdoc import parse_spec
@@ -143,7 +145,9 @@ class TestReportVerb:
         assert out.startswith("\\documentclass")
         assert "\\end{document}" in out
 
-    def test_text_format_matches_check_verb(self, capsys):
+    def test_text_format_matches_check_verb(self, capsys, monkeypatch):
+        # the text rendering shows each check's wall time: freeze the clock
+        monkeypatch.setattr(gvcheck.runner.time, "perf_counter", lambda: 0.0)
         run_cli(["report", gallery_path("golden_pass.fol"), "--format", "text"])
         via_report = capsys.readouterr().out
         run_cli(["check", gallery_path("golden_pass.fol")])
@@ -186,12 +190,21 @@ class TestGvVerb:
 
 
 class TestRunnerApi:
-    def test_parallel_and_serial_runs_agree_byte_for_byte(self):
-        with open(gallery_path("plane_basics.fol"), "r", encoding="utf-8") as fh:
+    @pytest.mark.parametrize("name", ["plane_basics.fol", "golden_fail.fol", "testfn_gallery.fol"])
+    def test_reversed_and_isolated_runs_agree_byte_for_byte(self, name):
+        # every directive samples under its own sub-seed, so neither the
+        # order of the checks nor their neighbours may change a row
+        with open(gallery_path(name), "r", encoding="utf-8") as fh:
             doc = parse_doc(fh.read())
-        parallel = run_checks(doc, seed=doc.seed, seed_source="document")
-        serial = run_checks(doc, seed=doc.seed, seed_source="document", parallel=False)
-        assert render_json(parallel) == render_json(serial)
+        assert len(doc.checks) > 1
+        full = run_checks(doc, seed=doc.seed, seed_source="document")
+        backwards = run_checks(replace(doc, checks=doc.checks[::-1]), seed=doc.seed, seed_source="document")
+        alone = [
+            run_checks(replace(doc, checks=[d]), seed=doc.seed, seed_source="document").checks[0]
+            for d in doc.checks
+        ]
+        assert render_json(replace(backwards, checks=backwards.checks[::-1])) == render_json(full)
+        assert render_json(replace(full, checks=alone)) == render_json(full)
 
     def test_from_json_round_trip(self):
         doc = parse_doc(TINY_DOC)

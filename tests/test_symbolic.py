@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvcheck import (
     EvaluationError,
@@ -25,6 +27,7 @@ from gvcheck import (
     sym,
     to_latex,
 )
+from gvcheck.symbolic import MAX_EXPONENT, CoordGen, _mono_items, _scale_at
 from conftest import XY, random_polynomial, random_scalar, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")
@@ -323,3 +326,155 @@ def test_latex_rendering_smoke():
     assert s.count("{") == s.count("}")
     assert "x" in s and "y" in s
     assert to_latex(x - x) == "0"
+
+
+
+# ---------------------------------------------------------------------------
+# the packed-monomial kernel against sympy, and its exponent fields
+
+_LEAVES = ("x", "y", "z", "exp(x)", "exp(x*y)")
+
+
+@st.composite
+def recipes(draw, depth=3, division=True):
+    """A random expression tree as nested tuples, built later by :func:`build`."""
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            return ("const", draw(st.integers(-6, 6)), draw(st.integers(1, 5)))
+        return ("leaf", draw(st.sampled_from(_LEAVES)))
+    op = draw(st.sampled_from("+-*/^" if division else "+-*^"))
+    left = draw(recipes(depth - 1, division))
+    if op == "^":
+        return (op, left, draw(st.integers(0, 3)))
+    return (op, left, draw(recipes(depth - 1, division)))
+
+
+def build(recipe, sympy):
+    """(kernel expression, sympy expression) for one recipe."""
+    if recipe[0] == "const":
+        return rat(recipe[1], recipe[2]), sympy.Rational(recipe[1], recipe[2])
+    if recipe[0] == "leaf":
+        s = sympy.sympify(recipe[1])
+        return {"x": x, "y": y, "z": z, "exp(x)": exp(x), "exp(x*y)": exp(x * y)}[recipe[1]], s
+    op, (a, sa) = recipe[0], build(recipe[1], sympy)
+    if op == "^":
+        return a ** recipe[2], sa ** recipe[2]
+    b, sb = build(recipe[2], sympy)
+    if op == "+":
+        return a + b, sa + sb
+    if op == "-":
+        return a - b, sa - sb
+    if op == "*":
+        return a * b, sa * sb
+    return (a, sa) if b.is_zero else (a / b, sa / sb)
+
+
+def to_sympy(e, sympy):
+    """The kernel's num/den data, rebuilt term by term as a sympy expression."""
+
+    def gen(g):
+        if isinstance(g, CoordGen):
+            return sympy.Symbol(g.name)
+        assert g.kind == "exp"
+        return sympy.exp(to_sympy(g.arg, sympy))
+
+    def poly(p):
+        return sympy.Add(*(
+            sympy.Rational(c, e.lead) * sympy.Mul(*(gen(g) ** k for g, k in _mono_items(m)))
+            for m, c in p.terms.items()
+        ))
+
+    return poly(e.num) / poly(e.den)
+
+
+_HYP = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@_HYP
+@given(recipes(division=False), recipes(division=False))
+def test_polynomials_match_sympy_and_equal_values_share_keys(ra, rb):
+    sympy = pytest.importorskip("sympy")
+    (a, sa), (b, sb) = build(ra, sympy), build(rb, sympy)
+    assert sympy.expand(to_sympy(a, sympy) - sa) == 0
+    same = sympy.expand(sa - sb) == 0
+    # polynomials are canonical: equality, keys and hashes follow the value
+    assert (a == b) == same
+    assert (a.key == b.key) == same
+    if same:
+        assert hash(a) == hash(b)
+
+
+@_HYP
+@given(recipes(), recipes())
+def test_rational_expressions_match_sympy(ra, rb):
+    sympy = pytest.importorskip("sympy")
+    (a, sa), (b, sb) = build(ra, sympy), build(rb, sympy)
+    assert sympy.cancel(to_sympy(a, sympy) - sa) == 0
+    assert sympy.cancel(to_sympy(a * b - b, sympy) - (sa * sb - sb)) == 0
+    # routes that rebuild the same raw fraction give the same canonical form
+    c = rat(-7, 3)
+    for again in ((a + c) - c, a * c / c, -(-a), a ** 1):
+        assert again == a and again.key == a.key and hash(again) == hash(a)
+
+
+def _exponents(e):
+    """{generator name: exponent} of a one-term expression."""
+    ((mono, _),) = e.num.terms.items()
+    return {str(g): k for g, k in _mono_items(mono)}
+
+
+def test_exponents_at_field_capacity_stay_exact():
+    top = x ** MAX_EXPONENT
+    half = MAX_EXPONENT // 2
+    assert _exponents(top) == {"x": MAX_EXPONENT}
+    assert _exponents(x ** (MAX_EXPONENT - 1) * x) == {"x": MAX_EXPONENT}
+    assert _exponents(x ** half * x ** (MAX_EXPONENT - half)) == {"x": MAX_EXPONENT}
+    # two full fields side by side: neither spills into the other
+    both = (x * y) ** MAX_EXPONENT
+    assert _exponents(both) == {"x": MAX_EXPONENT, "y": MAX_EXPONENT}
+    assert _exponents(top * y) == {"x": MAX_EXPONENT, "y": 1}
+    assert free_coords(top) == {"x"}
+    assert partial(top, "y").is_zero
+    assert (partial(top, "x") - MAX_EXPONENT * x ** (MAX_EXPONENT - 1)).is_zero
+    assert evaluate(top / both, {"x": 1.0, "y": 1.0}) == 1.0
+    # multi-term operands near capacity
+    q = (x ** 20000 + y) * x ** (MAX_EXPONENT - 20000)
+    assert _exponents(q - top) == {"x": MAX_EXPONENT - 20000, "y": 1}
+
+
+@pytest.mark.parametrize(
+    "build_expr",
+    [
+        lambda: x ** (MAX_EXPONENT + 1),
+        lambda: x ** MAX_EXPONENT * x,
+        lambda: (x * y) ** MAX_EXPONENT * y,
+        lambda: (x ** 20000 + y) * (x ** (MAX_EXPONENT - 19999) + 1),
+        lambda: 1 / x ** MAX_EXPONENT / x,
+        lambda: x ** (2 * MAX_EXPONENT + 5),
+    ],
+)
+def test_exponents_beyond_field_capacity_raise(build_expr):
+    with pytest.raises(OverflowError, match="exceeds %d" % MAX_EXPONENT):
+        build_expr()
+
+
+def test_keys_strings_and_values_are_pinned():
+    # reference output of the Fraction/tuple kernel this one replaced:
+    # the leading denominator term (in monomial key order) gets coefficient 1
+    e1 = (x + 1) / (3 - 2 * y * y)
+    assert str(e1) == "(-1/2 - 1/2*x) / (-3/2 + y^2)"
+    assert e1.key == (
+        ((((), (-1, 2)), ((((0, "x"), 1),), (-1, 2))), (((), (-3, 2)), ((((0, "y"), 2),), (1, 1))))
+    )
+    e2 = (rat(2, 3) * x - exp(y) / 5) / (rat(-4, 7) * x * y + exp(y) - 1)
+    assert str(e2) == "(2/3*x - 1/5*exp(y)) / (-1 - 4/7*x*y + exp(y))"
+    ey = (1, 0, ((((((0, "y"), 1),), (1, 1)),), (((), (1, 1)),)))
+    assert e2.key == (
+        (((((0, "x"), 1),), (2, 3)), (((ey, 1),), (-1, 5))),
+        (((), (-1, 1)), ((((0, "x"), 1), ((0, "y"), 1)), (-4, 7)), (((ey, 1),), (1, 1))),
+    )
+    # float sums run over the terms in the order arithmetic produced them
+    e3 = ((x + y) ** 7 - (x - rat(1, 3) * y) ** 7 + psi0(z) * x ** 3) / (1 + x * x) ** 2
+    pts = [{"x": 0.3, "y": -1.7, "z": 0.45}, {"x": -2.9, "y": 0.11, "z": -0.8}]
+    assert [evaluate(e3, p) for p in pts] == [-9.181391025394026, 6.362952878821419]
+    assert [_scale_at(e3, p, {}) for p in pts] == [107.73528156135797, 7.507588288181796]
