@@ -17,6 +17,7 @@ are echoed in every report.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -45,6 +46,26 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return value
+
+
+def _positive_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("expected a positive finite number, got %r" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="gvcheck",
@@ -55,12 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("specfile", help="path to the document to run")
         p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
-        p.add_argument("--samples", type=int, default=None, help="override the sample count")
-        p.add_argument("--abs-tol", type=float, default=None, help="override the absolute tolerance")
-        p.add_argument("--rel-tol", type=float, default=None, help="override the relative tolerance")
+        p.add_argument("--samples", type=_positive_int, default=None, help="override the sample count")
+        p.add_argument("--abs-tol", type=_positive_float, default=None, help="override the absolute tolerance")
+        p.add_argument("--rel-tol", type=_positive_float, default=None, help="override the relative tolerance")
 
     p_check = sub.add_parser("check", help="run all checks, print a text report")
     common(p_check)
+    p_check.set_defaults(format="text", out=None)
 
     p_report = sub.add_parser("report", help="run all checks, render a report")
     common(p_report)
@@ -119,17 +141,6 @@ def _emit(text, out_path):
     except OSError as e:
         sys.stderr.write("gvcheck: cannot write %s: %s\n" % (out_path, e.strerror or e))
         raise SystemExit(EXIT_IO)
-
-
-def _cmd_check(args) -> int:
-    doc = _load_document(args.specfile)
-    seed, source = _resolve_seed(args, doc)
-    report = run_checks(
-        doc, seed=seed, seed_source=source,
-        samples=args.samples, abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-    )
-    sys.stdout.write(render_report(report, "text"))
-    return report.exit_code()
 
 
 def _cmd_report(args) -> int:
@@ -210,11 +221,9 @@ def _cmd_gv(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    return _cmd_gv(args)
+    if args.command == "gv":
+        return _cmd_gv(args)
+    return _cmd_report(args)
 
 
 if __name__ == "__main__":

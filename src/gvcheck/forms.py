@@ -4,16 +4,17 @@ A :class:`DiffForm` of degree p on an m-dimensional chart stores sparse
 coefficients keyed by strictly increasing index tuples into the chart's
 coordinate list.  Degree-0 forms wrap a single scalar at the empty
 tuple.  All operations (wedge, exterior derivative, pullback) are exact;
-numeric evaluation is only used by the pointwise ideal-membership oracle
-and the sampled equality fallback.
+numeric evaluation is only used by the sampled equality fallback, the
+Gram-determinant independence precondition of :func:`ideal_member`
+(pure Python) and the pointwise ideal-membership oracle.  numpy is
+loaded only by that oracle, :func:`ideal_member_pointwise`, so importing
+this module does not import it.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ChartError, DegreeError, PreconditionError
 from .symbolic import (
@@ -374,12 +375,38 @@ def eval_on_vectors(a: DiffForm, point, vectors):
         return evaluate(c, point) if c is not None else 0.0
     if len(vectors) != p:
         raise DegreeError("a %d-form needs exactly %d vectors" % (p, p))
+    import numpy as np
+
     vs = np.asarray(vectors, dtype=float)
     total = 0.0
     for idx, c in a.coeffs.items():
         sub = vs[:, list(idx)].T  # rows: selected components, columns: vectors
         total += evaluate(c, point) * float(np.linalg.det(sub))
     return total
+
+
+def _det(rows):
+    """Determinant of a small square matrix by Gaussian elimination with partial pivoting."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    det = 1.0
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        if a[p][k] == 0.0:
+            return 0.0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        det *= pivot
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k] / pivot
+            if f:
+                for j in range(k + 1, n):
+                    row[j] -= f * pivot_row[j]
+    return det
 
 
 def gram_independent(gens, point, tol=1e-9):
@@ -392,14 +419,12 @@ def gram_independent(gens, point, tol=1e-9):
         row = [0.0] * m
         for (i,), c in g.coeffs.items():
             row[i] = evaluate(c, point)
-        rows.append(row)
-    v = np.asarray(rows)
-    norms = np.sqrt((v * v).sum(axis=1))
-    if (norms == 0.0).any():
-        return False
-    v = v / norms[:, None]
-    gram = v @ v.T
-    return abs(float(np.linalg.det(gram))) > tol
+        norm = math.sqrt(sum(v * v for v in row))
+        if norm == 0.0:
+            return False
+        rows.append([v / norm for v in row])
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+    return abs(_det(gram)) > tol
 
 
 def ideal_member(b: DiffForm, gens, region, cfg=None):
@@ -436,6 +461,8 @@ def ideal_member_pointwise(b: DiffForm, gens, point, abs_tol=1e-9, rel_tol=1e-9)
     all its arguments come from the annihilator: the pure-complement
     block of b in an adapted basis.
     """
+    import numpy as np
+
     m = len(b.coords)
     p = b.degree
     if gens:

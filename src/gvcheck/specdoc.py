@@ -31,6 +31,7 @@ Statement reference (one per line, ``#`` starts a comment):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -333,10 +334,14 @@ def _stmt_config(p: _StatementParser, key):
         if value.denominator != 1 or value <= 0:
             p.fail("samples must be a positive integer")
         p.doc.samples = int(value)
-    elif key == "abs_tol":
-        p.doc.abs_tol = float(value)
     else:
-        p.doc.rel_tol = float(value)
+        try:
+            tol = float(value)
+        except OverflowError:
+            tol = math.inf
+        if not 0 < tol < math.inf:
+            p.fail("%s must be a positive finite number" % key)
+        setattr(p.doc, key, tol)
 
 
 def _stmt_scalar(p: _StatementParser):

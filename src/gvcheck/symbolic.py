@@ -915,8 +915,8 @@ class ZeroTestConfig:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
     def with_seed(self, seed):
         return ZeroTestConfig(self.sample_count, self.abs_tol, self.rel_tol, seed & _MASK64)

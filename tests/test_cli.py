@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import pytest
@@ -10,6 +13,7 @@ import gvcheck.runner
 from gvcheck.cli import ENV_SEED, main
 from gvcheck.runner import RunReport, render_json, render_report, run_checks
 from gvcheck.specdoc import parse_spec
+from gvcheck.symbolic import ZeroTestConfig
 
 
 GALLERY = os.path.join(os.path.dirname(__file__), os.pardir, "gallery")
@@ -73,6 +77,49 @@ class TestExitStatus:
         assert run_cli(["check"]) == 3
         assert run_cli(["frobnicate", "x.fol"]) == 3
         capsys.readouterr()
+
+
+class TestInvalidSettings:
+    """Bad sampling settings are usage or parse errors, never a refuted check."""
+
+    @pytest.mark.parametrize("verb", ["check", "report", "gv"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "0"),
+        ("--samples", "-3"),
+        ("--samples", "2.5"),
+        ("--abs-tol", "-1"),
+        ("--abs-tol", "0"),
+        ("--abs-tol", "nan"),
+        ("--rel-tol", "-1"),
+        ("--rel-tol", "inf"),
+    ])
+    def test_bad_flag_exits_three(self, verb, flag, value, capsys):
+        assert run_cli([verb, gallery_path("glued_family.fol"), flag, value]) == 3
+        err = capsys.readouterr().err
+        assert "argument %s" % flag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("statement", [
+        "abs_tol 0",
+        "abs_tol -1",
+        "rel_tol 0",
+        "rel_tol -1/2",
+        "rel_tol 1e999",
+        "abs_tol 1e-400",
+    ])
+    def test_bad_document_tolerance_exits_five(self, statement, tmp_path, capsys):
+        spec = tmp_path / "tol.fol"
+        spec.write_text(TINY_DOC.replace("\n", "\n%s\n" % statement, 1))
+        assert run_cli(["check", str(spec)]) == 5
+        err = capsys.readouterr().err
+        assert "line 2" in err
+        assert "must be a positive finite number" in err
+
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_config_rejects_bad_tolerance(self, field, value):
+        with pytest.raises(ValueError):
+            ZeroTestConfig(**{field: value})
 
 
 class TestSeedResolution:
@@ -246,3 +293,26 @@ class TestRunnerApi:
         report = run_checks(doc, seed=5, seed_source="flag")
         with pytest.raises(ValueError):
             render_report(report, "yaml")
+
+
+def test_cli_never_loads_numpy():
+    # numpy backs only the pointwise ideal-membership oracle; a fresh
+    # interpreter running every verb on every gallery document must not import it
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import gvcheck
+        from gvcheck import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            for doc in sys.argv[1:]:
+                for fmt in ("text", "json", "latex"):
+                    cli.main(["report", doc, "--format", fmt])
+                cli.main(["check", doc])
+            cli.main(["gv", %r])
+        assert "numpy" not in sys.modules
+    """ % gallery_path("glued_family.fol"))
+    docs = sorted(os.path.join(GALLERY, n) for n in os.listdir(GALLERY) if n.endswith(".fol"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gvcheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script] + docs, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,11 @@
 """Exterior algebra: wedge, d, pullback, equality, ideal membership."""
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvcheck import (
     ChartError,
@@ -27,6 +31,7 @@ from gvcheck import (
     wedge_all,
     zero_form,
 )
+from gvcheck.forms import _det, gram_independent
 from conftest import XY, XYZ, random_form, random_map, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")
@@ -290,3 +295,65 @@ def test_pointwise_oracle_matches_on_fixtures(space, cfg):
     p = space.sample_point(17, 0)
     assert ideal_member_pointwise(zero_form(XYZ, 2), (), p)
     assert not ideal_member_pointwise(stranger, (), p)
+
+
+# ---------------------------------------------------------------------------
+# the pure-Python Gram determinant behind the independence precondition
+
+
+def one_form(coords, row):
+    return DiffForm(coords, 1, {(i,): rat(Fraction(v)) for i, v in enumerate(row) if v})
+
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.floats(-10, 10, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def generator_rows(draw):
+    m = draw(st.integers(1, 5))
+    r = draw(st.integers(1, m))
+    return m, draw(st.lists(st.lists(_ENTRY, min_size=m, max_size=m), min_size=r, max_size=r))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(generator_rows())
+def test_gram_determinant_matches_numpy(case):
+    m, rows = case
+    coords = ("x", "y", "z", "w", "v")[:m]
+    gens = [one_form(coords, row) for row in rows]
+    v = np.asarray(rows, dtype=float)
+    # the square block, against the Hadamard bound on its determinant
+    a = v[:, : len(rows)]
+    bound = max(1.0, float(np.prod(np.sqrt((a * a).sum(axis=1)))))
+    assert abs(_det(a.tolist()) - np.linalg.det(a)) <= 1e-12 * bound
+    norms = np.sqrt((v * v).sum(axis=1))
+    if (norms == 0.0).any():
+        assert not gram_independent(gens, {})
+        return
+    u = v / norms[:, None]
+    gram = u @ u.T
+    ref = float(np.linalg.det(gram))
+    assert abs(_det(gram.tolist()) - ref) <= 1e-12
+    if abs(abs(ref) - 1e-9) > 1e-12:
+        assert gram_independent(gens, {}) == (abs(ref) > 1e-9)
+
+
+def test_det_exact_cases():
+    assert _det([]) == 1.0
+    assert _det([[2.0]]) == 2.0
+    assert _det([[0.0, 1.0], [1.0, 0.0]]) == -1.0
+    assert _det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
+    assert _det([[0.0, 0.0], [0.0, 1.0]]) == 0.0
+
+
+def test_gram_independent_exact_cases():
+    point = {"x": 0.0, "y": 1.0, "z": 2.0}
+    row = dd("x") + dd("y") * rat(2)
+    assert gram_independent((), point)
+    assert not gram_independent((dd("x") * x, dd("y")), point)  # zero row at x = 0
+    assert not gram_independent((zero_form(XYZ, 1),), point)
+    assert not gram_independent((row, row), point)
+    assert not gram_independent((row, row * rat(-3)), point)
+    assert gram_independent((dd("x"), dd("y"), dd("z")), point)
+    turned = (dd("x") * rat(3, 5) + dd("y") * rat(4, 5), dd("x") * rat(-4, 5) + dd("y") * rat(3, 5))
+    assert gram_independent(turned + (dd("z"),), point)
