@@ -23,13 +23,10 @@ import sys
 
 from .errors import GvError, WitnessedError
 from .gv import MuChoice, gv_min
-from .runner import render_report, run_checks
+from .runner import render_report, run_checks, start_report
 from .specdoc import parse_spec
-from .symbolic import ZeroTestConfig, mix_seed
+from .verdicts import EXIT_STATUS, Verdict
 
-EXIT_PASS = 0
-EXIT_FAIL = 1
-EXIT_UNDECIDED = 2
 EXIT_USAGE = 3
 EXIT_IO = 4
 EXIT_PARSE = 5
@@ -102,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args, doc):
+def _resolve_seed(args):
+    """The seed from the flag or the environment with its source, else (None, None)."""
     if args.seed is not None:
         return args.seed, "flag"
     env = os.environ.get(ENV_SEED)
@@ -111,9 +109,7 @@ def _resolve_seed(args, doc):
             return int(env), "env"
         except ValueError:
             sys.stderr.write("gvcheck: ignoring non-integer %s=%r\n" % (ENV_SEED, env))
-    if doc.seed_declared:
-        return doc.seed, "document"
-    return doc.seed, "default"
+    return None, None
 
 
 def _load_document(path):
@@ -145,7 +141,7 @@ def _emit(text, out_path):
 
 def _cmd_report(args) -> int:
     doc = _load_document(args.specfile)
-    seed, source = _resolve_seed(args, doc)
+    seed, source = _resolve_seed(args)
     report = run_checks(
         doc, seed=seed, seed_source=source,
         samples=args.samples, abs_tol=args.abs_tol, rel_tol=args.rel_tol,
@@ -156,7 +152,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_gv(args) -> int:
     doc = _load_document(args.specfile)
-    seed, source = _resolve_seed(args, doc)
+    seed, source = _resolve_seed(args)
     if len(doc.families) != 1:
         sys.stderr.write(
             "gvcheck: the gv command needs exactly one family in the document (found %d)\n"
@@ -164,40 +160,35 @@ def _cmd_gv(args) -> int:
         )
         return EXIT_USAGE
     (fam_name, fam), = doc.families.items()
-    mus = {}
-    for f in fam.members:
-        if f.name in doc.mus:
-            mus[f.name] = doc.mus[f.name]
-        elif f.leaf_dim == len(doc.coords):
-            from .forms import zero_form
-
-            mus[f.name] = zero_form(doc.coords, 1)
-        else:
-            sys.stderr.write("gvcheck: no mu declared for foliation %r\n" % f.name)
-            return EXIT_USAGE
-    rank = args.rank if args.rank is not None else min(fam.ranks())
-    cfg = ZeroTestConfig(
-        sample_count=args.samples if args.samples is not None else doc.samples,
-        abs_tol=args.abs_tol if args.abs_tol is not None else doc.abs_tol,
-        rel_tol=args.rel_tol if args.rel_tol is not None else doc.rel_tol,
-        rng_seed=mix_seed(seed, 0),
-    )
     try:
-        report = gv_min(fam, MuChoice(mus), rank, cfg)
+        mus = {f.name: doc.witness(f, one_leaf_zero=True) for f in fam.members}
+    except KeyError as e:
+        sys.stderr.write("gvcheck: %s\n" % e.args[0])
+        return EXIT_USAGE
+    rank = args.rank if args.rank is not None else min(fam.ranks())
+    if rank not in fam.ranks():
+        sys.stderr.write(
+            "gvcheck: --rank %d is not the leaf dimension of any member of family %s (leaf dimensions: %s)\n"
+            % (rank, fam_name, ", ".join(map(str, fam.ranks())))
+        )
+        return EXIT_USAGE
+    settings = start_report(doc, seed, source, args.samples, args.abs_tol, args.rel_tol)
+    try:
+        report = gv_min(fam, MuChoice(mus), rank, settings.config(0))
     except WitnessedError as e:
         sys.stdout.write("FAIL: %s\n" % e)
         if e.witness:
             sys.stdout.write("witness: %s\n" % e.witness)
         if e.detail:
             sys.stdout.write("%s\n" % e.detail)
-        return EXIT_FAIL
+        return EXIT_STATUS[Verdict.FAIL]
     except GvError as e:
         sys.stderr.write("gvcheck: %s\n" % e)
         return EXIT_USAGE
     lines = []
     lines.append(
         "family %s: stratum rank %d, invariant degree %d, seed %d (%s)"
-        % (fam_name, report.rank, report.degree, seed, source)
+        % (fam_name, report.rank, report.degree, settings.seed, settings.seed_source)
     )
     for region, piece in report.piecewise.pieces:
         label = region.name or "<region>"
@@ -211,11 +202,7 @@ def _cmd_gv(args) -> int:
     for n in report.notes:
         lines.append("note: %s" % n)
     sys.stdout.write("\n".join(lines) + "\n")
-    if report.verdict.value == "FAIL":
-        return EXIT_FAIL
-    if report.verdict.value == "UNDECIDED":
-        return EXIT_UNDECIDED
-    return EXIT_PASS
+    return EXIT_STATUS[report.verdict]
 
 
 def main(argv=None) -> int:

@@ -166,7 +166,7 @@ class FoliationFamily:
         return sorted({f.leaf_dim for f in self.members})
 
 
-def _overlap_or_none(a: Region, b: Region, cfg, probes=None):
+def _overlap_or_none(a: Region, b: Region, cfg):
     """Intersection region plus a sampled nonemptiness witness, or None.
 
     Overlap emptiness is decided by sampling only, so "no overlap

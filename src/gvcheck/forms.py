@@ -6,9 +6,11 @@ coordinate list.  Degree-0 forms wrap a single scalar at the empty
 tuple.  All operations (wedge, exterior derivative, pullback) are exact;
 numeric evaluation is only used by the sampled equality fallback, the
 Gram-determinant independence precondition of :func:`ideal_member`
-(pure Python) and the pointwise ideal-membership oracle.  numpy is
-loaded only by that oracle, :func:`ideal_member_pointwise`, so importing
-this module does not import it.
+(pure Python) and the pointwise ideal-membership oracle.  That test
+oracle, :func:`ideal_member_pointwise` with its helper
+:func:`eval_on_vectors`, is the only user of numpy (a dependency of the
+``test`` extra only) and imports it when called, so importing this
+module does not import it.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 from .errors import ChartError, DegreeError, PreconditionError
 from .symbolic import (
-    ScalarExpr,
     ZeroTestConfig,
     evaluate,
     free_coords,
@@ -488,13 +489,3 @@ def ideal_member_pointwise(b: DiffForm, gens, point, abs_tol=1e-9, rel_tol=1e-9)
             return False
     return True
 
-
-def wedge_vanishes_at(b: DiffForm, gens, point, abs_tol=1e-9, rel_tol=1e-9):
-    """Numeric value of the wedge criterion at one point (the symbolic route
-    evaluated), used to compare the two ideal-membership routes."""
-    w = b
-    for g in gens:
-        w = wedge(w, g)
-    vals = eval_coeffs(w, point)
-    scale = sum(abs(v) for v in vals.values())
-    return all(abs(v) <= abs_tol + rel_tol * scale for v in vals.values())

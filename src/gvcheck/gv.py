@@ -9,7 +9,7 @@ mu by a basic function before building the GV form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GluingError, GvError, PreconditionError, UnsupportedShapeError
 from .foliations import Foliation, FoliationFamily, PiecewiseForm, _overlap_or_none
@@ -28,7 +28,7 @@ from .forms import (
 )
 from .regions import Region
 from .symbolic import ONE, ScalarExpr, ZeroTestConfig, evaluate, normalize, rat
-from .verdicts import CheckEntry, StructuredReport, Verdict, ZeroOutcome, ZeroStatus
+from .verdicts import CheckEntry, StructuredReport, Verdict, ZeroOutcome, ZeroStatus, worst
 
 _GAUGE_ADVICE = "consider a different Frobenius witness (gauge change mu -> mu + f*nu)"
 
@@ -276,12 +276,7 @@ class GVReport:
 
     @property
     def verdict(self) -> Verdict:
-        worst = {self.vanishing.verdict, self.closedness.verdict}
-        if Verdict.FAIL in worst:
-            return Verdict.FAIL
-        if Verdict.UNDECIDED in worst:
-            return Verdict.UNDECIDED
-        return Verdict.PASS
+        return worst((self.vanishing.verdict, self.closedness.verdict))
 
 
 def gv_min(fam: FoliationFamily, mu: MuChoice, rank: int, cfg: ZeroTestConfig) -> GVReport:

@@ -15,24 +15,14 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 
-from .errors import (
-    ChartError,
-    DegreeError,
-    EvaluationError,
-    GluingError,
-    GvError,
-    PreconditionError,
-    SamplingError,
-    UnsupportedShapeError,
-    WitnessedError,
-)
+from .errors import GvError, WitnessedError
 from .foliations import (
     check_family,
     check_invariance,
     rank_at,
     validate_foliation,
 )
-from .forms import ext_d, forms_equal, ideal_member, scalar_form, zero_form
+from .forms import ext_d, forms_equal, ideal_member, zero_form
 from .gv import (
     MuChoice,
     check_basic,
@@ -49,7 +39,16 @@ from .singular import check_exactness_pipeline, d_f, iso_decompose, verify_exact
 from .specdoc import CheckDirective, SpecDocument
 from .symbolic import ZeroTestConfig, is_zero_on, mix_seed, to_latex
 from .testfn import flatness_check, weak_test_from_cover
-from .verdicts import CheckEntry, StructuredReport, Verdict, verdict_of
+from .verdicts import (
+    EXIT_STATUS,
+    CheckEntry,
+    StructuredReport,
+    Verdict,
+    ZeroOutcome,
+    ZeroStatus,
+    verdict_of,
+    worst,
+)
 
 SCHEMA_VERSION = 1
 
@@ -91,12 +90,16 @@ class RunReport:
         return counts
 
     def exit_code(self) -> int:
-        s = self.summary
-        if s["fail"]:
-            return 1
-        if s["undecided"]:
-            return 2
-        return 0
+        return EXIT_STATUS[worst(Verdict(c.verdict) for c in self.checks)]
+
+    def config(self, index: int) -> ZeroTestConfig:
+        """The zero-test configuration of the check at ``index``: its own sub-seed."""
+        return ZeroTestConfig(
+            sample_count=self.samples,
+            abs_tol=self.abs_tol,
+            rel_tol=self.rel_tol,
+            rng_seed=mix_seed(self.seed, index),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -116,41 +119,19 @@ def _entry_dict(e: CheckEntry) -> dict:
     }
 
 
-def _from_outcome(outcome, latex="", entries=(), notes=()):
-    return (
-        verdict_of(outcome).value,
-        outcome.detail,
-        outcome.witness,
-        [_entry_dict(e) for e in entries],
-        list(notes),
-        latex,
-    )
-
-
-def _from_report(report: StructuredReport, latex="", detail=""):
-    return (
-        report.verdict.value,
-        detail,
-        None,
-        [_entry_dict(e) for e in report.entries],
-        list(report.notes),
-        latex,
-    )
-
-
 # ---------------------------------------------------------------------------
-# per-kind executors: directive payload + config -> result tuple
+# per-kind executors: directive payload + config -> (engine result, LaTeX,
+# extra detail), where the engine result is a ZeroOutcome or a StructuredReport
 
 
 def _run_zero(p, cfg):
     out = is_zero_on(p["expr"], p["region"], cfg)
-    return _from_outcome(out, latex=r"%s \overset{?}{=} 0" % to_latex(p["expr"]))
+    return out, r"%s \overset{?}{=} 0" % to_latex(p["expr"]), ""
 
 
 def _run_forms_equal(p, cfg):
     out = forms_equal(p["left"], p["right"], p["region"], cfg)
-    latex = r"%s \overset{?}{=} %s" % (p["left"].to_latex(), p["right"].to_latex())
-    return _from_outcome(out, latex=latex)
+    return out, r"%s \overset{?}{=} %s" % (p["left"].to_latex(), p["right"].to_latex()), ""
 
 
 def _run_ideal_member(p, cfg):
@@ -159,43 +140,39 @@ def _run_ideal_member(p, cfg):
         p["form"].to_latex(),
         ", ".join(g.to_latex() for g in p["gens"]),
     )
-    return _from_outcome(out, latex=latex)
+    return out, latex, ""
 
 
 def _run_foliation(p, cfg):
     fol = p["foliation"]
-    report = validate_foliation(fol, cfg)
-    return _from_report(report, latex=r"\nu = %s" % fol.nu.to_latex())
+    return validate_foliation(fol, cfg), r"\nu = %s" % fol.nu.to_latex(), ""
 
 
 def _run_family(p, cfg):
-    return _from_report(check_family(p["family"], cfg))
+    return check_family(p["family"], cfg), "", ""
 
 
 def _run_rank(p, cfg):
     got = rank_at(p["family"], p["point"])
     want = p["expect"]
     ok = got == want
-    return (
-        Verdict.PASS.value if ok else Verdict.FAIL.value,
-        "rank %d at the sample point (expected %d)" % (got, want),
-        None if ok else dict(p["point"]),
-        [],
-        [],
-        "",
+    # an exact comparison: equal ranks are proved, unequal ones refuted at the point
+    out = ZeroOutcome(
+        ZeroStatus.PROVED_ZERO if ok else ZeroStatus.NONZERO,
+        witness=None if ok else dict(p["point"]),
+        detail="rank %d at the sample point (expected %d)" % (got, want),
     )
+    return out, "", ""
 
 
 def _run_invariance(p, cfg):
-    out = check_invariance(p["map"], p["foliation"], cfg)
-    return _from_outcome(out)
+    return check_invariance(p["map"], p["foliation"], cfg), "", ""
 
 
 def _run_frobenius(p, cfg):
     fol = p["foliation"]
     out = verify_frobenius(fol.nu, p["mu"], fol.region, cfg)
-    latex = r"d\nu \overset{?}{=} \nu \wedge \mu,\ \mu = %s" % p["mu"].to_latex()
-    return _from_outcome(out, latex=latex)
+    return out, r"d\nu \overset{?}{=} \nu \wedge \mu,\ \mu = %s" % p["mu"].to_latex(), ""
 
 
 def _run_gv_closed(p, cfg):
@@ -203,53 +180,42 @@ def _run_gv_closed(p, cfg):
     w = gv_form(p["mu"], fol.codim)
     dw = ext_d(w)
     out = forms_equal(dw, zero_form(fol.coords, dw.degree), fol.region, cfg)
-    latex = r"d\left(%s\right) \overset{?}{=} 0" % w.to_latex()
-    return _from_outcome(out, latex=latex)
+    return out, r"d\left(%s\right) \overset{?}{=} 0" % w.to_latex(), ""
 
 
 def _run_gv_form(p, cfg):
     fol = p["foliation"]
     w = gv_form(p["mu"], fol.codim)
     out = forms_equal(w, p["expected"], fol.region, cfg)
-    return _from_outcome(out, latex=r"\mu \wedge (d\mu)^{%d} = %s" % (fol.codim, w.to_latex()))
+    return out, r"\mu \wedge (d\mu)^{%d} = %s" % (fol.codim, w.to_latex()), ""
 
 
 def _run_overlap_vanishing(p, cfg):
-    report = check_minimal_vanishing(p["family"], MuChoice(dict(p["mus"])), cfg)
-    return _from_report(report)
+    return check_minimal_vanishing(p["family"], MuChoice(dict(p["mus"])), cfg), "", ""
 
 
 def _run_gv_min(p, cfg):
     report = gv_min(p["family"], MuChoice(dict(p["mus"])), p["rank"], cfg)
-    entries = [_entry_dict(e) for e in report.vanishing.entries]
-    entries += [_entry_dict(e) for e in report.closedness.entries]
-    main = report.piecewise.pieces[0][1]
+    rows = StructuredReport(report.vanishing.entries + report.closedness.entries, report.notes)
     detail = "degree %d form, glued with zero on %d region(s)" % (
         report.degree,
         len(report.piecewise.pieces) - 1,
     )
     if not report.glued:
         detail += "; gluing not established"
-    return (
-        report.verdict.value,
-        detail,
-        None,
-        entries,
-        list(report.notes),
-        main.to_latex(),
-    )
+    return rows, report.piecewise.pieces[0][1].to_latex(), detail
 
 
 def _run_basic(p, cfg):
     fol = p["foliation"]
     out = check_basic(p["weight"], fol, fol.region, cfg)
-    return _from_outcome(out, latex=r"d\varphi \in \left\langle \nu \right\rangle,\ \varphi = %s" % to_latex(p["weight"]))
+    return out, r"d\varphi \in \left\langle \nu \right\rangle,\ \varphi = %s" % to_latex(p["weight"]), ""
 
 
 def _run_gv_weighted(p, cfg):
     fol = p["foliation"]
     nu_bar, report = gv_weighted(p["weight"], p["mu"], fol.codim, fol, cfg)
-    return _from_report(report, latex=r"\bar\nu = %s" % nu_bar.to_latex())
+    return report, r"\bar\nu = %s" % nu_bar.to_latex(), ""
 
 
 def _run_overlap_identities(p, cfg):
@@ -259,39 +225,30 @@ def _run_overlap_identities(p, cfg):
     report = check_overlap_identities(
         sub, sup, p["mus"][sub.name], p["mus"][sup.name], theta.theta, overlap, cfg
     )
-    detail = "theta sign %+d" % theta.sign
-    return _from_report(report, latex=r"\theta = %s" % theta.theta.to_latex(), detail=detail)
+    return report, r"\theta = %s" % theta.theta.to_latex(), "theta sign %+d" % theta.sign
 
 
 def _run_theta(p, cfg):
+    # solve_theta returns only a proved factorization (it raises otherwise),
+    # so the row's verdict is that of the optional comparison
     sub, sup = p["sub"], p["sup"]
     overlap = intersect(sub.region, sup.region, name="overlap")
     res = solve_theta(sub, sup, overlap, cfg)
-    verdict, detail, witness, entries, notes, latex = _from_outcome(
-        res.outcome, latex=r"\theta = %s" % res.theta.to_latex()
-    )
-    detail = ("sign %+d" % res.sign) + (("; " + detail) if detail else "")
+    entries = ()
     if "expected" in p:
         cmp = forms_equal(res.theta, p["expected"], overlap, cfg)
-        entries.append(
-            _entry_dict(CheckEntry.from_outcome("matches-expected", cmp))
-        )
-        if verdict_of(cmp).value == Verdict.FAIL.value:
-            verdict = Verdict.FAIL.value
-        elif verdict == Verdict.PASS.value and verdict_of(cmp) is not Verdict.PASS:
-            verdict = verdict_of(cmp).value
-    return verdict, detail, witness, entries, notes, latex
+        entries = (CheckEntry.from_outcome("matches-expected", cmp),)
+    return StructuredReport(entries), r"\theta = %s" % res.theta.to_latex(), "sign %+d" % res.sign
 
 
 def _run_cover(p, cfg):
     decl = p["testfn"]
     phi, report = weak_test_from_cover(decl.balls, decl.closedset, cfg)
-    return _from_report(report, latex=r"\varphi = %s" % to_latex(phi))
+    return report, r"\varphi = %s" % to_latex(phi), ""
 
 
 def _run_flatness(p, cfg):
-    report = flatness_check(p["expr"], p["closedset"], cfg)
-    return _from_report(report, latex=to_latex(p["expr"]))
+    return flatness_check(p["expr"], p["closedset"], cfg), to_latex(p["expr"]), ""
 
 
 def _run_df_closed(p, cfg):
@@ -299,8 +256,7 @@ def _run_df_closed(p, cfg):
     out = forms_equal(
         residual, zero_form(residual.coords, residual.degree), p["region"], cfg
     )
-    latex = r"d_f\,\omega = %s" % residual.to_latex()
-    return _from_outcome(out, latex=latex)
+    return out, r"d_f\,\omega = %s" % residual.to_latex(), ""
 
 
 def _run_exactness(p, cfg):
@@ -309,27 +265,26 @@ def _run_exactness(p, cfg):
         p["primitive"].to_latex(),
         p["form"].to_latex(),
     )
-    return _from_outcome(out, latex=latex)
+    return out, latex, ""
 
 
 def _run_exactness_pipeline(p, cfg):
     report = check_exactness_pipeline(
         p["foliation"], p["weight"], p["mu"], p["tubular"], p["primitive"], cfg
     )
-    return _from_report(report, latex=r"\varphi = %s" % to_latex(p["weight"]))
+    return report, r"\varphi = %s" % to_latex(p["weight"]), ""
 
 
 def _run_iso(p, cfg):
     composite, report = iso_decompose(
         p["weight"], p["alpha"], p["beta"], p["tubular"], cfg
     )
-    return _from_report(report, latex=composite.to_latex())
+    return report, composite.to_latex(), ""
 
 
 def _run_tubular(p, cfg):
     td = p["tubular"]
-    report = td.validate(cfg)
-    return _from_report(report, latex=r"\rho = %s" % to_latex(td.rho))
+    return td.validate(cfg), r"\rho = %s" % to_latex(td.rho), ""
 
 
 _EXECUTORS = {
@@ -359,45 +314,60 @@ _EXECUTORS = {
 }
 
 
-def _execute(directive: CheckDirective, cfg: ZeroTestConfig) -> CheckResult:
-    start = time.perf_counter()
-    try:
-        verdict, detail, witness, entries, notes, latex = _EXECUTORS[directive.kind](
-            directive.payload, cfg
-        )
-    except WitnessedError as e:
-        verdict = Verdict.FAIL.value
-        detail = str(e) + (("; " + e.detail) if e.detail else "")
-        witness, entries, notes, latex = e.witness, [], [], ""
-    except (
-        UnsupportedShapeError,
-        SamplingError,
-        EvaluationError,
-        DegreeError,
-        ChartError,
-        GvError,
-        ValueError,
-        KeyError,
-        ZeroDivisionError,
-    ) as e:
-        verdict = Verdict.FAIL.value
-        detail = "%s: %s" % (type(e).__name__, e)
-        witness, entries, notes, latex = None, [], [], ""
-    except Exception as e:  # never let a run crash on one bad check
-        verdict = Verdict.FAIL.value
-        detail = "internal error (%s: %s)" % (type(e).__name__, e)
-        witness, entries, notes, latex = None, [], [], ""
-    elapsed = (time.perf_counter() - start) * 1000.0
+def _check_result(directive, result, latex, detail, timing_ms) -> CheckResult:
+    """The report row of one check from its engine result.
+
+    A zero test's row shows the test's own detail; a structured report
+    has none, so its row shows the executor's.
+    """
+    if isinstance(result, ZeroOutcome):
+        verdict, witness, entries, notes = verdict_of(result), result.witness, (), ()
+        detail = result.detail
+    else:
+        verdict, witness, entries, notes = result.verdict, None, result.entries, result.notes
     return CheckResult(
         name=directive.label,
         kind=directive.kind,
-        verdict=verdict,
+        verdict=verdict.value,
         detail=detail,
         witness=witness,
-        entries=entries,
-        notes=notes,
+        entries=[_entry_dict(e) for e in entries],
+        notes=list(notes),
         latex=latex,
-        timing_ms=elapsed,
+        timing_ms=timing_ms,
+    )
+
+
+def _execute(directive: CheckDirective, cfg: ZeroTestConfig) -> CheckResult:
+    start = time.perf_counter()
+    latex = detail = ""
+    try:
+        result, latex, detail = _EXECUTORS[directive.kind](directive.payload, cfg)
+    # an error becomes a FAIL row: a refuting outcome with the error's witness, if any
+    except WitnessedError as e:
+        message = str(e) + (("; " + e.detail) if e.detail else "")
+        result = ZeroOutcome(ZeroStatus.NONZERO, witness=e.witness, detail=message)
+    except (GvError, ValueError, KeyError, ZeroDivisionError) as e:
+        result = ZeroOutcome(ZeroStatus.NONZERO, detail="%s: %s" % (type(e).__name__, e))
+    except Exception as e:  # never let a run crash on one bad check
+        result = ZeroOutcome(ZeroStatus.NONZERO, detail="internal error (%s: %s)" % (type(e).__name__, e))
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return _check_result(directive, result, latex, detail, elapsed)
+
+
+def start_report(doc: SpecDocument, seed, seed_source, samples, abs_tol, rel_tol) -> RunReport:
+    """An empty report holding the run's settings: each override, else the document's."""
+    if seed is None:
+        seed = doc.seed
+        seed_source = seed_source or ("document" if doc.seed_declared else "default")
+    else:
+        seed_source = seed_source or "caller"
+    return RunReport(
+        seed=seed,
+        seed_source=seed_source,
+        samples=doc.samples if samples is None else samples,
+        abs_tol=doc.abs_tol if abs_tol is None else abs_tol,
+        rel_tol=doc.rel_tol if rel_tol is None else rel_tol,
     )
 
 
@@ -410,32 +380,9 @@ def run_checks(
     rel_tol: float | None = None,
 ) -> RunReport:
     """Run every check in the document under derived sub-seeds."""
-    if seed is None:
-        seed = doc.seed
-        seed_source = seed_source or ("document" if doc.seed_declared else "default")
-    else:
-        seed_source = seed_source or "caller"
-    samples = doc.samples if samples is None else samples
-    abs_tol = doc.abs_tol if abs_tol is None else abs_tol
-    rel_tol = doc.rel_tol if rel_tol is None else rel_tol
-
-    def config_for(directive):
-        return ZeroTestConfig(
-            sample_count=samples,
-            abs_tol=abs_tol,
-            rel_tol=rel_tol,
-            rng_seed=mix_seed(seed, directive.index),
-        )
-
-    results = [_execute(d, config_for(d)) for d in doc.checks]
-    return RunReport(
-        seed=seed,
-        seed_source=seed_source,
-        samples=samples,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        checks=results,
-    )
+    report = start_report(doc, seed, seed_source, samples, abs_tol, rel_tol)
+    report.checks = [_execute(d, report.config(d.index)) for d in doc.checks]
+    return report
 
 
 # ---------------------------------------------------------------------------

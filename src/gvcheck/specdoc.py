@@ -120,6 +120,19 @@ class SpecDocument:
     def env(self) -> Environment:
         return Environment(self.coords, self.scalars, self.forms)
 
+    def witness(self, fol, one_leaf_zero) -> DiffForm:
+        """The Frobenius witness mu declared for a foliation.
+
+        With ``one_leaf_zero`` a one-leaf foliation without a declared
+        witness gets the zero 1-form, its canonical witness.  Raises
+        KeyError, with the message as its argument, when there is none.
+        """
+        if fol.name in self.mus:
+            return self.mus[fol.name]
+        if one_leaf_zero and fol.leaf_dim == len(self.coords):
+            return zero_form(self.coords, 1)
+        raise KeyError("no mu declared for foliation %r" % fol.name)
+
 
 class _StatementParser:
     """Cursor over one statement's tokens with shared helpers."""
@@ -197,13 +210,15 @@ class _StatementParser:
         if t.kind != "NUM":
             self.fail("expected a number, found %r" % (t.text or "end"), t.col)
         value = parse_number(t.text)
-        # allow 1e-9 style exponents as IDENT suffix is not tokenized; accept p/q
         if self.peek().text == "/":
             self.advance()
             d = self.advance()
             if d.kind != "NUM":
                 self.fail("expected a denominator", d.col)
-            value = value / parse_number(d.text)
+            denominator = parse_number(d.text)
+            if not denominator:
+                self.fail("zero denominator", d.col)
+            value = value / denominator
         return sign * value
 
     def integer(self) -> int:
@@ -256,6 +271,31 @@ class _StatementParser:
             self.fail("ball needs %d center coordinates and a radius" % len(self.doc.coords))
         center = {n: float(v) for n, v in zip(self.doc.coords, values[:-1])}
         return center, float(values[-1])
+
+    def hyphenated(self, word, extends) -> str:
+        """Extend ``word``, the text of the token just read, by the
+        adjacent ``- IDENT`` pairs that follow it.
+
+        Only pairs written without spaces merge, and only while
+        ``extends(candidate)`` holds, so a spaced or unary minus stays a
+        token of its own.
+        """
+        end = self.tokens[self.pos - 1].col + len(word)
+        while self.peek().text == "-" and self.peek().col == end:
+            part = self.tokens[self.pos + 1]
+            if part.kind != "IDENT" or part.col != end + 1 or not extends(word + "-" + part.text):
+                break
+            self.pos += 2
+            word += "-" + part.text
+            end = part.col + len(part.text)
+        return word
+
+    def witness(self, fol, one_leaf_zero) -> DiffForm:
+        """:meth:`SpecDocument.witness`, failing at the current token."""
+        try:
+            return self.doc.witness(fol, one_leaf_zero)
+        except KeyError as e:
+            self.fail(e.args[0])
 
     def lookup(self, table, what) -> object:
         t = self.peek()
@@ -580,21 +620,9 @@ def _parse_check(p: _StatementParser):
     kind = t.text
     if t.kind != "IDENT":
         p.fail("expected a check kind, found %r" % (t.text or "end"), t.col)
-    # Hyphenated kinds arrive as IDENT '-' IDENT.  Merge only adjacent
-    # tokens that keep extending a known kind, so a unary minus that
-    # happens to follow a kind name is left alone.
-    end = t.col + len(t.text)
-    while (
-        p.peek().text == "-"
-        and p.peek().col == end
-        and p.tokens[p.pos + 1].kind == "IDENT"
-        and p.tokens[p.pos + 1].col == end + 1
-        and any(k == kind + "-" + p.tokens[p.pos + 1].text or k.startswith(kind + "-" + p.tokens[p.pos + 1].text + "-")
-                for k in CHECK_KINDS)
-    ):
-        p.advance()
-        kind = kind + "-" + p.advance().text
-        end = p.tokens[p.pos - 1].col + len(p.tokens[p.pos - 1].text)
+    # Hyphenated kinds arrive as IDENT '-' IDENT: merge only while the
+    # result still extends a known kind.
+    kind = p.hyphenated(kind, lambda w: any(k == w or k.startswith(w + "-") for k in CHECK_KINDS))
     if kind not in CHECK_KINDS:
         p.fail("unknown check kind %r" % kind, t.col)
     payload = {}
@@ -638,31 +666,18 @@ def _parse_check(p: _StatementParser):
         if p.at_word("with"):
             p.advance()
             payload["mu"] = p.form_expression()
-        elif fol.name in d.mus:
-            payload["mu"] = d.mus[fol.name]
         else:
-            p.fail("no mu declared for foliation %r" % fol.name)
+            payload["mu"] = p.witness(fol, one_leaf_zero=False)
     elif kind == "gv-form":
         fol = p.lookup(d.foliations, "foliation")
         payload["foliation"] = fol
-        if fol.name not in d.mus:
-            p.fail("no mu declared for foliation %r" % fol.name)
-        payload["mu"] = d.mus[fol.name]
+        payload["mu"] = p.witness(fol, one_leaf_zero=False)
         p.op("==")
         payload["expected"] = p.form_expression()
     elif kind in ("overlap-vanishing", "gv-min"):
         fam = p.lookup(d.families, "family")
         payload["family"] = fam
-        mus = {}
-        for f in fam.members:
-            if f.name in d.mus:
-                mus[f.name] = d.mus[f.name]
-            elif f.leaf_dim == len(d.coords):
-                # one-leaf member: the witness is canonically zero
-                mus[f.name] = zero_form(d.coords, 1)
-            else:
-                p.fail("no mu declared for foliation %r" % f.name)
-        payload["mus"] = mus
+        payload["mus"] = {f.name: p.witness(f, one_leaf_zero=True) for f in fam.members}
         if kind == "gv-min":
             p.keyword("rank")
             payload["rank"] = p.integer()
@@ -672,19 +687,14 @@ def _parse_check(p: _StatementParser):
         fol = p.lookup(d.foliations, "foliation")
         payload["foliation"] = fol
         if kind == "gv-weighted":
-            if fol.name not in d.mus:
-                p.fail("no mu declared for foliation %r" % fol.name)
-            payload["mu"] = d.mus[fol.name]
+            payload["mu"] = p.witness(fol, one_leaf_zero=False)
     elif kind in ("overlap-identities", "theta"):
         sub = p.lookup(d.foliations, "foliation")
         sup = p.lookup(d.foliations, "foliation")
         payload["sub"] = sub
         payload["sup"] = sup
         if kind == "overlap-identities":
-            for f in (sub, sup):
-                if f.name not in d.mus:
-                    p.fail("no mu declared for foliation %r" % f.name)
-            payload["mus"] = {f.name: d.mus[f.name] for f in (sub, sup)}
+            payload["mus"] = {f.name: p.witness(f, one_leaf_zero=False) for f in (sub, sup)}
         if kind == "theta" and p.peek().text == "==":
             p.advance()
             payload["expected"] = p.form_expression()
@@ -709,9 +719,7 @@ def _parse_check(p: _StatementParser):
     elif kind == "exactness-pipeline":
         fol = p.lookup(d.foliations, "foliation")
         payload["foliation"] = fol
-        if fol.name not in d.mus:
-            p.fail("no mu declared for foliation %r" % fol.name)
-        payload["mu"] = d.mus[fol.name]
+        payload["mu"] = p.witness(fol, one_leaf_zero=False)
         p.keyword("weight")
         payload["weight"] = p.scalar_expression()
         p.keyword("via")
@@ -735,18 +743,7 @@ def _parse_check(p: _StatementParser):
         first = p.advance()
         if first.kind != "IDENT":
             p.fail("expected a label, found %r" % (first.text or "end"), first.col)
-        label = first.text
-        end = first.col + len(first.text)
-        while (
-            p.peek().text == "-"
-            and p.peek().col == end
-            and p.tokens[p.pos + 1].kind == "IDENT"
-            and p.tokens[p.pos + 1].col == end + 1
-        ):
-            p.advance()
-            part = p.advance()
-            label += "-" + part.text
-            end = part.col + len(part.text)
+        label = p.hyphenated(first.text, lambda w: True)
     p.expect_end()
     d.checks.append(CheckDirective(len(d.checks), kind, label, p.line, payload))
 

@@ -466,17 +466,6 @@ class ScalarExpr:
     def __repr__(self):
         return "<expr %s>" % self
 
-    # -- convenience method forms of the module operations -------------
-
-    def partial(self, name):
-        return partial(self, name)
-
-    def eval(self, point):
-        return evaluate(self, point)
-
-    def subs(self, mapping):
-        return substitute(self, mapping)
-
 
 def _coerce(v):
     if isinstance(v, ScalarExpr):
@@ -917,9 +906,6 @@ class ZeroTestConfig:
             raise ValueError("sample_count must be at least 1")
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-
-    def with_seed(self, seed):
-        return ZeroTestConfig(self.sample_count, self.abs_tol, self.rel_tol, seed & _MASK64)
 
 
 def is_zero_on(e, region, cfg=None):

@@ -17,7 +17,6 @@ from random import Random
 
 from .errors import CoverageError, PreconditionError
 from .symbolic import (
-    ONE,
     ScalarExpr,
     ZERO,
     ZeroTestConfig,

@@ -59,6 +59,19 @@ class Verdict(Enum):
     UNDECIDED = "UNDECIDED"
 
 
+def worst(verdicts) -> Verdict:
+    """FAIL over UNDECIDED over PASS; no verdicts at all is a PASS."""
+    verdicts = set(verdicts)
+    for v in (Verdict.FAIL, Verdict.UNDECIDED):
+        if v in verdicts:
+            return v
+    return Verdict.PASS
+
+
+# exit status of a command whose worst verdict is the key
+EXIT_STATUS = {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.UNDECIDED: 2}
+
+
 def verdict_of(outcome: ZeroOutcome) -> Verdict:
     if outcome.proved:
         return Verdict.PASS
@@ -103,11 +116,7 @@ class StructuredReport:
 
     @property
     def verdict(self) -> Verdict:
-        if any(e.verdict is Verdict.FAIL for e in self.entries):
-            return Verdict.FAIL
-        if any(e.verdict is Verdict.UNDECIDED for e in self.entries):
-            return Verdict.UNDECIDED
-        return Verdict.PASS
+        return worst(e.verdict for e in self.entries)
 
     @property
     def passed(self):

@@ -11,8 +11,8 @@ import pytest
 
 import gvcheck.runner
 from gvcheck.cli import ENV_SEED, main
-from gvcheck.runner import RunReport, render_json, render_report, run_checks
-from gvcheck.specdoc import parse_spec
+from gvcheck.runner import CheckResult, RunReport, render_json, render_report, run_checks
+from gvcheck.specdoc import CHECK_KINDS, parse_spec
 from gvcheck.symbolic import ZeroTestConfig
 
 
@@ -115,6 +115,17 @@ class TestInvalidSettings:
         assert "line 2" in err
         assert "must be a positive finite number" in err
 
+    @pytest.mark.parametrize("statement, col", [
+        ("abs_tol 1/0", 11),
+        ("rel_tol -2/0.0", 12),
+        ("box x 0 1/0", 11),
+    ])
+    def test_zero_denominator_exits_five(self, statement, col, tmp_path, capsys):
+        spec = tmp_path / "zero.fol"
+        spec.write_text(TINY_DOC.replace("\n", "\n%s\n" % statement, 1))
+        assert run_cli(["check", str(spec)]) == 5
+        assert capsys.readouterr().err == "%s: line 2, col %d: zero denominator\n" % (spec, col)
+
     @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_config_rejects_bad_tolerance(self, field, value):
@@ -216,6 +227,16 @@ class TestGvVerb:
         assert "stratum rank 3" in out
         assert "invariant degree 1" in out
 
+    @pytest.mark.parametrize("rank", ["0", "-1", "99"])
+    def test_rank_outside_the_family_is_usage_error(self, rank, capsys):
+        assert run_cli(["gv", gallery_path("glued_family.fol"), "--rank", rank]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gvcheck: --rank %s is not the leaf dimension of any member of family fam"
+            " (leaf dimensions: 2, 3)\n" % rank
+        )
+
     def test_latex_format_wraps_pieces_in_math(self, capsys):
         assert run_cli(["gv", gallery_path("glued_family.fol"), "--format", "latex"]) == 0
         assert "$" in capsys.readouterr().out
@@ -286,7 +307,35 @@ class TestRunnerApi:
         row = report.checks[0]
         assert row.verdict == "FAIL"
         assert row.witness == {"x": -1.0, "y": 0.0}
+        assert row.detail == "point lies in no member region"
         assert report.exit_code() == 1
+
+    def test_engine_value_error_becomes_fail_row(self):
+        doc = parse_doc(
+            "chart x y\nregion R = all\n"
+            "foliation H on R leafdim 1 nu dy transverse y\nmu H = 0*dx\nfamily fam = H\n"
+            "check gv-min fam rank 2 as wrong-rank\n"
+        )
+        row = run_checks(doc, seed=5, seed_source="flag").checks[0]
+        assert (row.verdict, row.witness, row.entries, row.latex) == ("FAIL", None, [], "")
+        assert row.detail == "ValueError: rank 2 is not the leaf dimension of any member"
+
+    @pytest.mark.parametrize("verdicts, status", [
+        ((), 0),
+        (("PASS", "PASS"), 0),
+        (("PASS", "UNDECIDED"), 2),
+        (("UNDECIDED", "FAIL", "PASS"), 1),
+        (("FAIL", "UNDECIDED"), 1),
+    ])
+    def test_failure_outranks_undecided_in_the_exit_status(self, verdicts, status):
+        report = RunReport(1, "flag", 4, 1e-9, 1e-9, checks=[
+            CheckResult("c%d" % i, "zero", v) for i, v in enumerate(verdicts)
+        ])
+        assert report.exit_code() == status
+
+    def test_grammar_and_executors_name_the_same_kinds(self):
+        assert len(set(CHECK_KINDS)) == len(CHECK_KINDS)
+        assert set(CHECK_KINDS) == set(gvcheck.runner._EXECUTORS)
 
     def test_render_report_rejects_unknown_format(self):
         doc = parse_doc(TINY_DOC)

@@ -353,6 +353,31 @@ class TestCheckParsing:
         )
         assert diagnostics and diagnostics[0].line == 5
 
+    @pytest.mark.parametrize("check, col", [
+        ("check frobenius W", 18),
+        ("check gv-form W == 0", 17),
+        ("check gv-weighted x for W", 26),
+        ("check overlap-identities W W", 29),
+        ("check exactness-pipeline W weight x via td primitive 0", 28),
+    ])
+    def test_zero_mu_default_is_for_families_only(self, check, col):
+        # a one-leaf foliation gets the zero witness only as a family member
+        text = (
+            "chart x y\nregion R = all\nfoliation W on R leafdim 2\nfamily fam = W\n"
+            "tubular td on R f y t y eps 1/4 outer 1/2\n"
+        )
+        assert parse_ok(text + "check overlap-vanishing fam\n").checks[0].payload["mus"] == {
+            "W": zero_form(("x", "y"), 1)
+        }
+        _, diagnostics = parse_spec(text + check + "\n")
+        assert [str(d) for d in diagnostics] == ["line 6, col %d: no mu declared for foliation 'W'" % col]
+
+    def test_kind_merge_stops_at_a_non_kind(self):
+        # "zero-x" extends no kind, so the minus starts the expression
+        doc = parse_ok("chart x\nregion R = all\ncheck zero-x + x on R\n")
+        assert doc.checks[0].kind == "zero"
+        assert doc.checks[0].payload["expr"].is_zero
+
     def test_frobenius_with_inline_mu(self):
         doc = parse_ok(
             "chart x y\nregion R = all\n"
