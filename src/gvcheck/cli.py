@@ -166,11 +166,9 @@ def _cmd_gv(args) -> int:
         sys.stderr.write("gvcheck: %s\n" % e.args[0])
         return EXIT_USAGE
     rank = args.rank if args.rank is not None else min(fam.ranks())
-    if rank not in fam.ranks():
-        sys.stderr.write(
-            "gvcheck: --rank %d is not the leaf dimension of any member of family %s (leaf dimensions: %s)\n"
-            % (rank, fam_name, ", ".join(map(str, fam.ranks())))
-        )
+    problem = fam.rank_error(rank, fam_name)
+    if problem:
+        sys.stderr.write("gvcheck: --%s\n" % problem)
         return EXIT_USAGE
     settings = start_report(doc, seed, source, args.samples, args.abs_tol, args.rel_tol)
     try:

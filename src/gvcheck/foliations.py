@@ -16,18 +16,18 @@ from .errors import PreconditionError, SamplingError
 from .forms import (
     CoordinateMap,
     DiffForm,
+    dependent_sample,
     ext_d,
     forms_equal,
-    gram_independent,
     pullback,
     scalar_form,
+    vanishes_on,
     wedge,
     wedge_all,
-    zero_form,
 )
 from .regions import Region, box_region, hull_box, intersect
 from .symbolic import ONE, ZeroTestConfig
-from .verdicts import CheckEntry, StructuredReport, Verdict, ZeroOutcome, ZeroStatus, combine_outcomes
+from .verdicts import CheckEntry, StructuredReport, Verdict, combine_outcomes
 
 
 @dataclass(frozen=True)
@@ -99,23 +99,11 @@ def validate_foliation(fol: Foliation, cfg: ZeroTestConfig) -> StructuredReport:
         )
     )
     if fol.decomposition:
-        dep_witness = None
-        for i in range(min(cfg.sample_count, 8)):
-            point = fol.region.sample_point(cfg.rng_seed, i)
-            if not gram_independent(fol.decomposition, point):
-                dep_witness = point
-                break
-        entries.append(
-            CheckEntry(
-                "independence",
-                Verdict.FAIL if dep_witness else Verdict.PASS,
-                detail="" if dep_witness is None else "generators dependent at sample",
-                witness_point=dep_witness,
-            )
-        )
+        dependent = dependent_sample(fol.decomposition, fol.region, cfg)
+        entries.append(CheckEntry.from_witness("independence", dependent, "generators dependent at sample"))
     for k, w in enumerate(fol.decomposition):
         residual = wedge(ext_d(w), fol.nu)
-        outcome = forms_equal(residual, zero_form(fol.coords, residual.degree), fol.region, cfg)
+        outcome = vanishes_on(residual, fol.region, cfg)
         entries.append(
             CheckEntry.from_outcome(
                 "integrability[%d]" % k,
@@ -164,6 +152,15 @@ class FoliationFamily:
 
     def ranks(self):
         return sorted({f.leaf_dim for f in self.members})
+
+    def rank_error(self, rank, name):
+        """Why ``rank`` selects no stratum of this family, called ``name``
+        in the message, or None when it is a member's leaf dimension."""
+        if rank in self.ranks():
+            return None
+        return "rank %d is not the leaf dimension of any member of family %s (leaf dimensions: %s)" % (
+            rank, name, ", ".join(map(str, self.ranks()))
+        )
 
 
 def _overlap_or_none(a: Region, b: Region, cfg):
@@ -216,18 +213,14 @@ def check_family(fam: FoliationFamily, cfg: ZeroTestConfig) -> StructuredReport:
         )
     )
     working = fam.working_region()
-    gap = None
-    for i in range(cfg.sample_count):
-        point = working.sample_point(cfg.rng_seed, i)
-        if not any(f.region.contains(point) for f in fam.members):
-            gap = point
-            break
+    samples = (working.sample_point(cfg.rng_seed, i) for i in range(cfg.sample_count))
+    gap = next((p for p in samples if not any(f.region.contains(p) for f in fam.members)), None)
     entries.append(
-        CheckEntry(
+        CheckEntry.from_witness(
             "coverage",
-            Verdict.FAIL if gap else Verdict.PASS,
-            detail="sampled box point escapes every region" if gap else "%d box samples covered" % cfg.sample_count,
-            witness_point=gap,
+            gap,
+            "sampled box point escapes every region",
+            passed="%d box samples covered" % cfg.sample_count,
         )
     )
     ordered = sorted(fam.members, key=lambda f: f.leaf_dim)
@@ -238,17 +231,10 @@ def check_family(fam: FoliationFamily, cfg: ZeroTestConfig) -> StructuredReport:
             if ov is None:
                 entries.append(CheckEntry(label, Verdict.PASS, detail="no overlap detected"))
                 continue
-            outcomes = []
-            for w in fj.decomposition:
-                outcomes.append(
-                    forms_equal(
-                        wedge_all(fam.coords, (w,) + fi.decomposition),
-                        zero_form(fam.coords, 1 + fi.codim),
-                        ov,
-                        cfg,
-                    )
-                )
-            outcome = combine_outcomes(outcomes) if outcomes else ZeroOutcome(ZeroStatus.PROVED_ZERO)
+            outcome = combine_outcomes(
+                vanishes_on(wedge_all(fam.coords, (w,) + fi.decomposition), ov, cfg)
+                for w in fj.decomposition
+            )
             detail = "" if fj.decomposition else "larger-leaved member has no generators"
             entries.append(CheckEntry.from_outcome(label, outcome, detail=detail))
     notes.append("saturation asserted by user: %s" % ("yes" if fam.saturated else "no"))
@@ -328,13 +314,9 @@ def check_invariance(m: CoordinateMap, fol: Foliation, cfg: ZeroTestConfig):
                 witness=dict(point),
                 detail="image %s" % {k: round(v, 6) for k, v in image.items()},
             )
-    outcomes = []
-    for w in fol.decomposition:
-        residual = wedge(pullback(m, w), fol.nu)
-        outcomes.append(
-            forms_equal(residual, zero_form(fol.coords, residual.degree), fol.region, cfg)
-        )
-    return combine_outcomes(outcomes) if outcomes else ZeroOutcome(ZeroStatus.PROVED_ZERO)
+    return combine_outcomes(
+        vanishes_on(wedge(pullback(m, w), fol.nu), fol.region, cfg) for w in fol.decomposition
+    )
 
 
 @dataclass(frozen=True)
@@ -373,7 +355,5 @@ def check_piecewise(pw: PiecewiseForm, cfg: ZeroTestConfig) -> StructuredReport:
             if ov is None:
                 entries.append(CheckEntry(label, Verdict.PASS, detail="no overlap detected"))
                 continue
-            diff = fi - fj
-            outcome = forms_equal(diff, zero_form(diff.coords, diff.degree), ov, cfg)
-            entries.append(CheckEntry.from_outcome(label, outcome))
+            entries.append(CheckEntry.from_outcome(label, forms_equal(fi, fj, ov, cfg)))
     return StructuredReport(tuple(entries))

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 from .errors import ChartError, DegreeError, PreconditionError
 from .symbolic import (
+    ONE,
+    ZERO,
     ZeroTestConfig,
     evaluate,
     free_coords,
@@ -98,8 +100,6 @@ class DiffForm:
         return not self.coeffs
 
     def coefficient(self, idx):
-        from .symbolic import ZERO
-
         return self.coeffs.get(tuple(idx), ZERO)
 
     def __eq__(self, other):
@@ -145,12 +145,6 @@ class DiffForm:
         return DiffForm(self.coords, self.degree, {i: c * s for i, c in self.coeffs.items()})
 
     __rmul__ = __mul__
-
-    def wedge(self, other):
-        return wedge(self, other)
-
-    def d(self):
-        return ext_d(self)
 
     # -- rendering ----------------------------------------------------
 
@@ -206,8 +200,6 @@ def scalar_form(coords, expr):
 
 def basis_form(coords, names):
     """The basis monomial d(names[0]) ^ ... ^ d(names[-1])."""
-    from .symbolic import ONE
-
     idx = tuple(coords.index(n) for n in names)
     if len(set(idx)) != len(idx):
         return zero_form(coords, len(idx))
@@ -248,8 +240,6 @@ def wedge(a: DiffForm, b: DiffForm, *rest):
 
 def wedge_all(coords, forms):
     """Wedge a sequence of forms; the empty product is the constant 0-form 1."""
-    from .symbolic import ONE
-
     out = scalar_form(coords, ONE)
     for f in forms:
         out = wedge(out, f)
@@ -278,8 +268,6 @@ def ext_d(a: DiffForm) -> DiffForm:
 
 def form_power(a: DiffForm, k: int) -> DiffForm:
     """k-fold wedge power; the 0th power is the constant 0-form 1."""
-    from .symbolic import ONE
-
     if k < 0:
         raise DegreeError("negative wedge power")
     out = scalar_form(a.coords, ONE)
@@ -359,6 +347,11 @@ def forms_equal(a: DiffForm, b: DiffForm, region, cfg=None):
     return combine_outcomes(outcomes)
 
 
+def vanishes_on(a: DiffForm, region, cfg):
+    """Tri-state test that a form is zero on a region."""
+    return forms_equal(a, zero_form(a.coords, a.degree), region, cfg)
+
+
 def eval_coeffs(a: DiffForm, point):
     """Evaluate every stored coefficient at a point: dict idx -> float."""
     return {idx: evaluate(c, point) for idx, c in a.coeffs.items()}
@@ -428,6 +421,16 @@ def gram_independent(gens, point, tol=1e-9):
     return abs(_det(gram)) > tol
 
 
+def dependent_sample(gens, region, cfg):
+    """The first of at most 8 sampled points of the region where the
+    1-forms are not independent, or None when every probe passes."""
+    for i in range(min(cfg.sample_count, 8)):
+        point = region.sample_point(cfg.rng_seed, i)
+        if not gram_independent(gens, point):
+            return point
+    return None
+
+
 def ideal_member(b: DiffForm, gens, region, cfg=None):
     """Tri-state test of membership in the ideal generated by 1-forms.
 
@@ -441,17 +444,15 @@ def ideal_member(b: DiffForm, gens, region, cfg=None):
         b._check_chart(g)
         if g.degree != 1:
             raise DegreeError("ideal generators must be 1-forms")
-    if gens:
-        for i in range(min(cfg.sample_count, 8)):
-            point = region.sample_point(cfg.rng_seed, i)
-            if not gram_independent(gens, point):
-                raise PreconditionError(
-                    "ideal generators are linearly dependent at a sample", witness=dict(point)
-                )
+    dependent = dependent_sample(gens, region, cfg) if gens else None
+    if dependent is not None:
+        raise PreconditionError(
+            "ideal generators are linearly dependent at a sample", witness=dict(dependent)
+        )
     w = b
     for g in gens:
         w = wedge(w, g)
-    return forms_equal(w, zero_form(b.coords, w.degree), region, cfg)
+    return vanishes_on(w, region, cfg)
 
 
 def ideal_member_pointwise(b: DiffForm, gens, point, abs_tol=1e-9, rel_tol=1e-9):

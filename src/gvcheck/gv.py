@@ -22,6 +22,7 @@ from .forms import (
     ideal_member,
     perm_sign,
     scalar_form,
+    vanishes_on,
     wedge,
     wedge_all,
     zero_form,
@@ -31,6 +32,11 @@ from .symbolic import ONE, ScalarExpr, ZeroTestConfig, evaluate, normalize, rat
 from .verdicts import CheckEntry, StructuredReport, Verdict, ZeroOutcome, ZeroStatus, worst
 
 _GAUGE_ADVICE = "consider a different Frobenius witness (gauge change mu -> mu + f*nu)"
+
+
+def _sign(q):
+    """(-1)^q as an exact scalar."""
+    return rat(-1 if q % 2 else 1)
 
 
 def adapted_gauge(fol: Foliation) -> ScalarExpr:
@@ -59,6 +65,14 @@ def adapted_gauge(fol: Foliation) -> ScalarExpr:
     return fol.nu.coeffs[key] * rat(perm_sign(idx))
 
 
+def _require_nonvanishing(h, region, cfg, message):
+    """Raise ``message`` with the first sampled point where |h| <= abs_tol."""
+    for i in range(cfg.sample_count):
+        point = region.sample_point(cfg.rng_seed, i)
+        if abs(evaluate(h, point)) <= cfg.abs_tol:
+            raise PreconditionError(message, witness=point)
+
+
 def solve_mu(fol: Foliation, cfg: ZeroTestConfig | None = None) -> DiffForm:
     """Frobenius witness for an adapted defining form.
 
@@ -71,15 +85,9 @@ def solve_mu(fol: Foliation, cfg: ZeroTestConfig | None = None) -> DiffForm:
     h = adapted_gauge(fol)
     q = fol.codim
     if cfg is not None and not h.is_constant():
-        for i in range(cfg.sample_count):
-            point = fol.region.sample_point(cfg.rng_seed, i)
-            if abs(evaluate(h, point)) <= cfg.abs_tol:
-                raise PreconditionError(
-                    "gauge of %r vanishes at a sample" % fol.name, witness=point
-                )
+        _require_nonvanishing(h, fol.region, cfg, "gauge of %r vanishes at a sample" % fol.name)
     dh = ext_d(scalar_form(fol.coords, h))
-    sign = rat(-1 if q % 2 else 1)
-    mu = dh * (sign / h)
+    mu = dh * (_sign(q) / h)
     residual = ext_d(fol.nu) - wedge(fol.nu, mu)
     if not residual.is_zero:
         raise GvError("derived witness fails d(nu) = nu ^ mu: residual %s" % residual)
@@ -134,12 +142,7 @@ def solve_theta(
     tilde = tuple(c for c in f_sub.transverse if c not in set(f_sup.transverse))
     if not tilde:
         raise UnsupportedShapeError("codimension gap must be positive to factor")
-    for i in range(cfg.sample_count):
-        point = overlap.sample_point(cfg.rng_seed, i)
-        if abs(evaluate(h2, point)) <= cfg.abs_tol:
-            raise PreconditionError(
-                "gauge of %r vanishes at an overlap sample" % f_sup.name, witness=point
-            )
+    _require_nonvanishing(h2, overlap, cfg, "gauge of %r vanishes at an overlap sample" % f_sup.name)
     coords = f_sub.coords
     base = wedge_all(coords, tuple(differential(coords, c) for c in tilde))
     theta0 = base * (h1 / h2)
@@ -161,9 +164,7 @@ def transition_mu(mu1: DiffForm, mu2: DiffForm, q1: int, q2: int) -> DiffForm:
     Here q1 is the codimension gap between the nested foliations and q2
     the codimension of the larger-leaved one.
     """
-    s1 = rat(-1 if q1 % 2 else 1)
-    s2 = rat(-1 if q2 % 2 else 1)
-    return (mu1 - mu2 * s1) * s2
+    return (mu1 - mu2 * _sign(q1)) * _sign(q2)
 
 
 def check_overlap_identities(
@@ -190,10 +191,8 @@ def check_overlap_identities(
     if q1 <= 0:
         raise ValueError("expected a positive codimension gap, got %d" % q1)
     gens = f_sup.decomposition
-    s1 = rat(-1 if q1 % 2 else 1)
-    s2 = rat(-1 if q2 % 2 else 1)
     mu3 = transition_mu(mu1, mu2, q1, q2)
-    residual = ext_d(theta) - wedge(theta, mu1 - mu2 * s1) * s2
+    residual = ext_d(theta) - wedge(theta, mu1 - mu2 * _sign(q1)) * _sign(q2)
     checks = (
         ("dtheta-residual", residual),
         ("theta-wedge-dtransition", wedge(theta, ext_d(mu3))),
@@ -249,9 +248,8 @@ def check_minimal_vanishing(
             entries.append(CheckEntry(label_pow, Verdict.PASS, detail="no overlap detected"))
             entries.append(CheckEntry(label_gv, Verdict.PASS, detail="no overlap detected"))
             continue
-        power = form_power(d_mu, 1 + f.codim)
-        out_pow = forms_equal(power, zero_form(fam.coords, power.degree), ov, cfg)
-        out_gv = forms_equal(gv, zero_form(fam.coords, gv.degree), ov, cfg)
+        out_pow = vanishes_on(form_power(d_mu, 1 + f.codim), ov, cfg)
+        out_gv = vanishes_on(gv, ov, cfg)
         for label, out in ((label_pow, out_pow), (label_gv, out_gv)):
             detail = _GAUGE_ADVICE if out.status is ZeroStatus.NONZERO else ""
             entries.append(CheckEntry.from_outcome(label, out, detail=detail))
@@ -310,13 +308,12 @@ def gv_min(fam: FoliationFamily, mu: MuChoice, rank: int, cfg: ZeroTestConfig) -
         if f is not f_min:
             pieces.append((f.region, zero_form(fam.coords, degree)))
     pw = PiecewiseForm(tuple(pieces), degree, label="gv-min[rank=%d]" % rank)
-    closed_entries = []
-    for region, piece in pw.pieces:
-        out = forms_equal(
-            ext_d(piece), zero_form(fam.coords, degree + 1), region, cfg
+    closedness = StructuredReport(
+        tuple(
+            CheckEntry.from_outcome("closed[%s]" % region.name, vanishes_on(ext_d(piece), region, cfg))
+            for region, piece in pw.pieces
         )
-        closed_entries.append(CheckEntry.from_outcome("closed[%s]" % region.name, out))
-    closedness = StructuredReport(tuple(closed_entries))
+    )
     glued = all(e.verdict is Verdict.PASS for e in vanishing.entries)
     notes = () if glued else ("gluing not certified: an overlap verdict stayed undecided",)
     return GVReport(rank, degree, pw, vanishing, closedness, glued, notes)
@@ -330,45 +327,49 @@ def check_basic(
     return ideal_member(dphi, fol.decomposition, region, cfg)
 
 
-def gv_weighted(
-    phi: ScalarExpr,
-    mu: DiffForm,
-    q: int,
-    fol: Foliation,
-    cfg: ZeroTestConfig,
-):
-    """Weighted GV form (phi*mu) ^ (d(phi*mu))^q with its verdicts.
-
-    Preconditions: phi basic for the foliation (a refutation raises)
-    and mu Frobenius-verified by the caller.  The report carries the
-    basic verdict plus three identities: the weighted form equals
-    phi^(1+q) times the plain GV form, it is closed, and
-    d(phi) ^ mu ^ (d mu)^q vanishes.  Returns (form, report).
-    """
-    phi = normalize(phi)
+def require_basic(phi: ScalarExpr, fol: Foliation, cfg: ZeroTestConfig) -> ZeroOutcome:
+    """:func:`check_basic` on the foliation's region; a refuted weight raises
+    with the refutation's witness and detail."""
     basic = check_basic(phi, fol, fol.region, cfg)
-    if basic.status is ZeroStatus.NONZERO:
+    if basic.nonzero:
         raise PreconditionError(
             "weight is not basic for the foliation", witness=basic.witness, detail=basic.detail
         )
-    coords = fol.coords
-    mu_bar = mu * phi
-    nu_bar = wedge(mu_bar, form_power(ext_d(mu_bar), q))
+    return basic
+
+
+def weighted_gv_form(phi, mu: DiffForm, fol: Foliation, basic: ZeroOutcome, cfg: ZeroTestConfig):
+    """The weighted GV form nu_bar = gv_form(phi*mu, q), q the codimension,
+    and the plain gv_form(mu, q), with the rows every weighted report
+    opens with: ``basic`` (the outcome of :func:`require_basic`),
+    ``identity`` (nu_bar == phi^(1+q) times the plain form) and
+    ``closedness`` (d(nu_bar) == 0).  Returns (nu_bar, plain, rows).
+    """
+    q = fol.codim
+    nu_bar = gv_form(mu * phi, q)
     plain = gv_form(mu, q)
     identity = forms_equal(nu_bar, plain * (phi ** (1 + q)), fol.region, cfg)
-    closed = forms_equal(
-        ext_d(nu_bar), zero_form(coords, nu_bar.degree + 1), fol.region, cfg
+    closed = vanishes_on(ext_d(nu_bar), fol.region, cfg)
+    rows = (
+        CheckEntry.from_outcome("basic", basic),
+        CheckEntry.from_outcome("identity", identity),
+        CheckEntry.from_outcome("closedness", closed),
     )
-    dphi = ext_d(scalar_form(coords, phi))
-    gradient = forms_equal(
-        wedge(dphi, plain), zero_form(coords, plain.degree + 1), fol.region, cfg
-    )
-    report = StructuredReport(
-        (
-            CheckEntry.from_outcome("basic", basic),
-            CheckEntry.from_outcome("identity", identity),
-            CheckEntry.from_outcome("closedness", closed),
-            CheckEntry.from_outcome("gradient-wedge", gradient),
-        )
-    )
-    return nu_bar, report
+    return nu_bar, plain, rows
+
+
+def gv_weighted(phi: ScalarExpr, mu: DiffForm, fol: Foliation, cfg: ZeroTestConfig):
+    """Weighted GV form (phi*mu) ^ (d(phi*mu))^q with its verdicts, q the
+    codimension.
+
+    Preconditions: phi basic for the foliation (a refutation raises)
+    and mu Frobenius-verified by the caller.  The report carries the
+    rows of :func:`weighted_gv_form` plus ``gradient-wedge``:
+    d(phi) ^ mu ^ (d mu)^q vanishes.  Returns (form, report).
+    """
+    phi = normalize(phi)
+    basic = require_basic(phi, fol, cfg)
+    nu_bar, plain, rows = weighted_gv_form(phi, mu, fol, basic, cfg)
+    dphi = ext_d(scalar_form(fol.coords, phi))
+    gradient = vanishes_on(wedge(dphi, plain), fol.region, cfg)
+    return nu_bar, StructuredReport(rows + (CheckEntry.from_outcome("gradient-wedge", gradient),))

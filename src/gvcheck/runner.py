@@ -22,7 +22,7 @@ from .foliations import (
     rank_at,
     validate_foliation,
 )
-from .forms import ext_d, forms_equal, ideal_member, zero_form
+from .forms import ext_d, forms_equal, ideal_member, vanishes_on
 from .gv import (
     MuChoice,
     check_basic,
@@ -178,8 +178,7 @@ def _run_frobenius(p, cfg):
 def _run_gv_closed(p, cfg):
     fol = p["foliation"]
     w = gv_form(p["mu"], fol.codim)
-    dw = ext_d(w)
-    out = forms_equal(dw, zero_form(fol.coords, dw.degree), fol.region, cfg)
+    out = vanishes_on(ext_d(w), fol.region, cfg)
     return out, r"d\left(%s\right) \overset{?}{=} 0" % w.to_latex(), ""
 
 
@@ -214,7 +213,7 @@ def _run_basic(p, cfg):
 
 def _run_gv_weighted(p, cfg):
     fol = p["foliation"]
-    nu_bar, report = gv_weighted(p["weight"], p["mu"], fol.codim, fol, cfg)
+    nu_bar, report = gv_weighted(p["weight"], p["mu"], fol, cfg)
     return report, r"\bar\nu = %s" % nu_bar.to_latex(), ""
 
 
@@ -253,9 +252,7 @@ def _run_flatness(p, cfg):
 
 def _run_df_closed(p, cfg):
     residual = d_f(p["f"], p["form"])
-    out = forms_equal(
-        residual, zero_form(residual.coords, residual.degree), p["region"], cfg
-    )
+    out = vanishes_on(residual, p["region"], cfg)
     return out, r"d_f\,\omega = %s" % residual.to_latex(), ""
 
 

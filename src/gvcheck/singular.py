@@ -21,14 +21,13 @@ from .forms import (
     CoordinateMap,
     DiffForm,
     ext_d,
-    form_power,
     forms_equal,
     pullback,
     scalar_form,
+    vanishes_on,
     wedge,
-    zero_form,
 )
-from .gv import check_basic, gv_form
+from .gv import require_basic, weighted_gv_form
 from .regions import Region
 from .symbolic import (
     ScalarExpr,
@@ -42,7 +41,7 @@ from .symbolic import (
     sym,
 )
 from .testfn import smooth_step
-from .verdicts import CheckEntry, StructuredReport, Verdict, ZeroStatus
+from .verdicts import CheckEntry, StructuredReport, ZeroStatus
 
 REGULAR_VALUE_FLOOR = 1e-6
 
@@ -86,7 +85,6 @@ class TubularData:
 
     def validate(self, cfg: ZeroTestConfig) -> StructuredReport:
         """Sampled cutoff invariants: 1 on the inner band, 0 outside the outer."""
-        entries = []
         rng = Random(mix_seed(cfg.rng_seed, 0x7B))
         inner_bad = None
         for _ in range(cfg.sample_count):
@@ -94,13 +92,6 @@ class TubularData:
             if evaluate(self.rho, {self.t: t}) != 1.0:
                 inner_bad = {self.t: t}
                 break
-        entries.append(
-            CheckEntry(
-                "cutoff-inner",
-                Verdict.FAIL if inner_bad else Verdict.PASS,
-                witness_point=inner_bad,
-            )
-        )
         lo, hi = self.region.box[self.t]
         outer_bad = None
         for _ in range(cfg.sample_count):
@@ -109,14 +100,12 @@ class TubularData:
             if evaluate(self.rho, {self.t: t}) != 0.0:
                 outer_bad = {self.t: t}
                 break
-        entries.append(
-            CheckEntry(
-                "cutoff-support",
-                Verdict.FAIL if outer_bad else Verdict.PASS,
-                witness_point=outer_bad,
+        return StructuredReport(
+            (
+                CheckEntry.from_witness("cutoff-inner", inner_bad),
+                CheckEntry.from_witness("cutoff-support", outer_bad),
             )
         )
-        return StructuredReport(tuple(entries))
 
 
 def d_f(f: ScalarExpr, w: DiffForm) -> DiffForm:
@@ -175,9 +164,7 @@ def iso_decompose(
         )
     entries = []
     for name, w in (("alpha-closed", alpha), ("beta-closed", beta)):
-        out = forms_equal(
-            ext_d(w), zero_form(w.coords, w.degree + 1), td.region, cfg
-        )
+        out = vanishes_on(ext_d(w), td.region, cfg)
         if out.status is ZeroStatus.NONZERO:
             raise PreconditionError(
                 "%s input is not closed" % name.split("-")[0], witness=out.witness
@@ -187,13 +174,7 @@ def iso_decompose(
     composite = alpha * (f ** p)
     if not beta.is_zero:
         composite = composite + wedge(df, tilde_extend(beta, td)) * (f ** (p - 1))
-    out = forms_equal(
-        d_f(f, composite),
-        zero_form(alpha.coords, composite.degree + 1),
-        td.region,
-        cfg,
-    )
-    entries.append(CheckEntry.from_outcome("df-closed", out))
+    entries.append(CheckEntry.from_outcome("df-closed", vanishes_on(d_f(f, composite), td.region, cfg)))
     return composite, StructuredReport(tuple(entries))
 
 
@@ -252,29 +233,13 @@ def check_exactness_pipeline(
       phi^q nu_bar is the form the supplied primitive integrates).
     """
     phi = normalize(phi)
-    basic = check_basic(phi, fol, fol.region, cfg)
-    if basic.status is ZeroStatus.NONZERO:
-        raise PreconditionError(
-            "weight is not basic for the foliation", witness=basic.witness
-        )
+    basic = require_basic(phi, fol, cfg)
     floor = _regular_value_check(phi, td, cfg)
-    coords = fol.coords
-    q = fol.codim
-    mu_bar = mu * phi
-    nu_bar = wedge(mu_bar, form_power(ext_d(mu_bar), q))
-    identity = forms_equal(nu_bar, gv_form(mu, q) * (phi ** (1 + q)), fol.region, cfg)
-    closed = forms_equal(
-        ext_d(nu_bar), zero_form(coords, nu_bar.degree + 1), fol.region, cfg
-    )
-    dphi = ext_d(scalar_form(coords, phi))
-    transversal = forms_equal(
-        wedge(dphi, nu_bar), zero_form(coords, nu_bar.degree + 1), fol.region, cfg
-    )
-    exact = verify_exact(nu_bar * (phi ** q), tau, fol.region, cfg)
-    entries = (
-        CheckEntry.from_outcome("basic", basic),
-        CheckEntry.from_outcome("identity", identity),
-        CheckEntry.from_outcome("closedness", closed),
+    nu_bar, _, rows = weighted_gv_form(phi, mu, fol, basic, cfg)
+    dphi = ext_d(scalar_form(fol.coords, phi))
+    transversal = vanishes_on(wedge(dphi, nu_bar), fol.region, cfg)
+    exact = verify_exact(nu_bar * (phi ** fol.codim), tau, fol.region, cfg)
+    entries = rows + (
         CheckEntry.from_outcome("transversal", transversal),
         CheckEntry.from_outcome("exactness", exact),
     )

@@ -222,9 +222,10 @@ class _StatementParser:
         return sign * value
 
     def integer(self) -> int:
+        col = self.peek().col
         v = self.number()
         if v.denominator != 1:
-            self.fail("expected an integer")
+            self.fail("expected an integer", col)
         return int(v)
 
     def expression(self):
@@ -297,6 +298,13 @@ class _StatementParser:
         except KeyError as e:
             self.fail(e.args[0])
 
+    def coordinate(self) -> str:
+        t = self.peek()
+        name = self.ident("a coordinate")
+        if name not in self.doc.coords:
+            self.fail("unknown coordinate %r" % name, t.col)
+        return name
+
     def lookup(self, table, what) -> object:
         t = self.peek()
         name = self.ident("a %s name" % what)
@@ -308,9 +316,7 @@ class _StatementParser:
         box = dict(self.doc.box)
         self.keyword("window")
         while True:
-            coord = self.ident("a coordinate")
-            if coord not in self.doc.coords:
-                self.fail("unknown coordinate %r" % coord)
+            coord = self.coordinate()
             lo = float(self.number())
             hi = float(self.number())
             box[coord] = (lo, hi)
@@ -353,9 +359,7 @@ def _stmt_chart(p: _StatementParser):
 
 def _stmt_box(p: _StatementParser):
     p.need_chart()
-    coord = p.ident("a coordinate")
-    if coord not in p.doc.coords:
-        p.fail("unknown coordinate %r" % coord)
+    coord = p.coordinate()
     lo = float(p.number())
     hi = float(p.number())
     p.expect_end()
@@ -408,11 +412,10 @@ def _stmt_map(p: _StatementParser):
     p.op("=")
     comps = {}
     while True:
-        coord = p.ident("a coordinate")
-        if coord not in p.doc.coords:
-            p.fail("unknown coordinate %r" % coord)
+        t = p.peek()
+        coord = p.coordinate()
         if coord in comps:
-            p.fail("coordinate %r mapped twice" % coord)
+            p.fail("coordinate %r mapped twice" % coord, t.col)
         p.op("->")
         comps[coord] = p.scalar_expression()
         if p.done():
@@ -468,10 +471,10 @@ def _stmt_foliation(p: _StatementParser):
                 gens.append(p.form_expression())
         elif p.at_word("transverse"):
             p.advance()
-            transverse = [p.ident("a coordinate")]
+            transverse = [p.coordinate()]
             while p.peek().text == ",":
                 p.advance()
-                transverse.append(p.ident("a coordinate"))
+                transverse.append(p.coordinate())
         else:
             p.fail("expected 'nu', 'gens' or 'transverse', found %r" % p.peek().text)
     m = len(p.doc.coords)
@@ -604,9 +607,7 @@ def _stmt_tubular(p: _StatementParser):
     p.keyword("f")
     f = p.scalar_expression()
     p.keyword("t")
-    t = p.ident("a coordinate")
-    if t not in p.doc.coords:
-        p.fail("unknown coordinate %r" % t)
+    t = p.coordinate()
     p.keyword("eps")
     eps = p.number()
     p.keyword("outer")
@@ -675,12 +676,17 @@ def _parse_check(p: _StatementParser):
         p.op("==")
         payload["expected"] = p.form_expression()
     elif kind in ("overlap-vanishing", "gv-min"):
+        fam_name = p.peek().text
         fam = p.lookup(d.families, "family")
         payload["family"] = fam
         payload["mus"] = {f.name: p.witness(f, one_leaf_zero=True) for f in fam.members}
         if kind == "gv-min":
             p.keyword("rank")
+            col = p.peek().col
             payload["rank"] = p.integer()
+            problem = fam.rank_error(payload["rank"], fam_name)
+            if problem:
+                p.fail(problem, col)
     elif kind in ("basic", "gv-weighted"):
         payload["weight"] = p.scalar_expression()
         p.keyword("for")

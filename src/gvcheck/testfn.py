@@ -225,31 +225,11 @@ def weak_test_from_cover(balls, m0: ClosedSetSpec, cfg: ZeroTestConfig):
             % (len(complement), len(balls)),
         )
     ]
-    bad_zero = None
-    for p in m0.sample_set(cfg.rng_seed, cfg.sample_count):
-        if evaluate(phi, p) != 0.0:
-            bad_zero = p
-            break
-    entries.append(
-        CheckEntry(
-            "vanishes-on-set",
-            Verdict.FAIL if bad_zero else Verdict.PASS,
-            detail="a bump support reaches the set" if bad_zero else "",
-            witness_point=bad_zero,
-        )
-    )
-    bad_pos = None
-    for p in complement:
-        if not evaluate(phi, p) > 0.0:
-            bad_pos = p
-            break
-    entries.append(
-        CheckEntry(
-            "positive-on-complement",
-            Verdict.FAIL if bad_pos else Verdict.PASS,
-            witness_point=bad_pos,
-        )
-    )
+    on_set = m0.sample_set(cfg.rng_seed, cfg.sample_count)
+    bad_zero = next((p for p in on_set if evaluate(phi, p) != 0.0), None)
+    entries.append(CheckEntry.from_witness("vanishes-on-set", bad_zero, "a bump support reaches the set"))
+    bad_pos = next((p for p in complement if not evaluate(phi, p) > 0.0), None)
+    entries.append(CheckEntry.from_witness("positive-on-complement", bad_pos))
     return phi, StructuredReport(tuple(entries))
 
 

@@ -34,12 +34,6 @@ class ZeroOutcome:
     def nonzero(self):
         return self.status is ZeroStatus.NONZERO
 
-    @property
-    def undecided(self):
-        return self.status is ZeroStatus.UNDECIDED
-
-
-PROVED = ZeroOutcome(ZeroStatus.PROVED_ZERO)
 
 
 def combine_outcomes(outcomes, detail=""):
@@ -99,6 +93,14 @@ class CheckEntry:
             witness_point=outcome.witness,
             witness_form=witness_form,
         )
+
+    @classmethod
+    def from_witness(cls, name, witness, detail="", passed=""):
+        """A row refuted at a sampled witness point, or passed (with the
+        ``passed`` detail) when the sampling found none."""
+        if witness:
+            return cls(name, Verdict.FAIL, detail, witness_point=witness)
+        return cls(name, Verdict.PASS, passed)
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,7 @@ def test_criterion_06_weighted_invariant_for_a_basic_weight(cfg):
     mu = volume_witness()
     phi = y * exp(-x)
     assert check_basic(phi, fol, region, cfg).proved
-    nu_bar, rep = gv_weighted(phi, mu, 1, fol, cfg)
+    nu_bar, rep = gv_weighted(phi, mu, fol, cfg)
     assert rep.passed
     assert forms_equal(nu_bar, gv_form(mu, 1) * (phi * phi), region, cfg).proved
     assert forms_equal(ext_d(nu_bar), zero_form(XYZ, 4), region, cfg).proved
@@ -215,7 +215,7 @@ def test_criterion_06_weighted_invariant_for_a_basic_weight(cfg):
     assert refusal.nonzero
     assert refusal.witness is not None
     with pytest.raises(PreconditionError):
-        gv_weighted(z, mu, 1, fol, cfg)
+        gv_weighted(z, mu, fol, cfg)
 
 
 def test_criterion_07_flatness_estimates_and_weak_test_cover():
@@ -287,7 +287,7 @@ def test_criterion_09_exactness_pipeline_and_critical_weight_control(cfg):
         "exactness",
     ]
     assert rep.passed
-    nu_bar, _ = gv_weighted(phi, mu, 1, fol, cfg)
+    nu_bar, _ = gv_weighted(phi, mu, fol, cfg)
     assert verify_exact(nu_bar * phi, tau, region, cfg).proved
     # the square of the weight has a critical zero level
     nu2 = d3("y") - d3("x") * (y / 2)

@@ -126,6 +126,21 @@ class TestInvalidSettings:
         assert run_cli(["check", str(spec)]) == 5
         assert capsys.readouterr().err == "%s: line 2, col %d: zero denominator\n" % (spec, col)
 
+    @pytest.mark.parametrize("statement, token, message", [
+        ("foliation L on R leafdim 0 nu dx transverse q", "q", "unknown coordinate 'q'"),
+        ("family fam = K\ncheck gv-min fam rank 7", "7",
+         "rank 7 is not the leaf dimension of any member of family fam (leaf dimensions: 0)"),
+    ])
+    def test_document_errors_exit_five(self, statement, token, message, tmp_path, capsys):
+        # errors a parser can see are diagnostics, never a refuted check
+        spec = tmp_path / "doc.fol"
+        spec.write_text("chart x\nregion R = all\nfoliation K on R leafdim 0 nu dx\nmu K = 0*dx\n"
+                        + statement + "\n")
+        assert run_cli(["check", str(spec)]) == 5
+        line = 4 + statement.count("\n") + 1
+        col = statement.splitlines()[-1].rindex(token) + 1
+        assert capsys.readouterr().err == "%s: line %d, col %d: %s\n" % (spec, line, col, message)
+
     @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_config_rejects_bad_tolerance(self, field, value):
@@ -311,11 +326,15 @@ class TestRunnerApi:
         assert report.exit_code() == 1
 
     def test_engine_value_error_becomes_fail_row(self):
+        # the parser turns away a rank that is no leaf dimension, so the
+        # engine's own guard is reached through an edited directive
         doc = parse_doc(
             "chart x y\nregion R = all\n"
             "foliation H on R leafdim 1 nu dy transverse y\nmu H = 0*dx\nfamily fam = H\n"
-            "check gv-min fam rank 2 as wrong-rank\n"
+            "check gv-min fam rank 1 as wrong-rank\n"
         )
+        directive = doc.checks[0]
+        doc.checks[0] = replace(directive, payload=dict(directive.payload, rank=2))
         row = run_checks(doc, seed=5, seed_source="flag").checks[0]
         assert (row.verdict, row.witness, row.entries, row.latex) == ("FAIL", None, [], "")
         assert row.detail == "ValueError: rank 2 is not the leaf dimension of any member"

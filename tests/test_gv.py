@@ -378,7 +378,7 @@ def test_gv_weighted_identity_and_closedness(space, cfg):
     fol = spiral(space)
     mu = spiral_mu()
     phi = y * exp(-x)
-    nu_bar, rep = gv_weighted(phi, mu, 1, fol, cfg)
+    nu_bar, rep = gv_weighted(phi, mu, fol, cfg)
     assert rep.passed
     assert [e.name for e in rep.entries] == [
         "basic",
@@ -394,5 +394,5 @@ def test_gv_weighted_identity_and_closedness(space, cfg):
 def test_gv_weighted_rejects_non_basic_weight(space, cfg):
     fol = spiral(space)
     with pytest.raises(PreconditionError) as err:
-        gv_weighted(z, spiral_mu(), 1, fol, cfg)
+        gv_weighted(z, spiral_mu(), fol, cfg)
     assert err.value.witness is not None

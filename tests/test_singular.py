@@ -20,6 +20,7 @@ from gvcheck import (
     ext_d,
     forms_equal,
     gv_form,
+    gv_weighted,
     iso_decompose,
     phi_map,
     rat,
@@ -257,3 +258,25 @@ def test_pipeline_rejects_critical_weight(space, cfg):
     assert err.value.witness is not None
     assert err.value.witness["y"] == 0.0
     assert "gradient norm" in err.value.detail
+
+
+@pytest.mark.parametrize("phi", [y * exp(-x), y * exp(-x) + (y * exp(-x)) ** 3])
+def test_gv_weighted_and_pipeline_share_their_rows(space, cfg, phi):
+    """The basic, identity and closedness rows are one computation."""
+    fol = spiral(space)
+    _, weighted = gv_weighted(phi, spiral_mu(), fol, cfg)
+    pipeline = check_exactness_pipeline(fol, phi, spiral_mu(), collar(space, phi), cubic_tau(), cfg)
+    shared = ("basic", "identity", "closedness")
+    assert [weighted.entry(n) for n in shared] == [pipeline.entry(n) for n in shared]
+
+
+def test_gv_weighted_and_pipeline_refuse_a_non_basic_weight_alike(space, cfg):
+    fol = spiral(space)
+    with pytest.raises(PreconditionError) as weighted:
+        gv_weighted(z, spiral_mu(), fol, cfg)
+    with pytest.raises(PreconditionError) as pipeline:
+        check_exactness_pipeline(fol, z, spiral_mu(), collar(space, z, t="z"), zero_form(XYZ, 2), cfg)
+    refusal = (str(weighted.value), weighted.value.witness, weighted.value.detail)
+    assert refusal == (str(pipeline.value), pipeline.value.witness, pipeline.value.detail)
+    assert refusal[0] == "weight is not basic for the foliation"
+    assert refusal[1] is not None and refusal[2]

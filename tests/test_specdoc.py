@@ -390,3 +390,50 @@ class TestCheckParsing:
     def test_lookup_of_undeclared_object(self):
         _, diagnostics = parse_spec("chart x\ncheck foliation F\n")
         assert "foliation" in diagnostics[0].message and "'F'" in diagnostics[0].message
+
+
+class TestDiagnosticColumns:
+    """A diagnostic points at the token that caused it."""
+
+    FAMILY = "chart x y\nregion R = all\nfoliation H on R leafdim 1 nu dy transverse y\nfamily fam = H\n"
+
+    @pytest.mark.parametrize("line, token", [
+        ("check rank fam at (0, 0) expect 1/2", "1/2"),
+        ("check rank fam at (0, 0) expect -3/2", "-3/2"),
+        ("check gv-min fam rank 1/2", "1/2"),
+        ("foliation K on R leafdim 1/2 nu dy", "1/2"),
+    ])
+    def test_non_integer_is_reported_at_the_literal(self, line, token):
+        _, diagnostics = parse_spec(self.FAMILY + "mu H = 0*dx\n" + line + "\n")
+        assert [(d.line, d.col, d.message) for d in diagnostics] == [
+            (6, line.index(token) + 1, "expected an integer")
+        ]
+
+    @pytest.mark.parametrize("line", [
+        "box q -1 1",
+        "map m = x -> y, q -> x",
+        "closedset C = zeroset x anchors (0, 0) window x 0 1, q 0 1",
+        "tubular td on R f y t q eps 1/4 outer 1/2",
+        "foliation K on R leafdim 1 nu dy transverse q",
+    ])
+    def test_unknown_coordinate_is_reported_at_the_name(self, line):
+        _, diagnostics = parse_spec(self.FAMILY + line + "\n")
+        assert [(d.line, d.col, d.message) for d in diagnostics] == [
+            (5, line.index("q") + 1, "unknown coordinate 'q'")
+        ]
+
+    def test_coordinate_mapped_twice_is_reported_at_the_name(self):
+        line = "map m = x -> y, x -> x"
+        _, diagnostics = parse_spec(self.FAMILY + line + "\n")
+        assert [(d.col, d.message) for d in diagnostics] == [
+            (line.rindex("x ->") + 1, "coordinate 'x' mapped twice")
+        ]
+
+    def test_gv_min_rank_must_be_a_leaf_dimension(self):
+        line = "check gv-min fam rank 7"
+        _, diagnostics = parse_spec(self.FAMILY + "mu H = 0*dx\n" + line + "\n")
+        assert [(d.line, d.col, d.message) for d in diagnostics] == [(
+            6,
+            line.index("7") + 1,
+            "rank 7 is not the leaf dimension of any member of family fam (leaf dimensions: 1)",
+        )]
