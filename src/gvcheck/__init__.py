@@ -62,7 +62,6 @@ from .forms import (
     form_power,
     forms_equal,
     ideal_member,
-    ideal_member_pointwise,
     pullback,
     scalar_form,
     wedge,

@@ -4,17 +4,12 @@ A :class:`DiffForm` of degree p on an m-dimensional chart stores sparse
 coefficients keyed by strictly increasing index tuples into the chart's
 coordinate list.  Degree-0 forms wrap a single scalar at the empty
 tuple.  All operations (wedge, exterior derivative, pullback) are exact;
-numeric evaluation is only used by the sampled equality fallback, the
-Gram-determinant independence precondition of :func:`ideal_member`
-(pure Python) and the pointwise ideal-membership oracle.  That test
-oracle, :func:`ideal_member_pointwise` with its helper
-:func:`eval_on_vectors`, is the only user of numpy (a dependency of the
-``test`` extra only) and imports it when called, so importing this
-module does not import it.
+numeric evaluation is only used by the sampled equality fallback and
+the Gram-determinant independence precondition of :func:`ideal_member`,
+both in pure Python.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -352,33 +347,6 @@ def vanishes_on(a: DiffForm, region, cfg):
     return forms_equal(a, zero_form(a.coords, a.degree), region, cfg)
 
 
-def eval_coeffs(a: DiffForm, point):
-    """Evaluate every stored coefficient at a point: dict idx -> float."""
-    return {idx: evaluate(c, point) for idx, c in a.coeffs.items()}
-
-
-def eval_on_vectors(a: DiffForm, point, vectors):
-    """Evaluate the p-form on p tangent vectors at a point.
-
-    Each vector is a sequence of components in chart order; the value is
-    the sum over index tuples of coefficient * det of the selected rows.
-    """
-    p = a.degree
-    if p == 0:
-        (c,) = a.coeffs.values() or (None,)
-        return evaluate(c, point) if c is not None else 0.0
-    if len(vectors) != p:
-        raise DegreeError("a %d-form needs exactly %d vectors" % (p, p))
-    import numpy as np
-
-    vs = np.asarray(vectors, dtype=float)
-    total = 0.0
-    for idx, c in a.coeffs.items():
-        sub = vs[:, list(idx)].T  # rows: selected components, columns: vectors
-        total += evaluate(c, point) * float(np.linalg.det(sub))
-    return total
-
-
 def _det(rows):
     """Determinant of a small square matrix by Gaussian elimination with partial pivoting."""
     a = [list(r) for r in rows]
@@ -453,40 +421,3 @@ def ideal_member(b: DiffForm, gens, region, cfg=None):
     for g in gens:
         w = wedge(w, g)
     return vanishes_on(w, region, cfg)
-
-
-def ideal_member_pointwise(b: DiffForm, gens, point, abs_tol=1e-9, rel_tol=1e-9):
-    """Independent pointwise oracle for ideal membership.
-
-    Completes the annihilator of the generators at the point to a basis
-    (numerically, via the SVD null space) and tests that b vanishes when
-    all its arguments come from the annihilator: the pure-complement
-    block of b in an adapted basis.
-    """
-    import numpy as np
-
-    m = len(b.coords)
-    p = b.degree
-    if gens:
-        rows = []
-        for g in gens:
-            row = [0.0] * m
-            for (i,), c in g.coeffs.items():
-                row[i] = evaluate(c, point)
-            rows.append(row)
-        a = np.asarray(rows)
-        _, s, vh = np.linalg.svd(a)
-        rank = int((s > 1e-12 * max(1.0, s[0])).sum()) if s.size else 0
-        null = vh[rank:]
-    else:
-        null = np.eye(m)
-    if null.shape[0] < p:
-        return True  # fewer tangent directions than arguments: vacuously member
-    scale = sum(abs(v) for v in eval_coeffs(b, point).values())
-    threshold = abs_tol + rel_tol * scale
-    for combo in itertools.combinations(range(null.shape[0]), p):
-        vecs = [null[i] for i in combo]
-        if abs(eval_on_vectors(b, point, vecs)) > threshold:
-            return False
-    return True
-

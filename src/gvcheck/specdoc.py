@@ -39,23 +39,13 @@ from .errors import GvError
 from .foliations import Foliation, FoliationFamily, one_leaf
 from .forms import CoordinateMap, DiffForm, scalar_form, zero_form
 from .regions import Region
-from .symbolic import ScalarExpr, normalize, sym
-from .syntax import (
-    Environment,
-    ParseError,
-    RESERVED,
-    Token,
-    parse_expression,
-    parse_number,
-    tokenize,
-)
+from .symbolic import ScalarExpr, ZeroTestConfig, normalize, sym
+from .syntax import Environment, ExprParser, ParseError, RESERVED, parse_number, tokenize
 from .testfn import BumpSpec, ClosedSetSpec, bump as bump_expr
 from .singular import TubularData
 
 DEFAULT_BOX = (-2.0, 2.0)
-DEFAULT_SEED = 20140917
-DEFAULT_SAMPLES = 32
-DEFAULT_TOL = 1e-9
+_SAMPLING = ZeroTestConfig()  # the sampling defaults of a document
 
 CHECK_KINDS = (
     "zero", "forms-equal", "ideal-member", "foliation", "family", "rank",
@@ -99,11 +89,11 @@ class CheckDirective:
 class SpecDocument:
     coords: tuple = ()
     box: dict = field(default_factory=dict)
-    seed: int = DEFAULT_SEED
+    seed: int = _SAMPLING.rng_seed
     seed_declared: bool = False
-    samples: int = DEFAULT_SAMPLES
-    abs_tol: float = DEFAULT_TOL
-    rel_tol: float = DEFAULT_TOL
+    samples: int = _SAMPLING.sample_count
+    abs_tol: float = _SAMPLING.abs_tol
+    rel_tol: float = _SAMPLING.rel_tol
     scalars: dict = field(default_factory=dict)
     forms: dict = field(default_factory=dict)
     maps: dict = field(default_factory=dict)
@@ -134,111 +124,94 @@ class SpecDocument:
         raise KeyError("no mu declared for foliation %r" % fol.name)
 
 
-class _StatementParser:
-    """Cursor over one statement's tokens with shared helpers."""
+class _StatementParser(ExprParser):
+    """The token cursor over one statement, with its value readers.
+
+    The readers ``ident``, ``number``, ``expression`` and
+    ``point_values`` record in ``start`` the column where their value
+    began, and :meth:`reject` fails there: a check made after a value
+    has been read points at that value.
+    """
 
     def __init__(self, doc: SpecDocument, tokens, line):
+        super().__init__(tokens, 1, doc.env())  # token 0 names the statement
         self.doc = doc
-        self.tokens = tokens
-        self.pos = 0
         self.line = line
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
+        self.start = tokens[0].col
 
     def done(self) -> bool:
         return self.peek().kind == "END"
 
-    def fail(self, message, col=None):
-        raise ParseError(message, col=col if col is not None else self.peek().col)
+    def fail(self, message):
+        raise ParseError(message, col=self.peek().col)
+
+    def reject(self, message):
+        """Fail at the column where the value read last began."""
+        raise ParseError(message, col=self.start)
 
     def expect_end(self):
         if not self.done():
             self.fail("unexpected trailing %r" % self.peek().text)
 
     def ident(self, what="a name") -> str:
-        t = self.advance()
-        if t.kind != "IDENT":
-            self.fail("expected %s, found %r" % (what, t.text or "end"), t.col)
-        return t.text
+        self.start = self.peek().col
+        if self.peek().kind != "IDENT":
+            self.expected(what)
+        return self.advance().text
 
     def fresh_name(self, table, what) -> str:
-        t = self.peek()
         name = self.ident("a %s name" % what)
         if name in RESERVED:
-            self.fail("%r is a reserved word" % name, t.col)
+            self.reject("%r is a reserved word" % name)
         if name in table:
-            self.fail("duplicate %s name %r" % (what, name), t.col)
+            self.reject("duplicate %s name %r" % (what, name))
         return name
 
     def fresh_expr_name(self, table, what) -> str:
         """A fresh name that will also be visible to expressions."""
-        t = self.peek()
         name = self.fresh_name(table, what)
         doc = self.doc
         if name in doc.coords or name in doc.scalars or name in doc.forms:
-            self.fail("name %r is already visible to expressions" % name, t.col)
+            self.reject("name %r is already visible to expressions" % name)
         if any(name == "d" + c for c in doc.coords):
-            self.fail("name %r collides with a coordinate differential" % name, t.col)
+            self.reject("name %r collides with a coordinate differential" % name)
         return name
 
-    def op(self, text):
-        t = self.advance()
-        if t.text != text:
-            self.fail("expected %r, found %r" % (text, t.text or "end"), t.col)
-
-    def keyword(self, word):
-        t = self.advance()
-        if t.kind != "IDENT" or t.text != word:
-            self.fail("expected %r, found %r" % (word, t.text or "end"), t.col)
-
-    def at_word(self, word) -> bool:
-        t = self.peek()
-        return t.kind == "IDENT" and t.text == word
-
     def number(self) -> Fraction:
+        self.start = self.peek().col
         sign = 1
         while self.peek().text in ("-", "+"):
             if self.advance().text == "-":
                 sign = -sign
-        t = self.advance()
-        if t.kind != "NUM":
-            self.fail("expected a number, found %r" % (t.text or "end"), t.col)
-        value = parse_number(t.text)
-        if self.peek().text == "/":
-            self.advance()
-            d = self.advance()
-            if d.kind != "NUM":
-                self.fail("expected a denominator", d.col)
-            denominator = parse_number(d.text)
+        if self.peek().kind != "NUM":
+            self.expected("a number")
+        value = parse_number(self.advance().text)
+        if self.accept("/"):
+            if self.peek().kind != "NUM":
+                self.fail("expected a denominator")
+            denominator = parse_number(self.peek().text)
             if not denominator:
-                self.fail("zero denominator", d.col)
+                self.fail("zero denominator")
+            self.advance()
             value = value / denominator
         return sign * value
 
     def integer(self) -> int:
-        col = self.peek().col
         v = self.number()
         if v.denominator != 1:
-            self.fail("expected an integer", col)
+            self.reject("expected an integer")
         return int(v)
 
     def expression(self):
-        value, self.pos = parse_expression(self.tokens, self.pos, self.doc.env())
-        return value
+        self.start = self.peek().col
+        return self.parse()
 
     def scalar_expression(self) -> ScalarExpr:
-        t = self.peek()
         v = self.expression()
         if isinstance(v, DiffForm):
             if v.degree == 0:
                 return v.coefficient(())
-            self.fail("expected a scalar expression", t.col)
+            self.reject("expected a scalar expression")
         return normalize(v)
 
     def form_expression(self) -> DiffForm:
@@ -251,25 +224,31 @@ class _StatementParser:
         if not self.doc.coords:
             self.fail("a chart must be declared first")
 
+    def separated(self, read) -> list:
+        """One or more values read by ``read``, separated by commas."""
+        values = [read()]
+        while self.accept(","):
+            values.append(read())
+        return values
+
     def point_values(self) -> list:
-        self.op("(")
-        values = [self.number()]
-        while self.peek().text == ",":
-            self.advance()
-            values.append(self.number())
-        self.op(")")
+        start = self.peek().col
+        self.expect("(")
+        values = self.separated(self.number)
+        self.expect(")")
+        self.start = start
         return values
 
     def point(self) -> dict:
         values = self.point_values()
         if len(values) != len(self.doc.coords):
-            self.fail("point needs %d coordinates" % len(self.doc.coords))
+            self.reject("point needs %d coordinates" % len(self.doc.coords))
         return {n: float(v) for n, v in zip(self.doc.coords, values)}
 
     def ball(self):
         values = self.point_values()
         if len(values) != len(self.doc.coords) + 1:
-            self.fail("ball needs %d center coordinates and a radius" % len(self.doc.coords))
+            self.reject("ball needs %d center coordinates and a radius" % len(self.doc.coords))
         center = {n: float(v) for n, v in zip(self.doc.coords, values[:-1])}
         return center, float(values[-1])
 
@@ -299,32 +278,20 @@ class _StatementParser:
             self.fail(e.args[0])
 
     def coordinate(self) -> str:
-        t = self.peek()
         name = self.ident("a coordinate")
         if name not in self.doc.coords:
-            self.fail("unknown coordinate %r" % name, t.col)
+            self.reject("unknown coordinate %r" % name)
         return name
 
     def lookup(self, table, what) -> object:
-        t = self.peek()
         name = self.ident("a %s name" % what)
         if name not in table:
-            self.fail("unresolved %s reference %r" % (what, name), t.col)
+            self.reject("unresolved %s reference %r" % (what, name))
         return table[name]
 
-    def window(self) -> dict:
-        box = dict(self.doc.box)
-        self.keyword("window")
-        while True:
-            coord = self.coordinate()
-            lo = float(self.number())
-            hi = float(self.number())
-            box[coord] = (lo, hi)
-            if self.peek().text == ",":
-                self.advance()
-                continue
-            break
-        return box
+    def on_region(self) -> Region:
+        self.expect("on")
+        return self.lookup(self.doc.regions, "region")
 
 
 def _stmt_chart(p: _StatementParser):
@@ -333,17 +300,16 @@ def _stmt_chart(p: _StatementParser):
     names = []
     error = None
     while not p.done():
-        t = p.peek()
         try:
             name = p.ident("a coordinate name")
             if name in RESERVED:
-                p.fail("%r is a reserved word" % name, t.col)
+                p.reject("%r is a reserved word" % name)
             if name in names:
-                p.fail("duplicate coordinate %r" % name, t.col)
+                p.reject("duplicate coordinate %r" % name)
             for other in names:
                 if name == "d" + other or other == "d" + name:
-                    p.fail("coordinate %r collides with the differential of %r"
-                           % (max(name, other, key=len), min(name, other, key=len)), t.col)
+                    p.reject("coordinate %r collides with the differential of %r"
+                             % (max(name, other, key=len), min(name, other, key=len)))
         except ParseError as e:
             error = e
             break
@@ -364,34 +330,41 @@ def _stmt_box(p: _StatementParser):
     hi = float(p.number())
     p.expect_end()
     if not lo < hi:
-        p.fail("box bounds must satisfy lo < hi")
+        p.reject("box bounds must satisfy lo < hi")
     p.doc.box[coord] = (lo, hi)
 
 
-def _stmt_config(p: _StatementParser, key):
+def _stmt_seed(p: _StatementParser):
+    seed = p.integer()
+    p.expect_end()
+    p.doc.seed = seed
+    p.doc.seed_declared = True
+
+
+def _stmt_samples(p: _StatementParser):
     value = p.number()
     p.expect_end()
-    if key == "seed":
-        p.doc.seed = int(value)
-        p.doc.seed_declared = True
-    elif key == "samples":
-        if value.denominator != 1 or value <= 0:
-            p.fail("samples must be a positive integer")
-        p.doc.samples = int(value)
-    else:
-        try:
-            tol = float(value)
-        except OverflowError:
-            tol = math.inf
-        if not 0 < tol < math.inf:
-            p.fail("%s must be a positive finite number" % key)
-        setattr(p.doc, key, tol)
+    if value.denominator != 1 or value <= 0:
+        p.reject("samples must be a positive integer")
+    p.doc.samples = int(value)
+
+
+def _stmt_tolerance(p: _StatementParser, key):
+    value = p.number()
+    p.expect_end()
+    try:
+        tol = float(value)
+    except OverflowError:
+        tol = math.inf
+    if not 0 < tol < math.inf:
+        p.reject("%s must be a positive finite number" % key)
+    setattr(p.doc, key, tol)
 
 
 def _stmt_scalar(p: _StatementParser):
     p.need_chart()
     name = p.fresh_expr_name(p.doc.scalars, "scalar")
-    p.op("=")
+    p.expect("=")
     value = p.scalar_expression()
     p.expect_end()
     p.doc.scalars[name] = value
@@ -400,7 +373,7 @@ def _stmt_scalar(p: _StatementParser):
 def _stmt_form(p: _StatementParser):
     p.need_chart()
     name = p.fresh_expr_name(p.doc.forms, "form")
-    p.op("=")
+    p.expect("=")
     value = p.form_expression()
     p.expect_end()
     p.doc.forms[name] = value
@@ -409,42 +382,35 @@ def _stmt_form(p: _StatementParser):
 def _stmt_map(p: _StatementParser):
     p.need_chart()
     name = p.fresh_name(p.doc.maps, "map")
-    p.op("=")
+    p.expect("=")
     comps = {}
     while True:
-        t = p.peek()
         coord = p.coordinate()
         if coord in comps:
-            p.fail("coordinate %r mapped twice" % coord, t.col)
-        p.op("->")
+            p.reject("coordinate %r mapped twice" % coord)
+        p.expect("->")
         comps[coord] = p.scalar_expression()
         if p.done():
             break
-        p.op(",")
+        p.expect(",")
     for c in p.doc.coords:
         comps.setdefault(c, sym(c))
     p.doc.maps[name] = CoordinateMap(p.doc.coords, p.doc.coords, comps)
 
 
+def _constraint(p: _StatementParser) -> ScalarExpr:
+    g = p.scalar_expression()
+    p.expect(">")
+    if not p.accept("0"):
+        p.fail("inequalities must have the shape <expr> > 0")
+    return g
+
+
 def _stmt_region(p: _StatementParser):
     p.need_chart()
     name = p.fresh_name(p.doc.regions, "region")
-    p.op("=")
-    constraints = []
-    if p.at_word("all"):
-        p.advance()
-    else:
-        while True:
-            g = p.scalar_expression()
-            p.op(">")
-            t = p.advance()
-            if t.text != "0":
-                p.fail("inequalities must have the shape <expr> > 0", t.col)
-            constraints.append(g)
-            if p.peek().text == ",":
-                p.advance()
-                continue
-            break
+    p.expect("=")
+    constraints = [] if p.accept("all") else p.separated(lambda: _constraint(p))
     p.expect_end()
     p.doc.regions[name] = Region(p.doc.coords, tuple(constraints), dict(p.doc.box), name=name)
 
@@ -452,29 +418,19 @@ def _stmt_region(p: _StatementParser):
 def _stmt_foliation(p: _StatementParser):
     p.need_chart()
     name = p.fresh_name(p.doc.foliations, "foliation")
-    p.keyword("on")
-    region = p.lookup(p.doc.regions, "region")
-    p.keyword("leafdim")
+    region = p.on_region()
+    p.expect("leafdim")
     leafdim = p.integer()
     nu = None
     gens = None
     transverse = None
     while not p.done():
-        if p.at_word("nu"):
-            p.advance()
+        if p.accept("nu"):
             nu = p.form_expression()
-        elif p.at_word("gens"):
-            p.advance()
-            gens = [p.form_expression()]
-            while p.peek().text == ",":
-                p.advance()
-                gens.append(p.form_expression())
-        elif p.at_word("transverse"):
-            p.advance()
-            transverse = [p.coordinate()]
-            while p.peek().text == ",":
-                p.advance()
-                transverse.append(p.coordinate())
+        elif p.accept("gens"):
+            gens = p.separated(p.form_expression)
+        elif p.accept("transverse"):
+            transverse = p.separated(p.coordinate)
         else:
             p.fail("expected 'nu', 'gens' or 'transverse', found %r" % p.peek().text)
     m = len(p.doc.coords)
@@ -500,12 +456,11 @@ def _stmt_foliation(p: _StatementParser):
 def _stmt_family(p: _StatementParser):
     p.need_chart()
     name = p.fresh_name(p.doc.families, "family")
-    p.op("=")
+    p.expect("=")
     members = []
     saturated = False
     while not p.done():
-        if p.at_word("saturated"):
-            p.advance()
+        if p.accept("saturated"):
             saturated = True
             break
         members.append(p.lookup(p.doc.foliations, "foliation"))
@@ -517,50 +472,41 @@ def _stmt_family(p: _StatementParser):
 
 def _stmt_mu(p: _StatementParser):
     p.need_chart()
-    t = p.peek()
     fol = p.lookup(p.doc.foliations, "foliation")
     if fol.name in p.doc.mus:
-        p.fail("mu for %r declared twice" % fol.name, t.col)
-    p.op("=")
+        p.reject("mu for %r declared twice" % fol.name)
+    p.expect("=")
     value = p.form_expression()
     p.expect_end()
     if not value.is_zero and value.degree != 1:
-        p.fail("a Frobenius witness must be a 1-form")
+        p.reject("a Frobenius witness must be a 1-form")
     p.doc.mus[fol.name] = value
 
 
 def _stmt_closedset(p: _StatementParser):
     p.need_chart()
     name = p.fresh_name(p.doc.closedsets, "closed set")
-    p.op("=")
-    kind = None
+    p.expect("=")
     expr = None
     balls = []
-    if p.at_word("zeroset"):
-        p.advance()
+    if p.accept("zeroset"):
         kind = "zeroset"
         expr = p.scalar_expression()
-    elif p.at_word("balls"):
-        p.advance()
-        kind = "balls"
-        while p.peek().text == "(":
-            balls.append(p.ball())
-    elif p.at_word("complement"):
-        p.advance()
-        p.keyword("balls")
-        kind = "complement-of-balls"
-        while p.peek().text == "(":
+    elif p.at("balls") or p.at("complement"):
+        kind = "complement-of-balls" if p.accept("complement") else "balls"
+        p.expect("balls")
+        while p.at("("):
             balls.append(p.ball())
     else:
         p.fail("expected 'zeroset', 'balls' or 'complement'")
     anchors = []
-    if p.at_word("anchors"):
-        p.advance()
-        while p.peek().text == "(":
+    if p.accept("anchors"):
+        while p.at("("):
             anchors.append(p.point())
     box = dict(p.doc.box)
-    if p.at_word("window"):
-        box = p.window()
+    if p.accept("window"):
+        for coord, lo, hi in p.separated(lambda: (p.coordinate(), float(p.number()), float(p.number()))):
+            box[coord] = (lo, hi)
     p.expect_end()
     p.doc.closedsets[name] = ClosedSetSpec(
         p.doc.coords, box, kind, expr=expr, balls=tuple(balls), anchors=tuple(anchors)
@@ -570,12 +516,12 @@ def _stmt_closedset(p: _StatementParser):
 def _stmt_bump(p: _StatementParser):
     p.need_chart()
     name = p.fresh_name(p.doc.bumps, "bump")
-    p.op("=")
-    p.keyword("center")
+    p.expect("=")
+    p.expect("center")
     values = p.point_values()
     if len(values) != len(p.doc.coords):
-        p.fail("center needs %d coordinates" % len(p.doc.coords))
-    p.keyword("radius")
+        p.reject("center needs %d coordinates" % len(p.doc.coords))
+    p.expect("radius")
     radius = p.number()
     p.expect_end()
     center = dict(zip(p.doc.coords, values))
@@ -585,12 +531,12 @@ def _stmt_bump(p: _StatementParser):
 def _stmt_testfn(p: _StatementParser):
     p.need_chart()
     name = p.fresh_expr_name(p.doc.testfns, "test function")
-    p.op("=")
-    p.keyword("cover")
+    p.expect("=")
+    p.expect("cover")
     balls = []
-    while not p.at_word("of"):
+    while not p.at("of"):
         balls.append(p.lookup(p.doc.bumps, "bump"))
-    p.keyword("of")
+    p.expect("of")
     m0 = p.lookup(p.doc.closedsets, "closed set")
     p.expect_end()
     phi = normalize(sum((bump_expr(b) for b in balls), start=normalize(0)))
@@ -602,61 +548,51 @@ def _stmt_testfn(p: _StatementParser):
 def _stmt_tubular(p: _StatementParser):
     p.need_chart()
     name = p.fresh_name(p.doc.tubulars, "collar")
-    p.keyword("on")
-    region = p.lookup(p.doc.regions, "region")
-    p.keyword("f")
+    region = p.on_region()
+    p.expect("f")
     f = p.scalar_expression()
-    p.keyword("t")
+    p.expect("t")
     t = p.coordinate()
-    p.keyword("eps")
+    p.expect("eps")
     eps = p.number()
-    p.keyword("outer")
+    p.expect("outer")
     outer = p.number()
     p.expect_end()
     p.doc.tubulars[name] = TubularData(region, f, t, eps, outer)
 
 
 def _parse_check(p: _StatementParser):
-    t = p.advance()
-    kind = t.text
-    if t.kind != "IDENT":
-        p.fail("expected a check kind, found %r" % (t.text or "end"), t.col)
     # Hyphenated kinds arrive as IDENT '-' IDENT: merge only while the
     # result still extends a known kind.
-    kind = p.hyphenated(kind, lambda w: any(k == w or k.startswith(w + "-") for k in CHECK_KINDS))
+    kind = p.hyphenated(
+        p.ident("a check kind"), lambda w: any(k == w or k.startswith(w + "-") for k in CHECK_KINDS)
+    )
     if kind not in CHECK_KINDS:
-        p.fail("unknown check kind %r" % kind, t.col)
+        p.reject("unknown check kind %r" % kind)
     payload = {}
     d = p.doc
     if kind == "zero":
         payload["expr"] = p.scalar_expression()
-        p.keyword("on")
-        payload["region"] = p.lookup(d.regions, "region")
+        payload["region"] = p.on_region()
     elif kind == "forms-equal":
         payload["left"] = p.form_expression()
-        p.op("==")
+        p.expect("==")
         payload["right"] = p.form_expression()
-        p.keyword("on")
-        payload["region"] = p.lookup(d.regions, "region")
+        payload["region"] = p.on_region()
     elif kind == "ideal-member":
         payload["form"] = p.form_expression()
-        p.keyword("in")
-        gens = [p.form_expression()]
-        while p.peek().text == ",":
-            p.advance()
-            gens.append(p.form_expression())
-        payload["gens"] = tuple(gens)
-        p.keyword("on")
-        payload["region"] = p.lookup(d.regions, "region")
+        p.expect("in")
+        payload["gens"] = tuple(p.separated(p.form_expression))
+        payload["region"] = p.on_region()
     elif kind == "foliation":
         payload["foliation"] = p.lookup(d.foliations, "foliation")
     elif kind == "family":
         payload["family"] = p.lookup(d.families, "family")
     elif kind == "rank":
         payload["family"] = p.lookup(d.families, "family")
-        p.keyword("at")
+        p.expect("at")
         payload["point"] = p.point()
-        p.keyword("expect")
+        p.expect("expect")
         payload["expect"] = p.integer()
     elif kind == "invariance":
         payload["map"] = p.lookup(d.maps, "map")
@@ -664,8 +600,7 @@ def _parse_check(p: _StatementParser):
     elif kind in ("frobenius", "gv-closed"):
         fol = p.lookup(d.foliations, "foliation")
         payload["foliation"] = fol
-        if p.at_word("with"):
-            p.advance()
+        if p.accept("with"):
             payload["mu"] = p.form_expression()
         else:
             payload["mu"] = p.witness(fol, one_leaf_zero=False)
@@ -673,7 +608,7 @@ def _parse_check(p: _StatementParser):
         fol = p.lookup(d.foliations, "foliation")
         payload["foliation"] = fol
         payload["mu"] = p.witness(fol, one_leaf_zero=False)
-        p.op("==")
+        p.expect("==")
         payload["expected"] = p.form_expression()
     elif kind in ("overlap-vanishing", "gv-min"):
         fam_name = p.peek().text
@@ -681,15 +616,14 @@ def _parse_check(p: _StatementParser):
         payload["family"] = fam
         payload["mus"] = {f.name: p.witness(f, one_leaf_zero=True) for f in fam.members}
         if kind == "gv-min":
-            p.keyword("rank")
-            col = p.peek().col
+            p.expect("rank")
             payload["rank"] = p.integer()
             problem = fam.rank_error(payload["rank"], fam_name)
             if problem:
-                p.fail(problem, col)
+                p.reject(problem)
     elif kind in ("basic", "gv-weighted"):
         payload["weight"] = p.scalar_expression()
-        p.keyword("for")
+        p.expect("for")
         fol = p.lookup(d.foliations, "foliation")
         payload["foliation"] = fol
         if kind == "gv-weighted":
@@ -701,55 +635,48 @@ def _parse_check(p: _StatementParser):
         payload["sup"] = sup
         if kind == "overlap-identities":
             payload["mus"] = {f.name: p.witness(f, one_leaf_zero=False) for f in (sub, sup)}
-        if kind == "theta" and p.peek().text == "==":
-            p.advance()
+        if kind == "theta" and p.accept("=="):
             payload["expected"] = p.form_expression()
     elif kind == "cover":
         payload["testfn"] = p.lookup(d.testfns, "test function")
     elif kind == "flatness":
         payload["expr"] = p.scalar_expression()
-        p.keyword("near")
+        p.expect("near")
         payload["closedset"] = p.lookup(d.closedsets, "closed set")
     elif kind == "df-closed":
         payload["f"] = p.scalar_expression()
-        p.keyword("with")
+        p.expect("with")
         payload["form"] = p.form_expression()
-        p.keyword("on")
-        payload["region"] = p.lookup(d.regions, "region")
+        payload["region"] = p.on_region()
     elif kind == "exactness":
         payload["form"] = p.form_expression()
-        p.keyword("primitive")
+        p.expect("primitive")
         payload["primitive"] = p.form_expression()
-        p.keyword("on")
-        payload["region"] = p.lookup(d.regions, "region")
+        payload["region"] = p.on_region()
     elif kind == "exactness-pipeline":
         fol = p.lookup(d.foliations, "foliation")
         payload["foliation"] = fol
         payload["mu"] = p.witness(fol, one_leaf_zero=False)
-        p.keyword("weight")
+        p.expect("weight")
         payload["weight"] = p.scalar_expression()
-        p.keyword("via")
+        p.expect("via")
         payload["tubular"] = p.lookup(d.tubulars, "collar")
-        p.keyword("primitive")
+        p.expect("primitive")
         payload["primitive"] = p.form_expression()
     elif kind == "iso":
-        p.keyword("via")
+        p.expect("via")
         payload["tubular"] = p.lookup(d.tubulars, "collar")
-        p.keyword("weight")
+        p.expect("weight")
         payload["weight"] = p.scalar_expression()
-        p.keyword("alpha")
+        p.expect("alpha")
         payload["alpha"] = p.form_expression()
-        p.keyword("beta")
+        p.expect("beta")
         payload["beta"] = p.form_expression()
     elif kind == "tubular":
         payload["tubular"] = p.lookup(d.tubulars, "collar")
     label = "check-%d-%s" % (len(d.checks) + 1, kind)
-    if p.at_word("as"):
-        p.advance()
-        first = p.advance()
-        if first.kind != "IDENT":
-            p.fail("expected a label, found %r" % (first.text or "end"), first.col)
-        label = p.hyphenated(first.text, lambda w: True)
+    if p.accept("as"):
+        label = p.hyphenated(p.ident("a label"), lambda w: True)
     p.expect_end()
     d.checks.append(CheckDirective(len(d.checks), kind, label, p.line, payload))
 
@@ -757,6 +684,10 @@ def _parse_check(p: _StatementParser):
 _HANDLERS = {
     "chart": _stmt_chart,
     "box": _stmt_box,
+    "seed": _stmt_seed,
+    "samples": _stmt_samples,
+    "abs_tol": lambda p: _stmt_tolerance(p, "abs_tol"),
+    "rel_tol": lambda p: _stmt_tolerance(p, "rel_tol"),
     "scalar": _stmt_scalar,
     "form": _stmt_form,
     "map": _stmt_map,
@@ -793,18 +724,13 @@ def parse_spec(text: str):
         if tokens[0].kind == "END":
             continue
         head = tokens[0]
-        if head.kind != "IDENT" or head.text not in set(_HANDLERS) | {"seed", "samples", "abs_tol", "rel_tol"}:
+        if head.kind != "IDENT" or head.text not in _HANDLERS:
             diagnostics.append(
                 Diagnostic(lineno, head.col, "unknown statement %r" % (head.text or raw.strip()))
             )
             continue
-        p = _StatementParser(doc, tokens, lineno)
-        p.advance()
         try:
-            if head.text in ("seed", "samples", "abs_tol", "rel_tol"):
-                _stmt_config(p, head.text)
-            else:
-                _HANDLERS[head.text](p)
+            _HANDLERS[head.text](_StatementParser(doc, tokens, lineno))
         except ParseError as e:
             diagnostics.append(Diagnostic(lineno, e.col, e.message))
         except (ValueError, KeyError, ZeroDivisionError, GvError) as e:

@@ -30,28 +30,12 @@ RESERVED = set(FUNCTIONS) | {
 
 
 class ParseError(Exception):
-    """Syntax or resolution failure with a source position."""
+    """Syntax or resolution failure at a column of one statement."""
 
-    def __init__(self, message, line=None, col=None):
+    def __init__(self, message, col=None):
         super().__init__(message)
         self.message = message
-        self.line = line
         self.col = col
-
-    def located(self, line):
-        """Attach a line number when the tokenizer only knew the column."""
-        if self.line is None:
-            self.line = line
-        return self
-
-    def __str__(self):
-        where = ""
-        if self.line is not None:
-            where = "line %d" % self.line
-            if self.col is not None:
-                where += ", col %d" % self.col
-            where = " (%s)" % where
-        return self.message + where
 
 
 @dataclass(frozen=True)
@@ -146,7 +130,11 @@ _UNARY_POWER = 30  # binds tighter than * but looser than ^, so -x^2 = -(x^2)
 
 
 class ExprParser:
-    """Pratt parser over a token stream, from a cursor position."""
+    """Token cursor with a Pratt parser for expressions, from a position.
+
+    The statement parser of :mod:`gvcheck.specdoc` extends this cursor,
+    so one position walks a whole statement.
+    """
 
     def __init__(self, tokens, pos, env: Environment):
         self.tokens = tokens
@@ -161,11 +149,24 @@ class ExprParser:
         self.pos += 1
         return t
 
+    def at(self, text) -> bool:
+        return self.peek().text == text
+
+    def accept(self, text) -> bool:
+        """Consume the next token when its text is ``text``."""
+        if self.at(text):
+            self.pos += 1
+            return True
+        return False
+
+    def expected(self, what):
+        """Fail at the next token, which is not ``what``."""
+        t = self.peek()
+        raise ParseError("expected %s, found %r" % (what, t.text or "end"), col=t.col)
+
     def expect(self, text):
-        t = self.advance()
-        if t.text != text:
-            raise ParseError("expected %r, found %r" % (text, t.text or "end"), col=t.col)
-        return t
+        if not self.accept(text):
+            self.expected(repr(text))
 
     def parse(self, min_power=0):
         value = self._prefix()
@@ -194,8 +195,7 @@ class ExprParser:
         if t.text == "+":
             return self.parse(_UNARY_POWER)
         if t.kind == "IDENT":
-            if t.text in FUNCTIONS and self.peek().text == "(":
-                self.advance()
+            if t.text in FUNCTIONS and self.accept("("):
                 arg = self.parse()
                 self.expect(")")
                 return self._call(t, arg)

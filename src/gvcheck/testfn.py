@@ -70,8 +70,8 @@ class BumpSpec:
                 lo, hi = self.box[name]
                 if not (lo < float(c) - 2 * float(rv) and float(c) + 2 * float(rv) < hi):
                     raise ValueError(
-                        "support ball of bump at %s leaves the chart box along %r"
-                        % (self.center, name)
+                        "support ball of bump at (%s) leaves the chart box along %r"
+                        % (", ".join(str(v) for v in self.center.values()), name)
                     )
 
     def dist2(self, point) -> float:

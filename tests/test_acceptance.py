@@ -42,7 +42,6 @@ from gvcheck import (
     gv_min,
     gv_weighted,
     ideal_member,
-    ideal_member_pointwise,
     one_leaf,
     phi_map,
     pullback,
@@ -61,6 +60,7 @@ from gvcheck.runner import render_json, run_checks
 from gvcheck.specdoc import parse_spec
 from gvcheck.testfn import BumpSpec, weak_test_from_cover
 
+from pointwise import ideal_member_pointwise
 from conftest import XY, XYZ, random_form, random_map, random_polynomial, square_box
 
 from fractions import Fraction

@@ -130,6 +130,8 @@ class TestInvalidSettings:
         ("foliation L on R leafdim 0 nu dx transverse q", "q", "unknown coordinate 'q'"),
         ("family fam = K\ncheck gv-min fam rank 7", "7",
          "rank 7 is not the leaf dimension of any member of family fam (leaf dimensions: 0)"),
+        ("seed 1/2", "1/2", "expected an integer"),
+        ("seed 2.7", "2.7", "expected an integer"),
     ])
     def test_document_errors_exit_five(self, statement, token, message, tmp_path, capsys):
         # errors a parser can see are diagnostics, never a refuted check

@@ -22,7 +22,6 @@ from gvcheck import (
     form_power,
     forms_equal,
     ideal_member,
-    ideal_member_pointwise,
     pullback,
     rat,
     scalar_form,
@@ -32,6 +31,7 @@ from gvcheck import (
     zero_form,
 )
 from gvcheck.forms import _det, gram_independent
+from pointwise import ideal_member_pointwise
 from conftest import XY, XYZ, random_form, random_map, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")

@@ -4,14 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from gvcheck import parse_spec
-from gvcheck.specdoc import (
-    DEFAULT_BOX,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    DEFAULT_TOL,
-    Diagnostic,
-)
+from gvcheck import ZeroTestConfig, parse_spec
+from gvcheck.specdoc import DEFAULT_BOX, Diagnostic
 from gvcheck.symbolic import rat, sym
 from gvcheck.forms import basis_form, zero_form
 
@@ -111,9 +105,10 @@ class TestHappyPath:
 
     def test_defaults_when_config_lines_absent(self):
         doc = parse_ok("chart x y\nregion R = all\ncheck zero x - x on R\n")
-        assert doc.seed == DEFAULT_SEED and not doc.seed_declared
-        assert doc.samples == DEFAULT_SAMPLES
-        assert doc.abs_tol == DEFAULT_TOL and doc.rel_tol == DEFAULT_TOL
+        defaults = ZeroTestConfig()
+        assert doc.seed == defaults.rng_seed and not doc.seed_declared
+        assert doc.samples == defaults.sample_count
+        assert doc.abs_tol == defaults.abs_tol and doc.rel_tol == defaults.rel_tol
         assert doc.box == {"x": DEFAULT_BOX, "y": DEFAULT_BOX}
 
     def test_comments_and_blank_lines_are_skipped(self):
@@ -402,11 +397,39 @@ class TestDiagnosticColumns:
         ("check rank fam at (0, 0) expect -3/2", "-3/2"),
         ("check gv-min fam rank 1/2", "1/2"),
         ("foliation K on R leafdim 1/2 nu dy", "1/2"),
+        ("seed 1/2", "1/2"),
+        ("seed 2.7", "2.7"),
     ])
     def test_non_integer_is_reported_at_the_literal(self, line, token):
         _, diagnostics = parse_spec(self.FAMILY + "mu H = 0*dx\n" + line + "\n")
         assert [(d.line, d.col, d.message) for d in diagnostics] == [
             (6, line.index(token) + 1, "expected an integer")
+        ]
+
+    @pytest.mark.parametrize("line, token, message", [
+        ("samples 3/2", "3/2", "samples must be a positive integer"),
+        ("samples 0", "0", "samples must be a positive integer"),
+        ("samples -1", "-1", "samples must be a positive integer"),
+        ("abs_tol 0", "0", "abs_tol must be a positive finite number"),
+        ("rel_tol -1/2", "-1/2", "rel_tol must be a positive finite number"),
+        ("box x 1 -1", "-1", "box bounds must satisfy lo < hi"),
+        ("mu K = dx^dy", "dx^dy", "a Frobenius witness must be a 1-form"),
+        ("closedset C = balls (0, 0)", "(", "ball needs 2 center coordinates and a radius"),
+        ("closedset C = complement balls (0, 0, 1, 2)", "(", "ball needs 2 center coordinates and a radius"),
+        ("closedset C = zeroset x anchors (0)", "(", "point needs 2 coordinates"),
+        ("bump b = center (0) radius 1", "(", "center needs 2 coordinates"),
+        ("check rank fam at (0) expect 1", "(", "point needs 2 coordinates"),
+    ])
+    def test_value_check_is_reported_at_the_value(self, line, token, message):
+        _, diagnostics = parse_spec(self.FAMILY + "foliation K on R leafdim 2\n" + line + "\n")
+        assert [(d.line, d.col, d.message) for d in diagnostics] == [
+            (6, line.index(token) + 1, message)
+        ]
+
+    def test_bump_leaving_the_box_names_its_center_as_written(self):
+        _, diagnostics = parse_spec("chart x y\nbump b = center (1.9, 0) radius 1\n")
+        assert [str(d) for d in diagnostics] == [
+            "line 2: support ball of bump at (19/10, 0) leaves the chart box along 'x'"
         ]
 
     @pytest.mark.parametrize("line", [

@@ -180,13 +180,6 @@ def test_unresolved_names_carry_columns():
     assert "mystery" in err.value.message
 
 
-def test_located_attaches_line_once():
-    e = ParseError("boom", col=4)
-    assert e.located(7).line == 7
-    assert e.located(9).line == 7  # first location wins
-    assert "line 7, col 4" in str(e)
-
-
 def test_division_by_zero_becomes_parse_error():
     with pytest.raises(ParseError):
         expr("x/(2-2)")
