@@ -212,32 +212,32 @@ def differential(coords, name):
 
 def wedge(a: DiffForm, b: DiffForm, *rest):
     """Wedge product; associative, with the usual graded sign bookkeeping."""
-    if rest:
-        out = wedge(a, b)
-        for r in rest:
-            out = wedge(out, r)
-        return out
-    a._check_chart(b)
-    degree = a.degree + b.degree
-    coords = a.coords
-    if degree > len(coords):
-        return zero_form(coords, degree)
-    out = {}
-    for i1, c1 in a.coeffs.items():
-        for i2, c2 in b.coeffs.items():
-            sign, merged = _merge_sign(i1, i2)
-            if sign == 0:
-                continue
-            term = c1 * c2 if sign > 0 else -(c1 * c2)
-            out[merged] = out.get(merged, 0) + term if merged in out else term
-    return DiffForm(coords, degree, out)
+    return wedge_all(a.coords, (a, b) + rest)
 
 
 def wedge_all(coords, forms):
-    """Wedge a sequence of forms; the empty product is the constant 0-form 1."""
-    out = scalar_form(coords, ONE)
-    for f in forms:
-        out = wedge(out, f)
+    """Wedge a sequence of forms on a chart; the empty product is the constant 0-form 1."""
+    forms = tuple(forms)
+    if not forms:
+        return scalar_form(coords, ONE)
+    out = forms[0]
+    if out.coords != tuple(coords):
+        raise ChartError("forms live on different charts: %s vs %s" % (tuple(coords), out.coords))
+    for f in forms[1:]:
+        out._check_chart(f)
+        degree = out.degree + f.degree
+        if degree > len(out.coords):
+            out = zero_form(out.coords, degree)
+            continue
+        terms = {}
+        for i1, c1 in out.coeffs.items():
+            for i2, c2 in f.coeffs.items():
+                sign, merged = _merge_sign(i1, i2)
+                if sign == 0:
+                    continue
+                term = c1 * c2 if sign > 0 else -(c1 * c2)
+                terms[merged] = terms.get(merged, 0) + term if merged in terms else term
+        out = DiffForm(out.coords, degree, terms)
     return out
 
 
@@ -265,10 +265,7 @@ def form_power(a: DiffForm, k: int) -> DiffForm:
     """k-fold wedge power; the 0th power is the constant 0-form 1."""
     if k < 0:
         raise DegreeError("negative wedge power")
-    out = scalar_form(a.coords, ONE)
-    for _ in range(k):
-        out = wedge(out, a)
-    return out
+    return wedge_all(a.coords, (a,) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +414,4 @@ def ideal_member(b: DiffForm, gens, region, cfg=None):
         raise PreconditionError(
             "ideal generators are linearly dependent at a sample", witness=dict(dependent)
         )
-    w = b
-    for g in gens:
-        w = wedge(w, g)
-    return vanishes_on(w, region, cfg)
+    return vanishes_on(wedge(b, *gens) if gens else b, region, cfg)

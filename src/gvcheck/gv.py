@@ -84,7 +84,7 @@ def solve_mu(fol: Foliation, cfg: ZeroTestConfig | None = None) -> DiffForm:
     """
     h = adapted_gauge(fol)
     q = fol.codim
-    if cfg is not None and not h.is_constant():
+    if cfg is not None and h.as_fraction() is None:
         _require_nonvanishing(h, fol.region, cfg, "gauge of %r vanishes at a sample" % fol.name)
     dh = ext_d(scalar_form(fol.coords, h))
     mu = dh * (_sign(q) / h)

@@ -41,7 +41,7 @@ from .forms import CoordinateMap, DiffForm, scalar_form, zero_form
 from .regions import Region
 from .symbolic import ScalarExpr, ZeroTestConfig, normalize, sym
 from .syntax import Environment, ExprParser, ParseError, RESERVED, parse_number, tokenize
-from .testfn import BumpSpec, ClosedSetSpec, bump as bump_expr
+from .testfn import BumpSpec, ClosedSetSpec, bump_sum
 from .singular import TubularData
 
 DEFAULT_BOX = (-2.0, 2.0)
@@ -71,7 +71,6 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class TestFnDecl:
-    phi: ScalarExpr
     balls: tuple
     closedset: ClosedSetSpec
 
@@ -127,7 +126,7 @@ class SpecDocument:
 class _StatementParser(ExprParser):
     """The token cursor over one statement, with its value readers.
 
-    The readers ``ident``, ``number``, ``expression`` and
+    The readers ``ident``, ``number``, ``real``, ``expression`` and
     ``point_values`` record in ``start`` the column where their value
     began, and :meth:`reject` fails there: a check made after a value
     has been read points at that value.
@@ -196,6 +195,15 @@ class _StatementParser(ExprParser):
             value = value / denominator
         return sign * value
 
+    def real(self) -> Fraction:
+        """An exact number that is also used as a float, so it must fit one."""
+        value = self.number()
+        try:
+            float(value)
+        except OverflowError:
+            self.reject("number is too large for a float")
+        return value
+
     def integer(self) -> int:
         v = self.number()
         if v.denominator != 1:
@@ -234,7 +242,7 @@ class _StatementParser(ExprParser):
     def point_values(self) -> list:
         start = self.peek().col
         self.expect("(")
-        values = self.separated(self.number)
+        values = self.separated(self.real)
         self.expect(")")
         self.start = start
         return values
@@ -326,8 +334,8 @@ def _stmt_chart(p: _StatementParser):
 def _stmt_box(p: _StatementParser):
     p.need_chart()
     coord = p.coordinate()
-    lo = float(p.number())
-    hi = float(p.number())
+    lo = float(p.real())
+    hi = float(p.real())
     p.expect_end()
     if not lo < hi:
         p.reject("box bounds must satisfy lo < hi")
@@ -505,7 +513,7 @@ def _stmt_closedset(p: _StatementParser):
             anchors.append(p.point())
     box = dict(p.doc.box)
     if p.accept("window"):
-        for coord, lo, hi in p.separated(lambda: (p.coordinate(), float(p.number()), float(p.number()))):
+        for coord, lo, hi in p.separated(lambda: (p.coordinate(), float(p.real()), float(p.real()))):
             box[coord] = (lo, hi)
     p.expect_end()
     p.doc.closedsets[name] = ClosedSetSpec(
@@ -522,7 +530,7 @@ def _stmt_bump(p: _StatementParser):
     if len(values) != len(p.doc.coords):
         p.reject("center needs %d coordinates" % len(p.doc.coords))
     p.expect("radius")
-    radius = p.number()
+    radius = p.real()
     p.expect_end()
     center = dict(zip(p.doc.coords, values))
     p.doc.bumps[name] = BumpSpec(center, radius, box=dict(p.doc.box))
@@ -539,10 +547,8 @@ def _stmt_testfn(p: _StatementParser):
     p.expect("of")
     m0 = p.lookup(p.doc.closedsets, "closed set")
     p.expect_end()
-    phi = normalize(sum((bump_expr(b) for b in balls), start=normalize(0)))
-    decl = TestFnDecl(phi, tuple(balls), m0)
-    p.doc.testfns[name] = decl
-    p.doc.scalars[name] = phi
+    p.doc.testfns[name] = TestFnDecl(tuple(balls), m0)
+    p.doc.scalars[name] = bump_sum(balls)
 
 
 def _stmt_tubular(p: _StatementParser):
@@ -554,9 +560,9 @@ def _stmt_tubular(p: _StatementParser):
     p.expect("t")
     t = p.coordinate()
     p.expect("eps")
-    eps = p.number()
+    eps = p.real()
     p.expect("outer")
-    outer = p.number()
+    outer = p.real()
     p.expect_end()
     p.doc.tubulars[name] = TubularData(region, f, t, eps, outer)
 

@@ -29,7 +29,10 @@ polynomial multiplication and division in Maple 14", 2009):
   the integer term dicts, which is equivalent for canonical fractions.
 * Evaluation runs a plan built on first use and cached on the
   expression: float coefficients, generator powers and terms in the
-  order the term dicts hold them.
+  order the term dicts hold them.  One pass over a plan gives both the
+  value and the sum of absolute term values (the magnitude that scales
+  relative tolerances); the pair is kept in the sample point's cache, so
+  each polynomial is evaluated at most once per point.
 
 The two flat atoms are first class and are never expanded into
 exp-of-quotient trees, so their flatness at the boundary is exact by
@@ -214,11 +217,6 @@ class Poly:
         self._support = None
 
     @property
-    def key(self):
-        """Sorted ``(_mono_key, (p, q))`` pairs, computed on demand."""
-        return _poly_key(self, 1)
-
-    @property
     def is_zero(self):
         return not self.terms
 
@@ -391,10 +389,6 @@ class ScalarExpr:
             return Fraction(self.num.terms[0], self.lead)
         return None
 
-    def is_constant(self):
-        """True when the expression is a literal rational constant."""
-        return self.as_fraction() is not None
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -558,7 +552,7 @@ def _atom_expr(kind, arg):
 
 def exp(u):
     """Atom exp(u).  exp(0) folds to 1."""
-    u = _coerce(u)
+    u = normalize(u)
     if u.is_zero:
         return ONE
     return _atom_expr("exp", u)
@@ -566,7 +560,7 @@ def exp(u):
 
 def log(u):
     """Atom log(u).  log(1) folds to 0.  Evaluation requires u > 0."""
-    u = _coerce(u)
+    u = normalize(u)
     if u.is_one:
         return ZERO
     return _atom_expr("log", u)
@@ -578,7 +572,7 @@ def psi0(u):
     Smooth on all of R, flat at u = 0, with values in [0, 1/2].
     psi0(0) folds to the zero expression.
     """
-    u = _coerce(u)
+    u = normalize(u)
     if u.is_zero:
         return ZERO
     return _atom_expr("psi0", u)
@@ -589,7 +583,7 @@ def flatexp(u):
 
     A nonpositive constant argument folds to the zero expression.
     """
-    u = _coerce(u)
+    u = normalize(u)
     c = u.as_fraction()
     if c is not None and c <= 0:
         return ZERO
@@ -681,32 +675,6 @@ def free_coords(e):
 
     walk(e)
     return frozenset(out)
-
-
-def denominators(e):
-    """All denominators whose nonvanishing the expression relies on.
-
-    Returns the top-level denominator (when not 1) together with the
-    denominators appearing inside atom arguments, so callers can emit a
-    nonvanishing-on-region obligation for each.
-    """
-    found = []
-    seen = set()
-
-    def walk(expr):
-        if not expr.is_polynomial:
-            den = _over(expr.den, expr.lead)
-            if den.key not in seen:
-                seen.add(den.key)
-                found.append(den)
-        for poly in (expr.num, expr.den):
-            for mono in poly.terms:
-                for g, _ in _mono_items(mono):
-                    if isinstance(g, AtomGen):
-                        walk(g.arg)
-
-    walk(normalize(e))
-    return tuple(found)
 
 
 def substitute(e, mapping):
@@ -817,28 +785,20 @@ class _PolyPlan:
         self.powers = tuple(power_index)
         self.terms = terms
 
-    def _powers(self, vals):
-        return [vals[i] if e == 1 else _ipow(vals[i], e) for i, e in self.powers]
-
     def evaluate(self, point, cache):
-        pw = self._powers([_eval_gen(g, point, cache) for g in self.gens])
-        total = 0.0
-        for v, factors in self.terms:
-            for j in factors:
-                v *= pw[j]
-            total += v
-        return total
-
-    def abs_sum(self, point, cache):
-        """Sum of the absolute values of the terms."""
-        pw = self._powers([abs(_eval_gen(g, point, cache)) for g in self.gens])
-        total = 0.0
-        for v, factors in self.terms:
-            v = abs(v)
-            for j in factors:
-                v *= pw[j]
-            total += v
-        return total
+        """(value, sum of the absolute term values), computed once per ``cache``."""
+        pair = cache.get(self)
+        if pair is None:
+            vals = [_eval_gen(g, point, cache) for g in self.gens]
+            pw = [vals[i] if e == 1 else _ipow(vals[i], e) for i, e in self.powers]
+            total = magnitude = 0.0
+            for v, factors in self.terms:
+                for j in factors:
+                    v *= pw[j]
+                total += v
+                magnitude += abs(v)
+            pair = cache[self] = (total, magnitude)
+        return pair
 
 
 def _plan(e):
@@ -852,10 +812,10 @@ def _plan(e):
 
 def _eval_expr(e, point, cache):
     num_plan, den_plan = _plan(e)
-    num = num_plan.evaluate(point, cache)
+    num = num_plan.evaluate(point, cache)[0]
     if den_plan is None:
         return num
-    den = den_plan.evaluate(point, cache)
+    den = den_plan.evaluate(point, cache)[0]
     if den == 0.0:
         raise EvaluationError(
             "division by zero evaluating %s" % e,
@@ -879,10 +839,10 @@ def _scale_at(e, point, cache):
     """Magnitude scale of e at a point: term-wise absolute sum of the numerator
     over the absolute denominator.  Used for relative tolerances."""
     num_plan, den_plan = _plan(e)
-    total = num_plan.abs_sum(point, cache)
+    total = num_plan.evaluate(point, cache)[1]
     if den_plan is None:
         return total
-    den = den_plan.evaluate(point, cache)
+    den = den_plan.evaluate(point, cache)[0]
     if den == 0.0:
         raise EvaluationError("division by zero in scale", offender=str(e), point=dict(point))
     return total / abs(den)

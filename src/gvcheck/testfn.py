@@ -92,6 +92,14 @@ def bump(b: BumpSpec) -> ScalarExpr:
     return smooth_step(u)
 
 
+def bump_sum(balls) -> ScalarExpr:
+    """The sum of the bumps, in order: the candidate weak test function of a cover."""
+    phi = ZERO
+    for b in balls:
+        phi = phi + bump(b)
+    return phi
+
+
 @dataclass(frozen=True)
 class ClosedSetSpec:
     """A closed reference set inside a sampling window.
@@ -214,9 +222,7 @@ def weak_test_from_cover(balls, m0: ClosedSetSpec, cfg: ZeroTestConfig):
             raise CoverageError(
                 "complement sample lies in no inner ball", witness=p
             )
-    phi = ZERO
-    for b in balls:
-        phi = phi + bump(b)
+    phi = bump_sum(balls)
     entries = [
         CheckEntry(
             "coverage",

@@ -132,6 +132,15 @@ class TestInvalidSettings:
          "rank 7 is not the leaf dimension of any member of family fam (leaf dimensions: 0)"),
         ("seed 1/2", "1/2", "expected an integer"),
         ("seed 2.7", "2.7", "expected an integer"),
+        ("box x -1 1e400", "1e400", "number is too large for a float"),
+        ("closedset C = balls (0, 1e400)", "1e400", "number is too large for a float"),
+        ("closedset C = zeroset x anchors (1e400)", "1e400", "number is too large for a float"),
+        ("closedset C = zeroset x anchors (0) window x 0 1e400", "1e400", "number is too large for a float"),
+        ("family fam = K\ncheck rank fam at (1e400) expect 0", "1e400", "number is too large for a float"),
+        ("bump b = center (1e400) radius 1", "1e400", "number is too large for a float"),
+        ("bump b = center (0) radius 1e400", "1e400", "number is too large for a float"),
+        ("tubular td on R f x t x eps 1e400 outer 1e401", "1e400", "number is too large for a float"),
+        ("tubular td on R f x t x eps 1/4 outer -1e400", "-1e400", "number is too large for a float"),
     ])
     def test_document_errors_exit_five(self, statement, token, message, tmp_path, capsys):
         # errors a parser can see are diagnostics, never a refuted check

@@ -64,6 +64,8 @@ def test_wedge_with_scalars_and_varargs():
     assert wedge(f, dd("z")) == dd("z") * (x * y)
     assert wedge(dd("x"), dd("y"), dd("z")) == dd("x", "y", "z")
     assert wedge_all(XYZ, []) == scalar_form(XYZ, rat(1))
+    with pytest.raises(ChartError):  # a lone factor is still checked against the chart
+        wedge_all(XYZ, [basis_form(XY, ("x",))])
 
 
 def test_wedge_past_top_degree_is_zero():
@@ -82,6 +84,8 @@ def test_one_form_squares_to_zero():
 
 def test_form_power_of_symplectic_pair():
     w = basis_form(XYZW, ("x", "y")) + basis_form(XYZW, ("z", "w"))
+    assert form_power(w, 1) == w
+    assert form_power(w, 0) == scalar_form(XYZW, rat(1))
     sq = form_power(w, 2)
     assert sq == basis_form(XYZW, ("x", "y", "z", "w")) * rat(2)
     assert form_power(w, 3).is_zero

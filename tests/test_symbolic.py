@@ -27,7 +27,7 @@ from gvcheck import (
     sym,
     to_latex,
 )
-from gvcheck.symbolic import MAX_EXPONENT, CoordGen, _mono_items, _scale_at
+from gvcheck.symbolic import MAX_EXPONENT, CoordGen, _eval_expr, _mono_items, _scale_at
 from conftest import XY, random_polynomial, random_scalar, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")
@@ -65,6 +65,13 @@ def test_power_operator_requires_integers():
         (x + 1) ** rat(1, 2)
     assert ((x + 1) ** 0 - 1).is_zero
     assert (((x + 1) ** -2) * (x + 1) ** 2 - 1).is_zero
+
+
+@pytest.mark.parametrize("atom", [exp, log, psi0, flatexp])
+def test_atoms_reject_non_numbers_like_arithmetic(atom):
+    for bad in ("x", 0.5):
+        with pytest.raises(TypeError):
+            atom(bad)
 
 
 def test_zero_denominators_are_rejected():
@@ -478,3 +485,76 @@ def test_keys_strings_and_values_are_pinned():
     pts = [{"x": 0.3, "y": -1.7, "z": 0.45}, {"x": -2.9, "y": 0.11, "z": -0.8}]
     assert [evaluate(e3, p) for p in pts] == [-9.181391025394026, 6.362952878821419]
     assert [_scale_at(e3, p, {}) for p in pts] == [107.73528156135797, 7.507588288181796]
+
+
+_ATOM_VALUES = {
+    "exp": math.exp,
+    "log": math.log,
+    "psi0": lambda u: 0.0 if u == 0.0 else math.exp(-1.0 / (u * u)) / (1.0 + math.exp(-1.0 / (u * u))),
+    "flatexp": lambda u: 0.0 if u <= 0.0 else math.exp(-1.0 / u),
+}
+
+
+def _term_by_term(e, point):
+    """(value, magnitude scale) of ``e`` at a point, walking the term dicts.
+
+    Each term is its coefficient over ``lead`` times its factors in
+    generator order, with gen^k as k repeated multiplications; both sums
+    run in dict order, and the scale is the numerator's sum of absolute
+    terms over the absolute denominator.
+    """
+
+    def sums(poly):
+        total = magnitude = 0.0
+        for mono, c in poly.terms.items():
+            v = c / e.lead
+            for g, k in _mono_items(mono):
+                if isinstance(g, CoordGen):
+                    base = float(point[g.name])
+                else:
+                    base = _ATOM_VALUES[g.kind](_term_by_term(g.arg, point)[0])
+                power = base
+                for _ in range(k - 1):
+                    power *= base
+                v *= power
+            total += v
+            magnitude += abs(v)
+        return total, magnitude
+
+    num, magnitude = sums(e.num)
+    if e.is_polynomial:
+        return num, magnitude
+    den = sums(e.den)[0]
+    return num / den, magnitude / abs(den)
+
+
+def test_evaluation_matches_a_term_by_term_reference_bit_for_bit():
+    rng = random.Random(1401)
+    compared = 0
+    for _ in range(320):
+        e = random_scalar(rng, XY, depth=3)
+        roll = rng.random()
+        try:
+            if roll < 0.3:
+                e = partial(e, "x")  # flat atoms bring denominators
+            elif roll < 0.6:
+                e = e / random_scalar(rng, XY, depth=2)
+        except ZeroDivisionError:
+            pass
+        for k in range(3):
+            p = {"x": 0.0 if k == 0 else rng.uniform(-2, 2), "y": rng.uniform(-2, 2)}
+            try:
+                expect = _term_by_term(e, p)
+            except (OverflowError, ZeroDivisionError, ValueError):
+                expect = None
+            try:
+                cache = {}
+                got = (_eval_expr(e, p, cache), _scale_at(e, p, cache))
+            except EvaluationError:
+                got = None
+            assert (got is None) == (expect is None), (e, p)
+            if got is not None:
+                assert [v.hex() for v in got] == [v.hex() for v in expect], (e, p)
+                assert _scale_at(e, p, {}).hex() == expect[1].hex()
+                compared += 1
+    assert compared >= 900
