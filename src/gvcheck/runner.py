@@ -38,7 +38,7 @@ from .regions import intersect
 from .singular import check_exactness_pipeline, d_f, iso_decompose, verify_exact
 from .specdoc import CheckDirective, SpecDocument
 from .symbolic import ZeroTestConfig, is_zero_on, mix_seed, to_latex
-from .testfn import flatness_check, weak_test_from_cover
+from .testfn import check_cover, flatness_check
 from .verdicts import (
     EXIT_STATUS,
     CheckEntry,
@@ -242,8 +242,7 @@ def _run_theta(p, cfg):
 
 def _run_cover(p, cfg):
     decl = p["testfn"]
-    phi, report = weak_test_from_cover(decl.balls, decl.closedset, cfg)
-    return report, r"\varphi = %s" % to_latex(phi), ""
+    return check_cover(decl.phi, decl.balls, decl.closedset, cfg), r"\varphi = %s" % to_latex(decl.phi), ""
 
 
 def _run_flatness(p, cfg):

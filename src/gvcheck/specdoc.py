@@ -73,6 +73,7 @@ class Diagnostic:
 class TestFnDecl:
     balls: tuple
     closedset: ClosedSetSpec
+    phi: ScalarExpr  # bump_sum(balls), built once at parse time
 
 
 @dataclass(frozen=True)
@@ -547,8 +548,8 @@ def _stmt_testfn(p: _StatementParser):
     p.expect("of")
     m0 = p.lookup(p.doc.closedsets, "closed set")
     p.expect_end()
-    p.doc.testfns[name] = TestFnDecl(tuple(balls), m0)
-    p.doc.scalars[name] = bump_sum(balls)
+    phi = p.doc.scalars[name] = bump_sum(balls)
+    p.doc.testfns[name] = TestFnDecl(tuple(balls), m0, phi)
 
 
 def _stmt_tubular(p: _StatementParser):

@@ -33,6 +33,10 @@ polynomial multiplication and division in Maple 14", 2009):
   value and the sum of absolute term values (the magnitude that scales
   relative tolerances); the pair is kept in the sample point's cache, so
   each polynomial is evaluated at most once per point.
+* Rendering prints terms in monomial key order.  An interned atom is
+  immutable, so it keeps its text ``kind(arg)`` and its LaTeX after the
+  first render, and an argument tree is rendered once however many
+  terms, powers or enclosing atoms repeat the atom.
 
 The two flat atoms are first class and are never expanded into
 exp-of-quotient trees, so their flatness at the boundary is exact by
@@ -118,15 +122,20 @@ class CoordGen:
 
 
 class AtomGen:
-    """A transcendental atom applied to a canonical argument expression."""
+    """A transcendental atom applied to a canonical argument expression.
 
-    __slots__ = ("kind", "arg", "skey", "_h", "unit")
+    Atoms are interned and immutable, so each keeps its text and LaTeX
+    renderings after the first (see ``__repr__`` and :func:`_gen_latex`).
+    """
+
+    __slots__ = ("kind", "arg", "skey", "_h", "unit", "_text", "_latex")
 
     def __init__(self, kind, arg):
         self.kind = kind
         self.arg = arg
         self.skey = (1, _KIND_INDEX[kind], arg.key)
         self._h = hash(self.skey)
+        self._text = self._latex = None
 
     def __hash__(self):
         return self._h
@@ -135,7 +144,10 @@ class AtomGen:
         return self is other or (isinstance(other, AtomGen) and other.skey == self.skey)
 
     def __repr__(self):
-        return "%s(%s)" % (self.kind, self.arg)
+        text = self._text
+        if text is None:
+            text = self._text = "%s(%s)" % (self.kind, self.arg)
+        return text
 
 
 _COORD_GENS: dict = {}
@@ -741,10 +753,13 @@ def _eval_gen(gen, point, cache):
                     raise DomainError("log of non-positive value %r" % u, offender=str(gen), point=dict(point))
                 v = math.log(u)
             elif kind == "psi0":
-                if u == 0.0:
+                # u * u underflows to 0.0 for |u| below about 1e-162, where
+                # exp(-1/u^2) rounds to 0.0 anyway
+                uu = u * u
+                if uu == 0.0:
                     v = 0.0
                 else:
-                    g = math.exp(-1.0 / (u * u))
+                    g = math.exp(-1.0 / uu)
                     v = g / (1.0 + g)
             else:  # flatexp
                 v = 0.0 if u <= 0.0 else math.exp(-1.0 / u)
@@ -761,7 +776,9 @@ class _PolyPlan:
     errors surface in the same order as a term-by-term walk.  ``powers``
     lists the distinct (generator index, exponent) pairs, and each term
     is (coefficient / lead as a float, indices into ``powers``) with its
-    factors in generator order and the terms in dict order.
+    factors in generator order and the terms in dict order.  A
+    coefficient beyond the float range raises :class:`EvaluationError`,
+    as any evaluation overflow does.
     """
 
     __slots__ = ("gens", "powers", "terms")
@@ -780,7 +797,16 @@ class _PolyPlan:
                 if j is None:
                     j = power_index[(i, e)] = len(power_index)
                 factors.append(j)
-            terms.append((c / lead, tuple(factors)))
+            try:
+                coeff = c / lead
+            except OverflowError:
+                term = _poly_str(Poly({mono: 1}))
+                raise EvaluationError(
+                    "coefficient of %s (about 1e%d) is beyond the float range"
+                    % (term, len(str(abs(c) // lead)) - 1),
+                    offender=term,
+                )
+            terms.append((coeff, tuple(factors)))
         self.gens = tuple(gen_index)
         self.powers = tuple(power_index)
         self.terms = terms
@@ -948,14 +974,9 @@ def _frac_str(c):
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
 
 
-def _gen_str(g):
-    if isinstance(g, CoordGen):
-        return g.name
-    return "%s(%s)" % (g.kind, g.arg)
-
-
 def _poly_str(p, lead=1):
-    return _render_poly(p, lead, _frac_str, _gen_str, "%s^%d", "*", "%s*%s")
+    # a generator's repr is its text: the name, or the atom's cached kind(arg)
+    return _render_poly(p, lead, _frac_str, repr, "%s^%d", "*", "%s*%s")
 
 
 def _frac_latex(c):
@@ -976,7 +997,10 @@ _ATOM_LATEX = {
 def _gen_latex(g):
     if isinstance(g, CoordGen):
         return g.name
-    return r"%s\!\left(%s\right)" % (_ATOM_LATEX[g.kind], to_latex(g.arg))
+    latex = g._latex
+    if latex is None:
+        latex = g._latex = r"%s\!\left(%s\right)" % (_ATOM_LATEX[g.kind], to_latex(g.arg))
+    return latex
 
 
 def _poly_latex(p, lead=1):

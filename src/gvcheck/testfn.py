@@ -210,19 +210,28 @@ class ClosedSetSpec:
 def weak_test_from_cover(balls, m0: ClosedSetSpec, cfg: ZeroTestConfig):
     """Sum of bumps as a weak test function for the set's complement.
 
+    Returns (expression, report): the :func:`bump_sum` of the balls and
+    its :func:`check_cover` report.
+    """
+    balls = tuple(balls)
+    phi = bump_sum(balls)
+    return phi, check_cover(phi, balls, m0, cfg)
+
+
+def check_cover(phi, balls, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> StructuredReport:
+    """Is ``phi``, the bump sum of ``balls``, a weak test function for the complement?
+
     The inner balls must cover every sampled complement point (a gap
     raises a coverage error with the witness); the sum must then vanish
     at sampled set points and anchors and be positive at the covered
-    complement samples.  Returns (expression, report).
+    complement samples.
     """
-    balls = tuple(balls)
     complement = m0.sample_complement(cfg.rng_seed, cfg.sample_count, cfg.abs_tol)
     for p in complement:
         if not any(b.in_inner(p) for b in balls):
             raise CoverageError(
                 "complement sample lies in no inner ball", witness=p
             )
-    phi = bump_sum(balls)
     entries = [
         CheckEntry(
             "coverage",
@@ -236,7 +245,7 @@ def weak_test_from_cover(balls, m0: ClosedSetSpec, cfg: ZeroTestConfig):
     entries.append(CheckEntry.from_witness("vanishes-on-set", bad_zero, "a bump support reaches the set"))
     bad_pos = next((p for p in complement if not evaluate(phi, p) > 0.0), None)
     entries.append(CheckEntry.from_witness("positive-on-complement", bad_pos))
-    return phi, StructuredReport(tuple(entries))
+    return StructuredReport(tuple(entries))
 
 
 def _has_flat_atom(e: ScalarExpr) -> bool:
@@ -249,13 +258,20 @@ def _has_flat_atom(e: ScalarExpr) -> bool:
     return True
 
 
-def _directional_fd(phi, base, direction, h, order):
-    """Central finite difference of the given order along a direction."""
+def _directional_fd(phi, base, direction, h, order, values):
+    """Central finite difference of the given order along a direction.
+
+    ``values`` maps each offset s already evaluated at this base point
+    to the value of phi at base + s*direction, and gains the new ones.
+    """
 
     def at(s):
-        return evaluate(
-            phi, {n: base[n] + s * d for n, d in zip(sorted(base), direction)}
-        )
+        v = values.get(s)
+        if v is None:
+            v = values[s] = evaluate(
+                phi, {n: base[n] + s * d for n, d in zip(sorted(base), direction)}
+            )
+        return v
 
     # direction is aligned with sorted coordinate order of the base point
     if order == 1:
@@ -272,8 +288,11 @@ def flatness_check(phi, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> StructuredRep
     of orders 1..3 are estimated by central differences at base points
     anchor + d*direction for d in {1e-1, 1e-2, 1e-3} (step d/4).  Each
     order passes when the closest estimate is below 1e-6 and no larger
-    than the farthest one.  A structural entry records when every term
-    of phi carries a flat atom.
+    than the farthest one.  The three orders share probe points (+-step
+    for orders 1 and 2, the base point itself for order 2), and each
+    distinct point is evaluated once: 7 evaluations per base point, the
+    first of each in the order the estimates ask for it.  A structural
+    entry records when every term of phi carries a flat atom.
     """
     phi = normalize(phi)
     entries = []
@@ -298,14 +317,16 @@ def flatness_check(phi, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> StructuredRep
             v = [rng.gauss(0.0, 1.0) for _ in names]
             norm = math.sqrt(sum(x * x for x in v)) or 1.0
             probes.append((a, [x / norm for x in v]))
+    memo = {}  # (distance, probe index) -> values at that base point
     for order in (1, 2, 3):
         estimates = []
         worst_point = None
         for d in FLAT_DISTANCES:
             worst = 0.0
-            for a, u in probes:
+            for k, (a, u) in enumerate(probes):
                 base = {n: a[n] + d * x for n, x in zip(names, u)}
-                value = abs(_directional_fd(phi, base, u, d / 4.0, order))
+                values = memo.setdefault((d, k), {})
+                value = abs(_directional_fd(phi, base, u, d / 4.0, order, values))
                 if value > worst:
                     worst = value
                     if d == FLAT_DISTANCES[-1]:

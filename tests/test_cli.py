@@ -350,6 +350,33 @@ class TestRunnerApi:
         assert (row.verdict, row.witness, row.entries, row.latex) == ("FAIL", None, [], "")
         assert row.detail == "ValueError: rank 2 is not the leaf dimension of any member"
 
+    @pytest.mark.parametrize("expr, value", [
+        # undefined at the second base point's first order-1 probe point
+        ("log(y)", "-0.1197709300707425"),
+        # defined at every order-1 and order-2 point, undefined at an order-3 one
+        ("log(13/100 + y)", "-0.0017480230778167405"),
+    ])
+    def test_flatness_evaluation_error_keeps_its_row(self, expr, value):
+        # the probe points are first evaluated in the order the estimates
+        # ask for them, so the same evaluation raises and the row stays
+        doc = parse_doc(
+            "chart x y\n"
+            "closedset Origin = zeroset x^2 + y^2 anchors (0, 0) window x 0.3 1.1, y 0.3 1.1\n"
+            "check flatness %s near Origin as log-near-origin\n" % expr
+        )
+        row = run_checks(doc, seed=1, seed_source="flag").checks[0]
+        assert (row.verdict, row.witness, row.entries) == ("FAIL", None, [])
+        assert row.detail == "DomainError: log of non-positive value " + value
+
+    def test_coefficient_beyond_the_float_range_is_undecided(self):
+        # an engine limit: the samples are skipped, nothing is refuted
+        doc = parse_doc("chart x\nregion R = all\nscalar f = 1e400*x\ncheck zero f - x on R as huge\n")
+        report = run_checks(doc, seed=5, seed_source="flag")
+        row = report.checks[0]
+        assert row.verdict == "UNDECIDED"
+        assert row.detail == "max |value| 0.000e+00 over 0 samples (32 samples skipped: evaluation error)"
+        assert report.exit_code() == 2
+
     @pytest.mark.parametrize("verdicts, status", [
         ((), 0),
         (("PASS", "PASS"), 0),

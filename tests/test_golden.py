@@ -76,6 +76,14 @@ def test_view_matches_golden(doc, suffix):
     assert render_view(doc, suffix) == _read(golden_name(doc, 1, suffix))
 
 
+@pytest.mark.parametrize("doc", DOCS)
+def test_second_run_in_one_process_is_byte_identical(doc):
+    # the rendering and evaluation memos carry nothing from one run to the next
+    assert render(doc, 1) == render(doc, 1)
+    for suffix in sorted(VIEWS):
+        assert render_view(doc, suffix) == render_view(doc, suffix)
+
+
 def test_every_gallery_document_has_goldens():
     assert len(DOCS) == 10
     expected = {golden_name(d, s) for d in DOCS for s in SEEDS}

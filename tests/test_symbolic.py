@@ -27,7 +27,8 @@ from gvcheck import (
     sym,
     to_latex,
 )
-from gvcheck.symbolic import MAX_EXPONENT, CoordGen, _eval_expr, _mono_items, _scale_at
+from gvcheck import symbolic
+from gvcheck.symbolic import MAX_EXPONENT, CoordGen, ScalarExpr, _eval_expr, _mono_items, _scale_at
 from conftest import XY, random_polynomial, random_scalar, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")
@@ -123,6 +124,27 @@ def test_psi0_reference_value_and_range():
         # even in u: depends on u^2 only
         assert v == evaluate(psi0(x), {"x": -u})
     assert evaluate(psi0(x), {"x": 0.0}) == 0.0
+
+
+def test_psi0_where_the_argument_squared_underflows():
+    # below |u| of about 1e-162, u * u underflows to 0.0; the true value
+    # exp(-1/u^2) / (1 + exp(-1/u^2)) rounds to 0.0 there
+    for u in (1e-200, -1e-200, 1e-163, 5e-324):
+        assert evaluate(psi0(x), {"x": u}) == 0.0
+    # everywhere else the value is the closed form, bit for bit
+    for u in (-1e-160, 1e-160, 1e-154, 0.03, 0.5, 1.0, 7.0, 1e10, 1e200):
+        g = math.exp(-1.0 / (u * u))
+        assert evaluate(psi0(x), {"x": u}) == g / (1.0 + g)
+
+
+def test_coefficient_beyond_the_float_range_is_an_evaluation_error(plane, cfg):
+    e = rat(10 ** 400) * x
+    with pytest.raises(EvaluationError, match=r"coefficient of x \(about 1e400\) is beyond the float range"):
+        evaluate(e, {"x": 1.0})
+    # an engine limit, not a refutation: every sample is skipped
+    out = is_zero_on(e - x, plane, cfg)
+    assert out.status is ZeroStatus.UNDECIDED
+    assert "(32 samples skipped: evaluation error)" in out.detail
 
 
 def test_evaluate_domain_errors():
@@ -326,6 +348,25 @@ def test_free_coords_sees_through_atoms():
     e = exp(x * y) + z / (1 + y * y)
     assert free_coords(e) == {"x", "y", "z"}
     assert free_coords(rat(3, 4)) == set()
+
+
+def test_each_atom_renders_its_argument_once(monkeypatch):
+    # an argument no other test builds, so its atom is first rendered here
+    arg = x * y * z + rat(17, 19)
+    a = exp(arg)
+    e = a * x + a ** 2 * y + a ** 3 / (1 + z * z) + psi0(a - x)
+    real_latex, real_str = symbolic.to_latex, ScalarExpr.__str__
+    latex_args, text_args = [], []
+    monkeypatch.setattr(symbolic, "to_latex", lambda u: latex_args.append(u) or real_latex(u))
+    monkeypatch.setattr(ScalarExpr, "__str__", lambda u: text_args.append(u) or real_str(u))
+    latex, text = symbolic.to_latex(e), str(e)
+    assert latex_args.count(arg) == 1
+    assert text_args.count(arg) == 1
+    # later renderings read the atom's cached text and LaTeX
+    assert (symbolic.to_latex(e), str(e)) == (latex, text)
+    assert latex_args.count(arg) == 1
+    assert text_args.count(arg) == 1
+    assert latex.count(r"\exp\!\left(") > 4
 
 
 def test_latex_rendering_smoke():

@@ -1,4 +1,5 @@
 """Flat test functions: steps, bumps, closed-set specs, cover and flatness checks."""
+import os
 import re
 
 import pytest
@@ -23,11 +24,16 @@ from gvcheck import (
     sym,
     weak_test_from_cover,
 )
+from gvcheck import testfn
+from gvcheck.runner import run_checks
+from gvcheck.specdoc import parse_spec
+from gvcheck.testfn import FLAT_DISTANCES
 from conftest import XY, square_box
 
 x, y = sym("x"), sym("y")
 
 WINDOW = {"x": (0.3, 1.1), "y": (0.3, 1.1)}
+GALLERY = os.path.join(os.path.dirname(__file__), os.pardir, "gallery")
 
 
 def ev(e, px, py=0.0):
@@ -181,6 +187,18 @@ def test_weak_test_from_cover_happy_path(cfg):
     assert evaluate(phi, {"x": 0.5, "y": 0.5}) >= 1.0
 
 
+def test_cover_check_reuses_the_parsed_bump_sum(monkeypatch):
+    with open(os.path.join(GALLERY, "testfn_gallery.fol"), encoding="utf-8") as fh:
+        doc, diagnostics = parse_spec(fh.read())
+    assert diagnostics == []
+    calls = []
+    real = testfn.bump_sum
+    monkeypatch.setattr(testfn, "bump_sum", lambda balls: calls.append(balls) or real(balls))
+    report = run_checks(doc)
+    assert [(c.kind, c.verdict) for c in report.checks if c.kind == "cover"] == [("cover", "PASS")]
+    assert calls == []
+
+
 def test_weak_test_detects_coverage_gap(cfg):
     with pytest.raises(CoverageError) as err:
         weak_test_from_cover(four_ball_cover()[:3], origin_zeroset(), cfg)
@@ -245,6 +263,22 @@ def test_flatness_on_ball_boundary(cfg):
     rep = flatness_check(f, disk, cfg)
     assert rep.passed
     assert rep.entries[0].name == "structural-flatness"
+
+
+@pytest.mark.parametrize("closed_set", ["zeroset", "balls"])
+def test_flatness_evaluates_each_probe_point_once(closed_set, cfg, monkeypatch):
+    if closed_set == "zeroset":
+        m0 = origin_zeroset()
+    else:
+        m0 = ClosedSetSpec(XY, square_box(XY), "balls", balls=(({"x": 0.0, "y": 0.0}, 0.5),))
+    points = []
+    real = testfn.evaluate
+    monkeypatch.setattr(testfn, "evaluate", lambda e, p: points.append(p) or real(e, p))
+    flatness_check(x * x * y + y, m0, cfg)
+    # two seeded directions per anchor, 7 distinct points per base point
+    probes = 2 * len(m0.boundary_anchors(cfg.rng_seed))
+    assert len(points) == 7 * len(FLAT_DISTANCES) * probes
+    assert len({tuple(sorted(p.items())) for p in points}) == len(points)
 
 
 def test_flatness_requires_anchors(cfg):
