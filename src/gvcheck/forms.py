@@ -368,7 +368,10 @@ def _det(rows):
     return det
 
 
-def gram_independent(gens, point, tol=1e-9):
+GRAM_TOL = 1e-9  # a normalized Gram determinant at most this is dependence
+
+
+def gram_independent(gens, point):
     """Pointwise linear independence of 1-forms via the normalized Gram determinant."""
     if not gens:
         return True
@@ -383,7 +386,7 @@ def gram_independent(gens, point, tol=1e-9):
             return False
         rows.append([v / norm for v in row])
     gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
-    return abs(_det(gram)) > tol
+    return abs(_det(gram)) > GRAM_TOL
 
 
 def dependent_sample(gens, region, cfg):

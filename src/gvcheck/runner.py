@@ -1,13 +1,15 @@
 """Execute a document's checks and render deterministic reports.
 
-Each check directive runs under its own sub-seeded configuration, so
-reports do not depend on check order or on which other checks appear in
-the document.  Engine errors never escape: a check whose preconditions
-are refuted, or that cannot be sampled, becomes a FAIL row carrying the
-witness; anything unexpected becomes a FAIL row flagged as an internal
-error.  The JSON rendering is byte-deterministic for a fixed document
-and seed (timings are reported as null there; the text rendering shows
-live timings).
+What a check computes is its directive's ``run``, from
+:data:`gvcheck.specdoc.CHECKS`; this module times it, turns its errors
+into rows and renders the rows.  Each check runs under its own
+sub-seeded configuration, so reports do not depend on check order or on
+which other checks appear in the document.  Engine errors never escape:
+a check whose preconditions are refuted, or that cannot be sampled,
+becomes a FAIL row carrying the witness; anything unexpected becomes a
+FAIL row flagged as an internal error.  The JSON rendering is
+byte-deterministic for a fixed document and seed (timings are reported
+as null there; the text rendering shows live timings).
 """
 from __future__ import annotations
 
@@ -16,39 +18,9 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .errors import GvError, WitnessedError
-from .foliations import (
-    check_family,
-    check_invariance,
-    rank_at,
-    validate_foliation,
-)
-from .forms import ext_d, forms_equal, ideal_member, vanishes_on
-from .gv import (
-    MuChoice,
-    check_basic,
-    check_minimal_vanishing,
-    check_overlap_identities,
-    gv_form,
-    gv_min,
-    gv_weighted,
-    solve_theta,
-    verify_frobenius,
-)
-from .regions import intersect
-from .singular import check_exactness_pipeline, d_f, iso_decompose, verify_exact
 from .specdoc import CheckDirective, SpecDocument
-from .symbolic import ZeroTestConfig, is_zero_on, mix_seed, to_latex
-from .testfn import check_cover, flatness_check
-from .verdicts import (
-    EXIT_STATUS,
-    CheckEntry,
-    StructuredReport,
-    Verdict,
-    ZeroOutcome,
-    ZeroStatus,
-    verdict_of,
-    worst,
-)
+from .symbolic import ZeroTestConfig, mix_seed
+from .verdicts import EXIT_STATUS, Verdict, ZeroOutcome, ZeroStatus, verdict_of, worst
 
 SCHEMA_VERSION = 1
 
@@ -109,212 +81,11 @@ class RunReport:
         return cls(checks=checks, **raw)
 
 
-def _entry_dict(e: CheckEntry) -> dict:
-    return {
-        "name": e.name,
-        "verdict": e.verdict.value,
-        "detail": e.detail,
-        "witness_point": e.witness_point,
-        "witness_form": e.witness_form,
-    }
-
-
-# ---------------------------------------------------------------------------
-# per-kind executors: directive payload + config -> (engine result, LaTeX,
-# extra detail), where the engine result is a ZeroOutcome or a StructuredReport
-
-
-def _run_zero(p, cfg):
-    out = is_zero_on(p["expr"], p["region"], cfg)
-    return out, r"%s \overset{?}{=} 0" % to_latex(p["expr"]), ""
-
-
-def _run_forms_equal(p, cfg):
-    out = forms_equal(p["left"], p["right"], p["region"], cfg)
-    return out, r"%s \overset{?}{=} %s" % (p["left"].to_latex(), p["right"].to_latex()), ""
-
-
-def _run_ideal_member(p, cfg):
-    out = ideal_member(p["form"], p["gens"], p["region"], cfg)
-    latex = r"%s \in \left\langle %s \right\rangle" % (
-        p["form"].to_latex(),
-        ", ".join(g.to_latex() for g in p["gens"]),
-    )
-    return out, latex, ""
-
-
-def _run_foliation(p, cfg):
-    fol = p["foliation"]
-    return validate_foliation(fol, cfg), r"\nu = %s" % fol.nu.to_latex(), ""
-
-
-def _run_family(p, cfg):
-    return check_family(p["family"], cfg), "", ""
-
-
-def _run_rank(p, cfg):
-    got = rank_at(p["family"], p["point"])
-    want = p["expect"]
-    ok = got == want
-    # an exact comparison: equal ranks are proved, unequal ones refuted at the point
-    out = ZeroOutcome(
-        ZeroStatus.PROVED_ZERO if ok else ZeroStatus.NONZERO,
-        witness=None if ok else dict(p["point"]),
-        detail="rank %d at the sample point (expected %d)" % (got, want),
-    )
-    return out, "", ""
-
-
-def _run_invariance(p, cfg):
-    return check_invariance(p["map"], p["foliation"], cfg), "", ""
-
-
-def _run_frobenius(p, cfg):
-    fol = p["foliation"]
-    out = verify_frobenius(fol.nu, p["mu"], fol.region, cfg)
-    return out, r"d\nu \overset{?}{=} \nu \wedge \mu,\ \mu = %s" % p["mu"].to_latex(), ""
-
-
-def _run_gv_closed(p, cfg):
-    fol = p["foliation"]
-    w = gv_form(p["mu"], fol.codim)
-    out = vanishes_on(ext_d(w), fol.region, cfg)
-    return out, r"d\left(%s\right) \overset{?}{=} 0" % w.to_latex(), ""
-
-
-def _run_gv_form(p, cfg):
-    fol = p["foliation"]
-    w = gv_form(p["mu"], fol.codim)
-    out = forms_equal(w, p["expected"], fol.region, cfg)
-    return out, r"\mu \wedge (d\mu)^{%d} = %s" % (fol.codim, w.to_latex()), ""
-
-
-def _run_overlap_vanishing(p, cfg):
-    return check_minimal_vanishing(p["family"], MuChoice(dict(p["mus"])), cfg), "", ""
-
-
-def _run_gv_min(p, cfg):
-    report = gv_min(p["family"], MuChoice(dict(p["mus"])), p["rank"], cfg)
-    rows = StructuredReport(report.vanishing.entries + report.closedness.entries, report.notes)
-    detail = "degree %d form, glued with zero on %d region(s)" % (
-        report.degree,
-        len(report.piecewise.pieces) - 1,
-    )
-    if not report.glued:
-        detail += "; gluing not established"
-    return rows, report.piecewise.pieces[0][1].to_latex(), detail
-
-
-def _run_basic(p, cfg):
-    fol = p["foliation"]
-    out = check_basic(p["weight"], fol, fol.region, cfg)
-    return out, r"d\varphi \in \left\langle \nu \right\rangle,\ \varphi = %s" % to_latex(p["weight"]), ""
-
-
-def _run_gv_weighted(p, cfg):
-    fol = p["foliation"]
-    nu_bar, report = gv_weighted(p["weight"], p["mu"], fol, cfg)
-    return report, r"\bar\nu = %s" % nu_bar.to_latex(), ""
-
-
-def _run_overlap_identities(p, cfg):
-    sub, sup = p["sub"], p["sup"]
-    overlap = intersect(sub.region, sup.region, name="overlap")
-    theta = solve_theta(sub, sup, overlap, cfg)
-    report = check_overlap_identities(
-        sub, sup, p["mus"][sub.name], p["mus"][sup.name], theta.theta, overlap, cfg
-    )
-    return report, r"\theta = %s" % theta.theta.to_latex(), "theta sign %+d" % theta.sign
-
-
-def _run_theta(p, cfg):
-    # solve_theta returns only a proved factorization (it raises otherwise),
-    # so the row's verdict is that of the optional comparison
-    sub, sup = p["sub"], p["sup"]
-    overlap = intersect(sub.region, sup.region, name="overlap")
-    res = solve_theta(sub, sup, overlap, cfg)
-    entries = ()
-    if "expected" in p:
-        cmp = forms_equal(res.theta, p["expected"], overlap, cfg)
-        entries = (CheckEntry.from_outcome("matches-expected", cmp),)
-    return StructuredReport(entries), r"\theta = %s" % res.theta.to_latex(), "sign %+d" % res.sign
-
-
-def _run_cover(p, cfg):
-    decl = p["testfn"]
-    return check_cover(decl.phi, decl.balls, decl.closedset, cfg), r"\varphi = %s" % to_latex(decl.phi), ""
-
-
-def _run_flatness(p, cfg):
-    return flatness_check(p["expr"], p["closedset"], cfg), to_latex(p["expr"]), ""
-
-
-def _run_df_closed(p, cfg):
-    residual = d_f(p["f"], p["form"])
-    out = vanishes_on(residual, p["region"], cfg)
-    return out, r"d_f\,\omega = %s" % residual.to_latex(), ""
-
-
-def _run_exactness(p, cfg):
-    out = verify_exact(p["form"], p["primitive"], p["region"], cfg)
-    latex = r"d\left(%s\right) \overset{?}{=} %s" % (
-        p["primitive"].to_latex(),
-        p["form"].to_latex(),
-    )
-    return out, latex, ""
-
-
-def _run_exactness_pipeline(p, cfg):
-    report = check_exactness_pipeline(
-        p["foliation"], p["weight"], p["mu"], p["tubular"], p["primitive"], cfg
-    )
-    return report, r"\varphi = %s" % to_latex(p["weight"]), ""
-
-
-def _run_iso(p, cfg):
-    composite, report = iso_decompose(
-        p["weight"], p["alpha"], p["beta"], p["tubular"], cfg
-    )
-    return report, composite.to_latex(), ""
-
-
-def _run_tubular(p, cfg):
-    td = p["tubular"]
-    return td.validate(cfg), r"\rho = %s" % to_latex(td.rho), ""
-
-
-_EXECUTORS = {
-    "zero": _run_zero,
-    "forms-equal": _run_forms_equal,
-    "ideal-member": _run_ideal_member,
-    "foliation": _run_foliation,
-    "family": _run_family,
-    "rank": _run_rank,
-    "invariance": _run_invariance,
-    "frobenius": _run_frobenius,
-    "gv-closed": _run_gv_closed,
-    "gv-form": _run_gv_form,
-    "overlap-vanishing": _run_overlap_vanishing,
-    "gv-min": _run_gv_min,
-    "basic": _run_basic,
-    "gv-weighted": _run_gv_weighted,
-    "overlap-identities": _run_overlap_identities,
-    "theta": _run_theta,
-    "cover": _run_cover,
-    "flatness": _run_flatness,
-    "df-closed": _run_df_closed,
-    "exactness": _run_exactness,
-    "exactness-pipeline": _run_exactness_pipeline,
-    "iso": _run_iso,
-    "tubular": _run_tubular,
-}
-
-
 def _check_result(directive, result, latex, detail, timing_ms) -> CheckResult:
     """The report row of one check from its engine result.
 
     A zero test's row shows the test's own detail; a structured report
-    has none, so its row shows the executor's.
+    has none, so its row shows the run's.
     """
     if isinstance(result, ZeroOutcome):
         verdict, witness, entries, notes = verdict_of(result), result.witness, (), ()
@@ -327,7 +98,7 @@ def _check_result(directive, result, latex, detail, timing_ms) -> CheckResult:
         verdict=verdict.value,
         detail=detail,
         witness=witness,
-        entries=[_entry_dict(e) for e in entries],
+        entries=[dict(asdict(e), verdict=e.verdict.value) for e in entries],
         notes=list(notes),
         latex=latex,
         timing_ms=timing_ms,
@@ -338,7 +109,7 @@ def _execute(directive: CheckDirective, cfg: ZeroTestConfig) -> CheckResult:
     start = time.perf_counter()
     latex = detail = ""
     try:
-        result, latex, detail = _EXECUTORS[directive.kind](directive.payload, cfg)
+        result, latex, detail = directive.run(cfg)
     # an error becomes a FAIL row: a refuting outcome with the error's witness, if any
     except WitnessedError as e:
         message = str(e) + (("; " + e.detail) if e.detail else "")
@@ -443,20 +214,14 @@ _LATEX_HEADER = "\n".join(
 )
 
 
+_LATEX_ESCAPES = str.maketrans(
+    {"~": r"\textasciitilde{}", "^": r"\textasciicircum{}", "\\": r"\textbackslash{}"}
+    | {ch: "\\" + ch for ch in "&%$#_{}"}
+)
+
+
 def _latex_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in "&%$#_{}":
-            out.append("\\" + ch)
-        elif ch == "~":
-            out.append("\\textasciitilde{}")
-        elif ch == "^":
-            out.append("\\textasciicircum{}")
-        elif ch == "\\":
-            out.append("\\textbackslash{}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_LATEX_ESCAPES)
 
 
 def render_latex(report: RunReport) -> str:

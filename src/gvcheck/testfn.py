@@ -34,6 +34,7 @@ from .verdicts import CheckEntry, StructuredReport, Verdict
 
 FLAT_DISTANCES = (0.1, 0.01, 0.001)
 FLAT_TOL = 1e-6
+ANCHORS_PER_BALL = 2  # sphere points per ball among the flatness base points
 
 
 def smooth_step(u) -> ScalarExpr:
@@ -186,14 +187,14 @@ class ClosedSetSpec:
                 out.append(p)
         return out
 
-    def boundary_anchors(self, seed: int, per_ball: int = 2) -> list:
+    def boundary_anchors(self, seed: int) -> list:
         """Flatness base points: explicit anchors, plus sphere points
         for the ball description."""
         out = list(self.anchors)
         if self.kind == "balls":
             for k, (center, r) in enumerate(self.balls):
                 rng = Random(mix_seed(seed ^ 0xB0A7, k))
-                for _ in range(per_ball):
+                for _ in range(ANCHORS_PER_BALL):
                     direction = [rng.gauss(0.0, 1.0) for _ in self.coords]
                     norm = math.sqrt(sum(d * d for d in direction)) or 1.0
                     out.append(

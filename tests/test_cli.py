@@ -11,8 +11,9 @@ import pytest
 
 import gvcheck.runner
 from gvcheck.cli import ENV_SEED, main
+from gvcheck.gv import MuChoice, gv_min
 from gvcheck.runner import CheckResult, RunReport, render_json, render_report, run_checks
-from gvcheck.specdoc import CHECK_KINDS, parse_spec
+from gvcheck.specdoc import parse_spec
 from gvcheck.symbolic import ZeroTestConfig
 
 
@@ -151,6 +152,33 @@ class TestInvalidSettings:
         line = 4 + statement.count("\n") + 1
         col = statement.splitlines()[-1].rindex(token) + 1
         assert capsys.readouterr().err == "%s: line %d, col %d: %s\n" % (spec, line, col, message)
+
+    CODIM_ONE = "chart x y z\nregion R = all\nfoliation H on R leafdim 2 nu dy\n"
+
+    @pytest.mark.parametrize("statement, col, message", [
+        ("check frobenius H with dx^dy", 24, "a Frobenius witness must be a 1-form"),
+        ("check gv-closed H with x", 24, "a Frobenius witness must be a 1-form"),
+        ("check gv-closed H with dx^dy", 24, "a Frobenius witness must be a 1-form"),
+        ("check ideal-member dx^dy in dx^dz on R", 29, "ideal generators must be 1-forms"),
+        ("check ideal-member dx^dy in x on R", 29, "ideal generators must be 1-forms"),
+        ("check ideal-member dx^dy in dz, y on R", 33, "ideal generators must be 1-forms"),
+        ("foliation K on R leafdim 2 nu dy gens dx^dy", 39, "decomposition entries must be 1-forms"),
+    ])
+    def test_a_form_that_must_be_a_one_form_is_checked_at_the_form(
+        self, statement, col, message, tmp_path, capsys
+    ):
+        # a witness or generator of another degree is a document error, not
+        # a proof (it used to PASS) or a refutation (it used to FAIL)
+        spec = tmp_path / "doc.fol"
+        spec.write_text(self.CODIM_ONE + statement + "\n")
+        assert run_cli(["check", str(spec)]) == 5
+        assert capsys.readouterr().err == "%s: line 4, col %d: %s\n" % (spec, col, message)
+
+    @pytest.mark.parametrize("statement", ["check frobenius H with 0*dx", "check gv-closed H with 0"])
+    def test_a_zero_witness_is_accepted(self, statement, tmp_path):
+        spec = tmp_path / "doc.fol"
+        spec.write_text(self.CODIM_ONE + statement + "\n")
+        assert run_cli(["check", str(spec)]) == 0
 
     @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
@@ -344,8 +372,8 @@ class TestRunnerApi:
             "foliation H on R leafdim 1 nu dy transverse y\nmu H = 0*dx\nfamily fam = H\n"
             "check gv-min fam rank 1 as wrong-rank\n"
         )
-        directive = doc.checks[0]
-        doc.checks[0] = replace(directive, payload=dict(directive.payload, rank=2))
+        fam, mus = doc.families["fam"], MuChoice(dict(doc.mus))
+        doc.checks[0] = replace(doc.checks[0], run=lambda cfg: (gv_min(fam, mus, 2, cfg), "", ""))
         row = run_checks(doc, seed=5, seed_source="flag").checks[0]
         assert (row.verdict, row.witness, row.entries, row.latex) == ("FAIL", None, [], "")
         assert row.detail == "ValueError: rank 2 is not the leaf dimension of any member"
@@ -389,10 +417,6 @@ class TestRunnerApi:
             CheckResult("c%d" % i, "zero", v) for i, v in enumerate(verdicts)
         ])
         assert report.exit_code() == status
-
-    def test_grammar_and_executors_name_the_same_kinds(self):
-        assert len(set(CHECK_KINDS)) == len(CHECK_KINDS)
-        assert set(CHECK_KINDS) == set(gvcheck.runner._EXECUTORS)
 
     def test_render_report_rejects_unknown_format(self):
         doc = parse_doc(TINY_DOC)

@@ -18,7 +18,8 @@ from unittest import mock
 
 import pytest
 
-from gvcheck import cli, runner
+from gvcheck import cli, parse_spec, runner
+from gvcheck.specdoc import CHECKS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GALLERY = os.path.join(os.path.dirname(HERE), "gallery")
@@ -89,6 +90,17 @@ def test_every_gallery_document_has_goldens():
     expected = {golden_name(d, s) for d in DOCS for s in SEEDS}
     expected |= {golden_name(d, 1, suffix) for d in DOCS for suffix in VIEWS}
     assert expected == set(os.listdir(GOLDEN))
+
+
+def test_every_check_kind_has_a_gallery_golden():
+    # so the byte-identical goldens cover the run of every check kind
+    kinds = set()
+    for doc in DOCS:
+        with open(os.path.join(GALLERY, doc), encoding="utf-8") as fh:
+            parsed, diagnostics = parse_spec(fh.read())
+        assert diagnostics == []
+        kinds.update(c.kind for c in parsed.checks)
+    assert kinds == set(CHECKS)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from gvcheck import ZeroTestConfig, parse_spec
+from gvcheck import ZeroTestConfig, parse_spec, run_checks
 from gvcheck.specdoc import DEFAULT_BOX, Diagnostic
 from gvcheck.symbolic import rat, sym
-from gvcheck.forms import basis_form, zero_form
+from gvcheck.forms import basis_form
 
 
 FULL_TEXT = """\
@@ -48,6 +48,16 @@ def parse_ok(text):
     assert diagnostics == [], [str(d) for d in diagnostics]
     assert doc is not None
     return doc
+
+
+def only_row(text):
+    """The report row of a document's one check."""
+    (row,) = run_checks(parse_ok(text), seed=1, seed_source="flag").checks
+    return row
+
+
+def entry_rows(row):
+    return [(e["name"], e["verdict"]) for e in row.entries]
 
 
 class TestHappyPath:
@@ -94,14 +104,12 @@ class TestHappyPath:
     def test_check_directives_carry_payloads(self):
         doc = parse_ok(FULL_TEXT)
         first, second = doc.checks
-        assert first.kind == "zero"
-        assert first.label == "normalization"
-        assert first.index == 0
-        assert first.payload["region"] is doc.regions["R"]
-        assert first.payload["expr"].is_zero
-        assert second.kind == "foliation"
-        assert second.label == "check-2-foliation"
-        assert second.payload["foliation"] is doc.foliations["F"]
+        assert (first.kind, first.label, first.index) == ("zero", "normalization", 0)
+        assert (second.kind, second.label, second.index) == ("foliation", "check-2-foliation", 1)
+        zero_row, foliation_row = run_checks(doc).checks
+        # h - 1 - x^2 normalizes to zero before the run, which the LaTeX shows
+        assert (zero_row.verdict, zero_row.latex) == ("PASS", r"0 \overset{?}{=} 0")
+        assert foliation_row.latex == r"\nu = " + doc.foliations["F"].nu.to_latex()
 
     def test_defaults_when_config_lines_absent(self):
         doc = parse_ok("chart x y\nregion R = all\ncheck zero x - x on R\n")
@@ -263,22 +271,20 @@ class TestCheckParsing:
         assert "check kind" in diagnostics[0].message
 
     def test_hyphenated_kind_merges_adjacent_tokens(self):
-        doc = parse_ok(
+        row = only_row(
             "chart x y\nregion R = all\n"
             "foliation H on R leafdim 1 nu dy transverse y\n"
             "mu H = 0*dx\nfamily fam = H\n"
             "check gv-min fam rank 1\n"
         )
-        assert doc.checks[0].kind == "gv-min"
-        assert doc.checks[0].payload["rank"] == 1
+        assert row.kind == "gv-min"
+        assert row.detail == "degree 3 form, glued with zero on 0 region(s)"
 
     def test_spaced_hyphen_stays_with_expression(self):
         # "zero -x" must parse as the zero check of the negated coordinate,
         # not as a kind named "zero-x".
-        doc, diagnostics = parse_spec("chart x\nregion U = x > 0\ncheck zero - x + x on U\n")
-        assert diagnostics == []
-        assert doc.checks[0].kind == "zero"
-        assert doc.checks[0].payload["expr"].is_zero
+        row = only_row("chart x\nregion U = x > 0\ncheck zero - x + x on U\n")
+        assert (row.kind, row.verdict, row.latex) == ("zero", "PASS", r"0 \overset{?}{=} 0")
 
     def test_default_labels_count_from_one(self):
         doc = parse_ok("chart x\nregion R = all\ncheck zero x - x on R\ncheck zero 0*x on R\n")
@@ -294,37 +300,42 @@ class TestCheckParsing:
         assert diagnostics and "trailing" in diagnostics[0].message
 
     def test_forms_equal_payload(self):
-        doc = parse_ok("chart x y\nregion R = all\ncheck forms-equal d(x*y) == y*dx + x*dy on R\n")
-        payload = doc.checks[0].payload
-        assert payload["left"] == payload["right"]
+        row = only_row("chart x y\nregion R = all\ncheck forms-equal d(x*y) == y*dx + x*dy on R\n")
+        assert row.verdict == "PASS"
+        # d(x*y) is expanded at parse time, so both sides render alike
+        assert row.latex == r"y \, dx + x \, dy \overset{?}{=} y \, dx + x \, dy"
 
     def test_ideal_member_payload_collects_generators(self):
-        doc = parse_ok("chart x y z\nregion R = all\ncheck ideal-member dx^dy in dx, dy on R\n")
-        payload = doc.checks[0].payload
-        assert len(payload["gens"]) == 2
-        assert payload["form"].degree == 2
+        row = only_row("chart x y z\nregion R = all\ncheck ideal-member dx^dy in dx, dy on R\n")
+        assert row.verdict == "PASS"
+        assert row.latex == r"dx \wedge dy \in \left\langle dx, dy \right\rangle"
 
     def test_rank_check_payload(self):
-        doc = parse_ok(
+        text = (
             "chart x y\nregion R = all\n"
             "foliation H on R leafdim 1 nu dy transverse y\nfamily fam = H\n"
-            "check rank fam at (0.5, -1) expect 1\n"
+            "check rank fam at (0.5, -1) expect %d\n"
         )
-        payload = doc.checks[0].payload
-        assert payload["point"] == {"x": 0.5, "y": -1.0}
-        assert payload["expect"] == 1
+        row = only_row(text % 1)
+        assert (row.verdict, row.witness) == ("PASS", None)
+        assert row.detail == "rank 1 at the sample point (expected 1)"
+        row = only_row(text % 2)
+        assert (row.verdict, row.witness) == ("FAIL", {"x": 0.5, "y": -1.0})
+        assert row.detail == "rank 1 at the sample point (expected 2)"
 
     def test_theta_check_with_expected_form(self):
-        doc = parse_ok(
+        text = (
             "chart x y z\nregion R = all\n"
             "foliation Surf on R leafdim 2 nu dz transverse z\n"
             "foliation Curves on R leafdim 1 nu exp(x)*dy^dz gens exp(x)*dy, dz transverse y, z\n"
-            "check theta Curves Surf == -exp(x)*dy\n"
+            "check theta Curves Surf"
         )
-        payload = doc.checks[0].payload
-        assert payload["sub"].name == "Curves"
-        assert payload["sup"].name == "Surf"
-        assert payload["expected"].degree == 1
+        row = only_row(text + " == -exp(x)*dy\n")
+        assert (row.verdict, row.detail) == ("PASS", "sign -1")
+        assert row.latex == r"\theta = -\exp\!\left(x\right) \, dy"
+        assert entry_rows(row) == [("matches-expected", "PASS")]
+        assert only_row(text + " == exp(x)*dy\n").verdict == "FAIL"
+        assert entry_rows(only_row(text + "\n")) == []
 
     def test_gv_min_autofills_zero_mu_for_one_leaf_members(self):
         doc = parse_ok(
@@ -335,10 +346,10 @@ class TestCheckParsing:
             "family fam = Leaves Whole\n"
             "check gv-min fam rank 1\n"
         )
-        mus = doc.checks[0].payload["mus"]
-        assert set(mus) == {"Leaves", "Whole"}
-        assert mus["Whole"] == zero_form(doc.coords, 1)
-        assert not mus["Leaves"].is_zero
+        (row,) = run_checks(doc).checks
+        assert row.verdict == "PASS"
+        assert ("frobenius[Leaves]", "PASS") in entry_rows(row)
+        assert ("frobenius[Whole]", "PASS") in entry_rows(row)
 
     def test_missing_mu_for_proper_foliation_is_an_error(self):
         _, diagnostics = parse_spec(
@@ -361,26 +372,23 @@ class TestCheckParsing:
             "chart x y\nregion R = all\nfoliation W on R leafdim 2\nfamily fam = W\n"
             "tubular td on R f y t y eps 1/4 outer 1/2\n"
         )
-        assert parse_ok(text + "check overlap-vanishing fam\n").checks[0].payload["mus"] == {
-            "W": zero_form(("x", "y"), 1)
-        }
+        assert entry_rows(only_row(text + "check overlap-vanishing fam\n")) == [("frobenius[W]", "PASS")]
         _, diagnostics = parse_spec(text + check + "\n")
         assert [str(d) for d in diagnostics] == ["line 6, col %d: no mu declared for foliation 'W'" % col]
 
     def test_kind_merge_stops_at_a_non_kind(self):
         # "zero-x" extends no kind, so the minus starts the expression
-        doc = parse_ok("chart x\nregion R = all\ncheck zero-x + x on R\n")
-        assert doc.checks[0].kind == "zero"
-        assert doc.checks[0].payload["expr"].is_zero
+        row = only_row("chart x\nregion R = all\ncheck zero-x + x on R\n")
+        assert (row.kind, row.verdict, row.latex) == ("zero", "PASS", r"0 \overset{?}{=} 0")
 
     def test_frobenius_with_inline_mu(self):
-        doc = parse_ok(
+        row = only_row(
             "chart x y\nregion R = all\n"
             "foliation H on R leafdim 1 nu dy - y*dx\n"
             "check frobenius H with -dx\n"
         )
-        payload = doc.checks[0].payload
-        assert payload["mu"] == basis_form(("x", "y"), ("x",)) * rat(-1)
+        assert row.verdict == "PASS"
+        assert row.latex == r"d\nu \overset{?}{=} \nu \wedge \mu,\ \mu = -dx"
 
     def test_lookup_of_undeclared_object(self):
         _, diagnostics = parse_spec("chart x\ncheck foliation F\n")
