@@ -203,9 +203,14 @@ def _cmd_gv(args) -> int:
     return EXIT_STATUS[report.verdict]
 
 
+_parser = None  # built on the first call, then reused: parsing leaves it unchanged
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if args.command == "gv":
         return _cmd_gv(args)
     return _cmd_report(args)

@@ -13,7 +13,6 @@ as null there; the text rendering shows live timings).
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -75,6 +74,8 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
+        import json  # only JSON reports need it: kept off the import path
+
         raw = json.loads(text)
         checks = [CheckResult(**c) for c in raw.pop("checks")]
         raw.pop("summary", None)
@@ -193,6 +194,8 @@ def _point_str(point: dict) -> str:
 
 
 def render_json(report: RunReport) -> str:
+    import json  # only JSON reports need it: kept off the import path
+
     data = asdict(report)
     for c in data["checks"]:
         c["timing_ms"] = None

@@ -250,9 +250,11 @@ class _StatementParser(ExprParser):
         return v
 
     def one_form(self, message) -> DiffForm:
-        """A form expression that is zero or a 1-form, else fail at it with ``message``."""
+        """A 1-form expression, else fail at it with ``message``; zero is the zero 1-form."""
         value = self.form_expression()
-        if not value.is_zero and value.degree != 1:
+        if value.is_zero:
+            return zero_form(self.doc.coords, 1)
+        if value.degree != 1:
             self.reject(message)
         return value
 

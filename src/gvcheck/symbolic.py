@@ -3,8 +3,8 @@
 A :class:`ScalarExpr` is kept in a canonical fraction ``num / den`` where
 both sides are sparse polynomials over an extended generator set:
 coordinate symbols plus interned transcendental atoms ``exp``, ``log``,
-``psi0`` and ``flatexp``.  Arithmetic normalizes eagerly, so structural
-equality decides semantic equality on the polynomial/rational fragment.
+``psi0`` and ``flatexp``.  Every read sees the reduced fraction, so
+structural equality decides semantic equality on the rational fragment.
 
 Representation (packed monomials as in Monagan & Pearce, "Sparse
 polynomial multiplication and division in Maple 14", 2009):
@@ -17,13 +17,24 @@ polynomial multiplication and division in Maple 14", 2009):
   instead of carrying into the next generator's field.
   :func:`_mono_items` decodes a monomial into (generator, exponent)
   pairs in generator order (coordinates by name, then atoms).
-* Coefficients are Python ints.  A canonical fraction has its shared
-  monomial content cancelled, its coefficients divided by their joint
-  gcd, and a positive leading denominator coefficient ``lead``, where
-  "leading" means the largest monomial in :func:`_mono_key` order.  Its
-  rational coefficients are the integer ones divided by ``lead``, which
-  makes the leading denominator coefficient 1.  Keys, rendering and
-  evaluation all read the coefficients that way.
+* Coefficients are Python ints.  A fraction is kept as a numerator, a
+  positive integer ``scale`` and a factored denominator: a dict of
+  factors with exponents, each factor a generator or a primitive
+  polynomial.  Adding fractions takes the largest exponent of each
+  factor (an lcm that needs no gcd); multiplying adds exponents; a
+  derivative raises each factor's exponent by at most one.
+* A fraction is canonical when its numerator shares no divisor with any
+  factor or with ``scale``.  Arithmetic leaves that to the first read of
+  the result (:func:`normalize`, which every form coefficient goes
+  through, rendering, key, value or a test other than ``is_zero``), so a
+  sum of products is cancelled once, not after every operation.
+  A modular screen proves most pairs coprime without a gcd; otherwise the
+  factor is tried by exact division, and then the primitive gcd of
+  Brown's PRS (J. ACM 1971) splits it.  Atoms stay independent
+  indeterminates, so equal rational functions over them get equal forms.
+  Keys, rendering and evaluation read the denominator multiplied out,
+  and every coefficient divided by its leading coefficient ``lead``,
+  where "leading" means the largest monomial in :func:`_mono_key` order.
 * ``key`` (sorted ``(_mono_key, (p, q))`` pairs of those rational
   coefficients) is computed on first use and cached; equality compares
   the integer term dicts, which is equivalent for canonical fractions.
@@ -88,15 +99,18 @@ FIELD_BITS = 16
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 
+_PRIME = (1 << 31) - 1  # the modulus of the coprimality screen
 _GENS: list = []  # field index -> generator
 _GUARD = 0  # the top bit of every allocated field
 _HIGH = 0  # the top two bits of every allocated field
 
 
 def _new_field(gen):
-    """Give ``gen`` the next exponent field: sets ``gen.unit``, the monomial gen^1."""
+    """Give ``gen`` the next exponent field: sets ``gen.unit``, the monomial
+    gen^1, and ``gen.ev``, its value in the coprimality screen of :func:`_common`."""
     global _GUARD, _HIGH
     off = len(_GENS) * FIELD_BITS
+    gen.ev = mix_seed(_PRIME, len(_GENS)) % _PRIME
     _GENS.append(gen)
     _GUARD |= 1 << (off + FIELD_BITS - 1)
     _HIGH |= 3 << (off + FIELD_BITS - 2)
@@ -104,7 +118,7 @@ def _new_field(gen):
 
 
 class CoordGen:
-    __slots__ = ("name", "skey", "_h", "unit")
+    __slots__ = ("name", "skey", "_h", "unit", "ev")
 
     def __init__(self, name):
         self.name = name
@@ -128,7 +142,7 @@ class AtomGen:
     renderings after the first (see ``__repr__`` and :func:`_gen_latex`).
     """
 
-    __slots__ = ("kind", "arg", "skey", "_h", "unit", "_text", "_latex")
+    __slots__ = ("kind", "arg", "skey", "_h", "unit", "ev", "_text", "_latex")
 
     def __init__(self, kind, arg):
         self.kind = kind
@@ -208,29 +222,35 @@ def _mono_min(a, b):
     return (b & keep_b) | (a & ~keep_b)
 
 
-def _overflow(mono):
-    """The error for a product whose exponent reached a field's guard bit."""
-    for i, gen in enumerate(_GENS):
-        e = (mono >> (i * FIELD_BITS)) & _FIELD_MASK
-        if e > MAX_EXPONENT:
-            return OverflowError(
-                "exponent %d of %s exceeds %d, the largest a monomial field holds" % (e, gen, MAX_EXPONENT)
-            )
-    raise AssertionError("no field overflowed")
+def _too_large(e, base):
+    """The error for an exponent of a generator or factor beyond MAX_EXPONENT."""
+    return OverflowError(
+        "exponent %d of %s exceeds %d, the largest a monomial field holds" % (e, base, MAX_EXPONENT)
+    )
 
 
 class Poly:
-    """Sparse multivariate polynomial: packed monomial -> nonzero int coefficient."""
+    """Sparse multivariate polynomial: packed monomial -> nonzero int coefficient.
 
-    __slots__ = ("terms", "_support")
+    Equal term dicts make equal polynomials, so a denominator factor is
+    found again in a dict of factors however it was built.
+    """
+
+    __slots__ = ("terms", "_support", "_h")
 
     def __init__(self, terms):
         self.terms = terms
         self._support = None
+        self._h = None
 
-    @property
-    def is_zero(self):
-        return not self.terms
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __hash__(self):
+        h = self._h
+        if h is None:
+            h = self._h = hash(frozenset(self.terms.items()))
+        return h
 
     def support(self):
         """Bitwise or of all monomials: bounds every exponent field from above."""
@@ -271,7 +291,7 @@ class Poly:
             for m2, c2 in b:
                 m = m1 + m2
                 if m & guard:
-                    raise _overflow(m)
+                    raise next(_too_large(e, g) for g, e in _mono_items(m) if e > MAX_EXPONENT)
                 s = get(m)
                 if s is None:
                     out[m] = c1 * c2
@@ -321,42 +341,289 @@ def _content(poly):
     return content
 
 
-def _divide_content(poly, content):
-    return Poly({mono - content: c for mono, c in poly.terms.items()})
+def _primitive(poly):
+    """(c, poly / c) for the integer content c of ``poly``, signed so that the
+    quotient's largest packed monomial has a positive coefficient."""
+    c = math.gcd(*poly.terms.values())
+    if poly.terms[max(poly.terms)] < 0:
+        c = -c
+    return c, poly if c == 1 else Poly({m: v // c for m, v in poly.terms.items()})
+
+
+def _split(poly):
+    """``poly`` as c * prod f^e: (integer c, {f: e}), each f a generator or a
+    primitive polynomial without monomial content."""
+    factors = {}
+    content = _content(poly)
+    if content:
+        poly = Poly({m - content: c for m, c in poly.terms.items()})
+        for g, e in _mono_items(content):
+            factors[_poly_gen(g)] = e
+    c, poly = _primitive(poly)
+    if not _is_const(poly):
+        factors[poly] = 1
+    return c, factors
 
 
 def _poly_key(poly, lead):
-    """Sorted (monomial key, (p, q)) pairs of the coefficients divided by ``lead`` > 0."""
+    """Sorted (monomial key, (p, q)) pairs of the coefficients divided by ``lead``."""
+    sign = 1 if lead > 0 else -1
     out = []
     for mono, c in poly.terms.items():
-        g = math.gcd(c, lead)
+        g = math.gcd(c, lead) * sign
         out.append((_mono_key(mono), (c // g, lead // g)))
     out.sort()
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
+# exact division and gcds of polynomials
+
+
+def _degree(poly, off):
+    """Degree of ``poly`` in the generator whose field starts at bit ``off``."""
+    return max((m >> off) & _FIELD_MASK for m in poly.terms)
+
+
+def _divide(a, b):
+    """a / b when b divides a exactly, else None.
+
+    Leading terms are the largest packed monomials (a monomial order); the
+    quotient's terms are put in :func:`_mono_key` order, so that it does
+    not depend on the exponent-field layout.
+    """
+    rest = dict(a.terms)
+    tail = dict(b.terms)
+    lead = max(tail)
+    lc = tail.pop(lead)
+    quotient = []
+    while rest:
+        m = max(rest)
+        c = rest.pop(m)
+        if ((m | _GUARD) - lead) & _GUARD != _GUARD or c % lc:
+            return None
+        m -= lead
+        c //= lc
+        quotient.append((_mono_key(m), m, c))
+        for mb, cb in tail.items():
+            k = m + mb
+            if k & _GUARD:  # beyond a's degrees: no exact quotient reaches it
+                return None
+            s = rest.pop(k, 0) - c * cb
+            if s:
+                rest[k] = s
+    quotient.sort()
+    return Poly({m: c for _, m, c in quotient})
+
+
+def _coeffs(poly, off):
+    """{k: coefficient of gen^k} for the generator whose field starts at bit ``off``."""
+    out = {}
+    for m, c in poly.terms.items():
+        k = (m >> off) & _FIELD_MASK
+        out.setdefault(k, {})[m - (k << off)] = c
+    return {k: Poly(t) for k, t in out.items()}
+
+
+def _content_in(poly, off):
+    """(content of ``poly`` in one generator, the primitive part), both primitive."""
+    content = None
+    for c in _coeffs(poly, off).values():
+        content = _primitive(c)[1] if content is None else _gcd(content, c)
+        if _is_const(content):
+            return _P_ONE, _primitive(poly)[1]
+    return content, _primitive(_divide(poly, content))[1]
+
+
+def _gcd(a, b):
+    """Primitive gcd of two nonzero polynomials: Brown's primitive PRS
+    (J. ACM 1971), recursive in the generators by name."""
+    shared = b.support()
+    for g, _ in _mono_items(a.support()):
+        off = g.unit.bit_length() - 1
+        if shared >> off & _FIELD_MASK:
+            break
+    else:
+        return _P_ONE
+    ca, a = _content_in(a, off)
+    cb, b = _content_in(b, off)
+    if _degree(a, off) < _degree(b, off):
+        a, b = b, a
+    while _degree(b, off):
+        db = _degree(b, off)
+        lb = _coeffs(b, off)[db]
+        while a.terms and _degree(a, off) >= db:  # pseudo-remainder
+            da = _degree(a, off)
+            a = a.mul(lb).add(_coeffs(a, off)[da].mul(b).mul(Poly({(da - db) << off: -1})))
+        if not a.terms:
+            break
+        a, b = b, _content_in(a, off)[1]
+    return _primitive(_gcd(ca, cb).mul(b))[1]
+
+
+def _image(poly, off):
+    """``poly`` mod _PRIME with every generator but one at its screen value:
+    the coefficients of gen^0, gen^1, ... for the generator at bit ``off``."""
+    out = [0] * (_degree(poly, off) + 1)
+    for mono, c in poly.terms.items():
+        k = (mono >> off) & _FIELD_MASK
+        mono -= k << off
+        while mono:
+            i = (mono.bit_length() - 1) // FIELD_BITS
+            e = mono >> i * FIELD_BITS
+            c = c * pow(_GENS[i].ev, e, _PRIME) % _PRIME
+            mono -= e << i * FIELD_BITS
+        out[k] = (out[k] + c) % _PRIME
+    return out
+
+
+def _gcd_degree(a, b):
+    """Degree of the gcd mod _PRIME of two images, ``b``'s top coefficient
+    nonzero; both lists are used up."""
+    while b:
+        n = len(b) - 1
+        inv = pow(b[n], -1, _PRIME)
+        while len(a) > n:
+            q = a.pop() * inv % _PRIME
+            k = len(a) - n
+            for i in range(n):
+                a[k + i] = (a[k + i] - q * b[i]) % _PRIME
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _common(num, f):
+    """(g, num / g) for the primitive gcd g of ``num`` and the factor ``f``,
+    or None when they are coprime.
+
+    The screen is a proof: when f has a term that is a power of one
+    generator, f is primitive in it, and if the images of num and f
+    (other generators at their screen values, f keeping its degree) are
+    coprime mod _PRIME, any common factor is free of that generator and
+    so divides f's content, 1.  Otherwise f itself is tried by exact
+    division, and then the gcd is computed.
+    """
+    for g, _ in _mono_items(f.support()):
+        off = g.unit.bit_length() - 1
+        if any(not m & ~(_FIELD_MASK << off) for m in f.terms):
+            fi = _image(f, off)
+            deg = len(fi) - 1
+            if fi[deg]:
+                d = _gcd_degree(_image(num, off), fi)
+                if d == 0:
+                    return None
+                q = _divide(num, f) if d == deg else None
+                if q is not None:
+                    return f, q
+            break
+    g = _gcd(num, f)
+    return None if _is_const(g) else (g, _divide(num, g))
+
+
+def _cancel(num, factors, todo):
+    """Divide ``num`` by what it shares with each factor in the list ``todo``.
+
+    ``factors`` ({f: e}) is updated in place: a factor f that shares only
+    a proper divisor g with ``num`` is split into g and f / g.  Returns the
+    reduced numerator.
+    """
+    while todo:
+        f = todo.pop()
+        e = factors.get(f)
+        if not e:
+            continue
+        if len(f.terms) == 1:  # a generator: cancel all its power in num's monomial content at once
+            (unit,) = f.terms
+            k = min(e, _content(num) // unit & _FIELD_MASK)
+            if k:
+                num = Poly({m - k * unit: c for m, c in num.terms.items()})
+                factors[f] = e - k
+            continue
+        found = _common(num, f)
+        if found is None:
+            continue
+        g, num = found
+        del factors[f]
+        if g != f:  # f^e = g^e (f/g)^e
+            h = _divide(f, g)
+            factors[h] = factors.get(h, 0) + e
+            todo.append(h)
+        factors[g] = factors.get(g, 0) + e - 1
+        todo.append(g)
+    return num
+
+
+# ---------------------------------------------------------------------------
 # canonical scalar expressions
 
 
-class ScalarExpr:
-    """Immutable canonical fraction of two polynomials.
+_NO_FACTORS: dict = {}  # the denominator factors of a polynomial; never mutated
 
-    Use the module constructors (:func:`sym`, :func:`rat`, :func:`exp`,
-    ...) and the arithmetic operators; the internal constructor assumes
-    already-canonical data, with ``lead`` the leading denominator
-    coefficient.
+
+class ScalarExpr:
+    """Immutable rational function num / (scale * prod f^e for f, e in dens).
+
+    ``num`` has integer coefficients, ``scale`` is a positive integer and
+    each factor f is a generator or a primitive polynomial whose largest
+    packed monomial has a positive coefficient.  Arithmetic does not
+    cancel: a result's numerator may still share a divisor with a factor
+    or with ``scale``.  Reading an expression (:func:`normalize`, ``num``,
+    ``den``, ``lead``, its key, rendering or value, or any test but
+    ``is_zero``) first cancels those and the integer content, in place, so
+    every reader sees the canonical form.  Use the module constructors (:func:`sym`,
+    :func:`rat`, :func:`exp`, ...) and the arithmetic operators.
     """
 
-    __slots__ = ("num", "den", "lead", "_key", "_h", "_plan")
+    __slots__ = ("_num", "_dens", "_scale", "_reduced", "_den", "_lead", "_key", "_h", "_plan")
 
-    def __init__(self, num, den, lead=1):
-        self.num = num
-        self.den = den
-        self.lead = lead
-        self._key = None
-        self._h = None
-        self._plan = None
+    def __init__(self, num, dens=_NO_FACTORS, scale=1, reduced=True):
+        self._num = num
+        self._dens = dens
+        self._scale = scale
+        self._reduced = reduced
+        self._den = self._lead = self._key = self._h = self._plan = None
+
+    def _canonical(self):
+        """Cancel the numerator against every factor and ``scale``, in place."""
+        if not self._reduced:
+            dens = dict(self._dens)
+            num = _cancel(self._num, dens, list(dens))
+            dens = {f: e for f, e in dens.items() if e}
+            g = math.gcd(self._scale, *num.terms.values())
+            if g != 1:
+                num = Poly({m: c // g for m, c in num.terms.items()})
+            self._num, self._dens, self._scale, self._reduced = num, dens, self._scale // g, True
+        return self
+
+    @property
+    def num(self):
+        return self._canonical()._num
+
+    @property
+    def den(self):
+        """The denominator multiplied out, factors in ``dens`` order."""
+        d = self._den
+        if d is None:
+            d = Poly({0: self._canonical()._scale})
+            for f, e in self._dens.items():
+                d = d.mul(f.pow(e))
+            self._den = d
+        return d
+
+    @property
+    def lead(self):
+        """The leading coefficient of :attr:`den` in :func:`_mono_key` order.
+
+        Keys, rendering and evaluation read every coefficient divided by
+        it, which makes the leading denominator coefficient 1.
+        """
+        lead = self._lead
+        if lead is None:
+            dt = self.den.terms
+            lead = self._lead = dt[max(dt, key=_mono_key)]
+        return lead
 
     @property
     def key(self):
@@ -372,33 +639,29 @@ class ScalarExpr:
         return h
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ScalarExpr)
-            and other.num.terms == self.num.terms
-            and other.den.terms == self.den.terms
-        )
+        return isinstance(other, ScalarExpr) and other.num == self.num and other.den == self.den
 
     @property
     def is_zero(self):
-        return not self.num.terms
+        return not self._num.terms
 
     @property
     def is_one(self):
-        return self.num.terms == _P_ONE.terms and self.den.terms == _P_ONE.terms
+        return self.num == _P_ONE and self.den == _P_ONE
 
     @property
     def is_polynomial(self):
         """True when the denominator is a constant."""
-        return _is_const(self.den)
+        return not self._canonical()._dens
 
     def as_fraction(self):
         """Exact rational value, or None if the expression is not constant."""
         if not self.is_polynomial:
             return None
-        if not self.num.terms:
+        if not self._num.terms:
             return Fraction(0)
-        if _is_const(self.num):
-            return Fraction(self.num.terms[0], self.lead)
+        if _is_const(self._num):
+            return Fraction(self._num.terms[0], self._scale)
         return None
 
     # -- arithmetic ---------------------------------------------------
@@ -407,15 +670,17 @@ class ScalarExpr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _make(
-            self.num.mul(other.den).add(other.num.mul(self.den)),
-            self.den.mul(other.den),
-        )
+        dens = dict(self._dens)
+        for f, e in other._dens.items():
+            if dens.get(f, 0) < e:
+                dens[f] = e
+        scale = math.lcm(self._scale, other._scale)
+        return _make(_lift(self, dens, scale).add(_lift(other, dens, scale)), dens, scale)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr(self.num.neg(), self.den, self.lead)
+        return ScalarExpr(self._num.neg(), self._dens, self._scale, self._reduced)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -433,7 +698,10 @@ class ScalarExpr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _make(self.num.mul(other.num), self.den.mul(other.den))
+        dens = dict(self._dens)
+        for f, e in other._dens.items():
+            dens[f] = dens.get(f, 0) + e
+        return _make(self._num.mul(other._num), dens, self._scale * other._scale)
 
     __rmul__ = __mul__
 
@@ -441,7 +709,11 @@ class ScalarExpr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _make(self.num.mul(other.den), self.den.mul(other.num))
+        if other.is_zero:
+            raise ZeroDivisionError("denominator normalizes to the zero polynomial")
+        # 1 / other is canonical as it stands: its parts share no factor
+        c, dens = _split(other.num)
+        return self * ScalarExpr(other.den if c > 0 else other.den.neg(), dens, abs(c))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -452,11 +724,15 @@ class ScalarExpr:
     def __pow__(self, k):
         if not isinstance(k, int):
             raise TypeError("exponents must be integers")
-        if k >= 0:
-            return _make(self.num.pow(k), self.den.pow(k))
-        if self.is_zero:
-            raise ZeroDivisionError("zero expression raised to a negative power")
-        return _make(self.den.pow(-k), self.num.pow(-k))
+        if k < 0:
+            if self.is_zero:
+                raise ZeroDivisionError("zero expression raised to a negative power")
+            return (ONE / self) ** -k
+        if k == 0:
+            return ONE
+        # powers of coprime parts stay coprime
+        e = self._canonical()
+        return _make(e._num.pow(k), {f: n * k for f, n in e._dens.items()}, e._scale ** k, True)
 
     # -- rendering ----------------------------------------------------
 
@@ -465,7 +741,7 @@ class ScalarExpr:
         if self.is_polynomial:
             return num
         den = _poly_str(self.den, self.lead)
-        if len(self.num.terms) > 1:
+        if len(self._num.terms) > 1:
             num = "(%s)" % num
         return "%s / (%s)" % (num, den)
 
@@ -481,58 +757,31 @@ def _coerce(v):
     return NotImplemented
 
 
-def _over(poly, d):
-    """The canonical expression poly / d for a positive integer d."""
-    if d == 1:
-        return ScalarExpr(poly, _P_ONE)
-    g = math.gcd(d, *poly.terms.values())
-    if g != 1:
-        poly = Poly({m: c // g for m, c in poly.terms.items()})
-        d //= g
-    return ScalarExpr(poly, Poly({0: d}), d)
+def _lift(e, dens, scale):
+    """The numerator of ``e`` over the denominator scale * prod f^k for f, k in dens."""
+    num = e._num
+    if scale != e._scale:
+        num = num.mul(Poly({0: scale // e._scale}))
+    for f, k in dens.items():
+        k -= e._dens.get(f, 0)
+        if k:
+            num = num.mul(f.pow(k))
+    return num
 
 
-def _make(num, den):
-    """Canonicalize a raw fraction of polynomials."""
-    if den.is_zero:
-        raise ZeroDivisionError("denominator normalizes to the zero polynomial")
-    if num.is_zero:
+def _make(num, dens, scale, reduced=False):
+    """The fraction num / (scale * prod f^e for f, e in dens), canonical
+    on first read (already when ``reduced``)."""
+    if not num.terms:
         return ZERO
-    # cancel shared monomial content
-    cn = _content(num)
-    if cn:
-        shared = _mono_min(cn, _content(den))
-        if shared:
-            num = _divide_content(num, shared)
-            den = _divide_content(den, shared)
-    nt, dt = num.terms, den.terms
-    # fold num = c * den into the constant c
-    if len(nt) == len(dt):
-        ratio = None
-        for m, c in nt.items():
-            d = dt.get(m)
-            if d is None:
-                break
-            if ratio is None:
-                ratio = (c, d)
-            elif c * ratio[1] != d * ratio[0]:
-                break
-        else:
-            return const(Fraction(*ratio))
-    # normalize scale: coprime coefficients, positive leading denominator coefficient
-    lead = dt[max(dt, key=_mono_key)] if len(dt) > 1 else next(iter(dt.values()))
-    g = math.gcd(*nt.values(), *dt.values())
-    if lead < 0:
-        g = -g
-    if g != 1:
-        num = Poly({m: c // g for m, c in nt.items()})
-        den = Poly({m: c // g for m, c in dt.items()})
-        lead //= g
-    return ScalarExpr(num, den, lead)
+    for f, e in dens.items():
+        if e > MAX_EXPONENT:
+            raise _too_large(e, _poly_str(f))
+    return ScalarExpr(num, dens, scale, reduced)
 
 
-ZERO = ScalarExpr(_P_ZERO, _P_ONE)
-ONE = ScalarExpr(_P_ONE, _P_ONE)
+ZERO = ScalarExpr(_P_ZERO)
+ONE = ScalarExpr(_P_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +790,7 @@ ONE = ScalarExpr(_P_ONE, _P_ONE)
 
 def sym(name):
     """The coordinate symbol ``name``."""
-    return ScalarExpr(_poly_gen(_coord_gen(name)), _P_ONE)
+    return ScalarExpr(_poly_gen(_coord_gen(name)))
 
 
 def rat(p, q=1):
@@ -554,12 +803,11 @@ def const(value):
     f = Fraction(value)
     if not f:
         return ZERO
-    d = f.denominator
-    return ScalarExpr(Poly({0: f.numerator}), Poly({0: d}) if d != 1 else _P_ONE, d)
+    return ScalarExpr(Poly({0: f.numerator}), _NO_FACTORS, f.denominator)
 
 
 def _atom_expr(kind, arg):
-    return ScalarExpr(_poly_gen(_atom_gen(kind, arg)), _P_ONE)
+    return ScalarExpr(_poly_gen(_atom_gen(kind, arg)))
 
 
 def exp(u):
@@ -607,22 +855,22 @@ def flatexp(u):
 
 
 def normalize(e):
-    """Return the canonical form of ``e``.
+    """Return the canonical form of ``e``, coercing plain numbers.
 
-    Construction already normalizes eagerly, so this is the identity on
-    :class:`ScalarExpr` values; it exists as the explicit, idempotent
-    entry point and coerces plain numbers.
+    A :class:`ScalarExpr` is reduced in place and returned, so whatever
+    holds a normalized expression (a form's coefficients, an atom's
+    argument) holds its canonical form.
     """
     c = _coerce(e)
     if c is NotImplemented:
         raise TypeError("cannot normalize %r" % (e,))
-    return c
+    return c._canonical()
 
 
 def _atom_derivative(gen):
     """d atom / d arg, expressed with the atom itself and rational factors."""
     u = gen.arg
-    a = ScalarExpr(_poly_gen(gen), _P_ONE)
+    a = ScalarExpr(_poly_gen(gen))
     if gen.kind == "exp":
         return a
     if gen.kind == "log":
@@ -639,6 +887,7 @@ def _atom_derivative(gen):
 def _poly_partial(poly, name, d=1):
     """d(poly / d) / d name for a positive integer d."""
     total = ZERO
+    dgens = {}
     for mono, c in poly.terms.items():
         for g, e in _mono_items(mono):
             if isinstance(g, CoordGen):
@@ -646,11 +895,13 @@ def _poly_partial(poly, name, d=1):
                     continue
                 dgen = ONE
             else:
-                darg = partial(g.arg, name)
-                if darg.is_zero:
+                dgen = dgens.get(g)
+                if dgen is None:
+                    darg = partial(g.arg, name)
+                    dgen = dgens[g] = darg if darg.is_zero else _atom_derivative(g) * darg
+                if dgen.is_zero:
                     continue
-                dgen = _atom_derivative(g) * darg
-            factor = _over(Poly({mono - g.unit: c * e}), d)
+            factor = _make(Poly({mono - g.unit: c * e}), _NO_FACTORS, d)
             total = total + factor * dgen
     return total
 
@@ -659,18 +910,15 @@ def partial(e, name):
     """Exact partial derivative of ``e`` with respect to coordinate ``name``."""
     e = normalize(e)
     if e.is_polynomial:
-        return _poly_partial(e.num, name, e.lead)
-    dn = _poly_partial(e.num, name)
-    dd = _poly_partial(e.den, name)
-    den_expr = ScalarExpr(e.den, _P_ONE)
-    num_expr = ScalarExpr(e.num, _P_ONE)
-    return (dn * den_expr - num_expr * dd) / (den_expr * den_expr)
-
-
-def _poly_gens(poly):
-    """The generators a polynomial uses, in field order."""
-    s = poly.support()
-    return [g for i, g in enumerate(_GENS) if (s >> (i * FIELD_BITS)) & _FIELD_MASK]
+        return _poly_partial(e.num, name, e._scale)
+    # d(N / (s prod f^k)) = dN / (s prod f^k) - (N / (s prod f^k)) sum k df / f,
+    # so each factor's exponent grows by at most one
+    total = _poly_partial(e.num, name) * ScalarExpr(_P_ONE, e._dens, e._scale)
+    for f, k in e._dens.items():
+        df = _poly_partial(f, name)
+        if not df.is_zero:
+            total = total - e * df * ScalarExpr(Poly({0: k}), {f: 1})
+    return total
 
 
 def free_coords(e):
@@ -678,8 +926,8 @@ def free_coords(e):
     out = set()
 
     def walk(x):
-        for poly in (x.num, x.den):
-            for g in _poly_gens(poly):
+        for poly in (x.num, *x._dens):
+            for g, _ in _mono_items(poly.support()):
                 if isinstance(g, CoordGen):
                     out.add(g.name)
                 else:
@@ -706,7 +954,7 @@ def substitute(e, mapping):
                 if isinstance(g, CoordGen):
                     base = table.get(g.name)
                     if base is None:
-                        base = ScalarExpr(_poly_gen(g), _P_ONE)
+                        base = ScalarExpr(_poly_gen(g))
                 else:
                     base = _atom_expr(g.kind, sub_expr(g.arg))
                 term = term * base**exp_
@@ -714,9 +962,10 @@ def substitute(e, mapping):
         return total
 
     def sub_expr(x):
-        num = sub_poly(x.num)
-        den = sub_poly(x.den)
-        return num / den
+        out = sub_poly(x.num) / x._scale
+        for f, k in x._dens.items():
+            out = out / sub_poly(f) ** k
+        return out
 
     return sub_expr(e)
 
@@ -803,7 +1052,7 @@ class _PolyPlan:
                 term = _poly_str(Poly({mono: 1}))
                 raise EvaluationError(
                     "coefficient of %s (about 1e%d) is beyond the float range"
-                    % (term, len(str(abs(c) // lead)) - 1),
+                    % (term, len(str(abs(c) // abs(lead))) - 1),
                     offender=term,
                 )
             terms.append((coeff, tuple(factors)))
@@ -845,7 +1094,7 @@ def _eval_expr(e, point, cache):
     if den == 0.0:
         raise EvaluationError(
             "division by zero evaluating %s" % e,
-            offender=str(_over(e.den, e.lead)),
+            offender=_poly_str(e.den, e.lead),
             point=dict(point),
         )
     return num / den
@@ -949,7 +1198,7 @@ def _render_poly(p, lead, frac, gen, power, times, coeff_times):
     is the format of gen^e, ``times`` joins the factors of a monomial and
     ``coeff_times`` joins a coefficient to its monomial.
     """
-    if p.is_zero:
+    if not p.terms:
         return "0"
     rows = sorted(
         (tuple((g.skey, e) for g, e in items), items, c)

@@ -9,8 +9,9 @@ from dataclasses import replace
 
 import pytest
 
+import gvcheck.cli
 import gvcheck.runner
-from gvcheck.cli import ENV_SEED, main
+from gvcheck.cli import ENV_SEED, build_parser, main
 from gvcheck.gv import MuChoice, gv_min
 from gvcheck.runner import CheckResult, RunReport, render_json, render_report, run_checks
 from gvcheck.specdoc import parse_spec
@@ -78,6 +79,20 @@ class TestExitStatus:
         assert run_cli(["check"]) == 3
         assert run_cli(["frobnicate", "x.fol"]) == 3
         capsys.readouterr()
+
+    def test_the_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(gvcheck.cli, "_parser", None)
+        monkeypatch.setattr(gvcheck.cli, "build_parser", lambda: built.append(1) or build_parser())
+        for _ in range(2):
+            assert run_cli(["check"]) == 3
+            assert capsys.readouterr().err.endswith(
+                "gvcheck check: error: the following arguments are required: specfile\n")
+            assert run_cli(["check", gallery_path("golden_pass.fol"), "--seed", "7"]) == 0
+            assert capsys.readouterr().out.startswith("seed 7 (flag)")
+            assert run_cli(["check", gallery_path("golden_pass.fol")]) == 0
+            assert capsys.readouterr().out.startswith("seed 1001 (document)")
+        assert built == [1]
 
 
 class TestInvalidSettings:

@@ -390,6 +390,26 @@ class TestCheckParsing:
         assert row.verdict == "PASS"
         assert row.latex == r"d\nu \overset{?}{=} \nu \wedge \mu,\ \mu = -dx"
 
+    def test_equal_atom_arguments_are_proved_equal(self):
+        # 2/(1+x) and (2+2x)/(1+x)^2 normalize to one fraction, so one atom
+        row = only_row("chart x\nregion R = all\ncheck zero exp(2/(1+x)) - exp((2+2*x)/(1+x)^2) on R\n")
+        assert row.verdict == "PASS"
+
+    def test_a_zero_ideal_generator_is_the_zero_one_form(self):
+        # the zero generator is a 1-form, so the row is the refuted
+        # independence precondition, with its witness
+        row = only_row("chart x y\nregion R = all\ncheck ideal-member dx^dy in 0 on R\n")
+        assert (row.verdict, row.detail) == ("FAIL", "ideal generators are linearly dependent at a sample")
+        assert set(row.witness) == {"x", "y"}
+
+    def test_a_zero_decomposition_entry_is_the_zero_one_form(self):
+        text = "chart x y z\nregion R = all\nfoliation K on R leafdim 2 nu dy gens 0\n"
+        (entry,) = parse_ok(text).foliations["K"].decomposition
+        assert (entry.degree, entry.is_zero) == (1, True)
+        row = only_row(text + "check foliation K\n")
+        assert row.verdict == "FAIL"
+        assert ("decomposition-product", "FAIL") in entry_rows(row)
+
     def test_lookup_of_undeclared_object(self):
         _, diagnostics = parse_spec("chart x\ncheck foliation F\n")
         assert "foliation" in diagnostics[0].message and "'F'" in diagnostics[0].message

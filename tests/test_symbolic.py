@@ -1,6 +1,9 @@
 """Exact scalar expressions: arithmetic, calculus, evaluation, zero testing."""
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from gvcheck import (
     sym,
     to_latex,
 )
+import gvcheck
 from gvcheck import symbolic
 from gvcheck.symbolic import MAX_EXPONENT, CoordGen, ScalarExpr, _eval_expr, _mono_items, _scale_at
 from conftest import XY, random_polynomial, random_scalar, square_box
@@ -54,11 +58,73 @@ def test_rational_coefficients_are_exact():
 
 
 def test_fraction_fields_cross_multiply():
-    # no multivariate gcd is attempted, but equality still holds exactly
-    # because differences cross-multiply onto a common denominator.
+    # the shared factor x - y cancels, and sums over a common factor
+    # reduce to the canonical fraction
     e = (x * x - y * y) / (x - y)
     assert (e - (x + y)).is_zero
     assert (1 / (x + 1) + 1 / (x - 1) - 2 * x / (x * x - 1)).is_zero
+
+
+def test_equal_fractions_get_equal_keys():
+    # sums over a shared factor and quotients with a common divisor reduce
+    third = 1 / (1 + x)
+    assert str(third + third) == "2 / (1 + x)"
+    total = third
+    for _ in range(5):
+        total = total + third
+    assert str(total) == "6 / (1 + x)"
+    assert str((x ** 2 - 1) / (x - 1)) == "1 + x"
+    assert (1 / (1 + x)).key == ((1 + x) / (1 + x) ** 2).key
+    # equal atom arguments make one atom, so the difference normalizes to zero
+    assert (exp(2 / (1 + x)) - exp((2 + 2 * x) / (1 + x) ** 2)).is_zero
+
+
+@pytest.mark.parametrize(
+    "build_expr, text",
+    [
+        # a numerator sharing a proper divisor with an unsplit factor
+        (lambda: (x - 1) / (x ** 2 - 1), "1 / (1 + x)"),
+        (lambda: 1 / (x ** 2 - 1) + x / (x ** 2 - 1), "1 / (-1 + x)"),
+        (lambda: (x * y - y) / (x ** 2 - 1), "y / (1 + x)"),
+        # a factor with no term that is a power of one generator
+        (lambda: (x * y + x * z + y * z) * (1 + x) / ((x * y + x * z + y * z) * (2 + x)),
+         "(1 + x) / (2 + x)"),
+        # a repeated factor that arrived multiplied out
+        (lambda: partial(x / (1 + x * x) ** 2, "x") * (1 + x * x), "(1 - 3*x^2) / (1 + 2*x^2 + x^4)"),
+    ],
+)
+def test_shared_proper_divisors_cancel(build_expr, text):
+    e = build_expr()
+    assert str(e) == text
+    assert e == normalize(e) and str(e * 1) == text
+
+
+_LAYOUT_SCRIPT = """
+import sys
+from gvcheck.symbolic import _mono_key, evaluate, exp, partial, sym
+for name in sys.argv[1:]:
+    sym(name)
+x, y, z = sym("x"), sym("y"), sym("z")
+e = (x * y - y + exp(z) * (x ** 2 - 1)) * (x + z) / ((x ** 2 - 1) * (1 + y * z)) + (x + 1) / (x ** 2 - 1)
+e = partial(e, "x") * (x - 1) ** 2
+print([_mono_key(m) for m in e.num.terms], [_mono_key(m) for m in e.den.terms])
+print(evaluate(e, {"x": 0.3, "y": -1.7, "z": 0.45}).hex())
+"""
+
+
+def test_reduced_forms_do_not_depend_on_the_field_layout():
+    # each process gives the generators exponent fields in the order it
+    # interns them; the term order of a reduced fraction, and so its
+    # float value, must not follow that layout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gvcheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = set()
+    for order in (["x", "y", "z"], ["z", "y", "x"], ["y", "z", "x"]):
+        proc = subprocess.run([sys.executable, "-c", _LAYOUT_SCRIPT, *order], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def test_power_operator_requires_integers():
@@ -380,7 +446,10 @@ def test_latex_rendering_smoke():
 # ---------------------------------------------------------------------------
 # the packed-monomial kernel against sympy, and its exponent fields
 
-_LEAVES = ("x", "y", "z", "exp(x)", "exp(x*y)")
+# the polynomials among them share proper factors, such as x - 1 with x**2 - 1
+_LEAVES = (
+    "x", "y", "z", "exp(x)", "exp(x*y)", "x - 1", "x + 1", "x**2 - 1", "x*y - y", "x**2 - y**2", "1 + x*y",
+)
 
 
 @st.composite
@@ -402,8 +471,7 @@ def build(recipe, sympy):
     if recipe[0] == "const":
         return rat(recipe[1], recipe[2]), sympy.Rational(recipe[1], recipe[2])
     if recipe[0] == "leaf":
-        s = sympy.sympify(recipe[1])
-        return {"x": x, "y": y, "z": z, "exp(x)": exp(x), "exp(x*y)": exp(x * y)}[recipe[1]], s
+        return eval(recipe[1], {"x": x, "y": y, "z": z, "exp": exp}), sympy.sympify(recipe[1])
     op, (a, sa) = recipe[0], build(recipe[1], sympy)
     if op == "^":
         return a ** recipe[2], sa ** recipe[2]
@@ -452,17 +520,28 @@ def test_polynomials_match_sympy_and_equal_values_share_keys(ra, rb):
         assert hash(a) == hash(b)
 
 
+def _cancelled_terms(e, sympy):
+    """(numerator, denominator) term counts of sympy's cancelled form of ``e``."""
+    n, d = sympy.fraction(sympy.cancel(e))
+    return tuple(0 if p == 0 else len(sympy.Add.make_args(sympy.expand(p))) for p in (n, d))
+
+
 @_HYP
-@given(recipes(), recipes())
-def test_rational_expressions_match_sympy(ra, rb):
+@given(recipes(), recipes(), st.sampled_from(_LEAVES))
+def test_rational_expressions_match_sympy(ra, rb, leaf):
     sympy = pytest.importorskip("sympy")
     (a, sa), (b, sb) = build(ra, sympy), build(rb, sympy)
     assert sympy.cancel(to_sympy(a, sympy) - sa) == 0
     assert sympy.cancel(to_sympy(a * b - b, sympy) - (sa * sb - sb)) == 0
-    # routes that rebuild the same raw fraction give the same canonical form
-    c = rat(-7, 3)
-    for again in ((a + c) - c, a * c / c, -(-a), a ** 1):
-        assert again == a and again.key == a.key and hash(again) == hash(a)
+    # the fraction is reduced: it has the term counts of sympy's cancelled one,
+    # and equal values, however built, share keys
+    assert (len(a.num.terms), len(a.den.terms)) == _cancelled_terms(sa, sympy)
+    same = sympy.cancel(sa - sb) == 0
+    assert (a == b) == same
+    assert (a.key == b.key) == same
+    c, r = rat(-7, 3), build(("leaf", leaf), sympy)[0]
+    for again in ((a + c) - c, a * c / c, -(-a), a ** 1, a * r / r, (a + r) - r, (a * r + a) / (r + 1)):
+        assert again == a and again.key == a.key and hash(again) == hash(a) and str(again) == str(a)
 
 
 def _exponents(e):
@@ -499,6 +578,7 @@ def test_exponents_at_field_capacity_stay_exact():
         lambda: (x ** 20000 + y) * (x ** (MAX_EXPONENT - 19999) + 1),
         lambda: 1 / x ** MAX_EXPONENT / x,
         lambda: x ** (2 * MAX_EXPONENT + 5),
+        lambda: (1 / (1 + x)) ** MAX_EXPONENT / (1 + x),
     ],
 )
 def test_exponents_beyond_field_capacity_raise(build_expr):
