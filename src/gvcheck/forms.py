@@ -18,6 +18,7 @@ from .symbolic import (
     ONE,
     ZERO,
     ZeroTestConfig,
+    add_all,
     evaluate,
     free_coords,
     is_zero_on,
@@ -236,8 +237,8 @@ def wedge_all(coords, forms):
                 if sign == 0:
                     continue
                 term = c1 * c2 if sign > 0 else -(c1 * c2)
-                terms[merged] = terms.get(merged, 0) + term if merged in terms else term
-        out = DiffForm(out.coords, degree, terms)
+                terms.setdefault(merged, []).append(term)
+        out = DiffForm(out.coords, degree, {i: add_all(ts) for i, ts in terms.items()})
     return out
 
 
@@ -256,9 +257,8 @@ def ext_d(a: DiffForm) -> DiffForm:
             if dc.is_zero:
                 continue
             sign, merged = _merge_sign((k,), idx)
-            term = dc if sign > 0 else -dc
-            out[merged] = out.get(merged, 0) + term if merged in out else term
-    return DiffForm(coords, degree, out)
+            out.setdefault(merged, []).append(dc if sign > 0 else -dc)
+    return DiffForm(coords, degree, {i: add_all(ts) for i, ts in out.items()})
 
 
 def form_power(a: DiffForm, k: int) -> DiffForm:

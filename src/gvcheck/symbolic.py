@@ -3,7 +3,7 @@
 A :class:`ScalarExpr` is kept in a canonical fraction ``num / den`` where
 both sides are sparse polynomials over an extended generator set:
 coordinate symbols plus interned transcendental atoms ``exp``, ``log``,
-``psi0`` and ``flatexp``.  Every read sees the reduced fraction, so
+``psi0`` and ``flatexp``.  Every expression is built reduced, so
 structural equality decides semantic equality on the rational fragment.
 
 Representation (packed monomials as in Monagan & Pearce, "Sparse
@@ -24,11 +24,11 @@ polynomial multiplication and division in Maple 14", 2009):
   factor (an lcm that needs no gcd); multiplying adds exponents; a
   derivative raises each factor's exponent by at most one.
 * A fraction is canonical when its numerator shares no divisor with any
-  factor or with ``scale``.  Arithmetic leaves that to the first read of
-  the result (:func:`normalize`, which every form coefficient goes
-  through, rendering, key, value or a test other than ``is_zero``), so a
-  sum of products is cancelled once, not after every operation.
-  A modular screen proves most pairs coprime without a gcd; otherwise the
+  factor or with ``scale``; every result is cancelled to that form when
+  it is built (:func:`_make`).  A product cancels each numerator against
+  the other operand's factors only, and :func:`add_all` cancels a sum of
+  many terms once, not after each addition.  A modular screen proves
+  most numerator-factor pairs coprime without a gcd; otherwise the
   factor is tried by exact division, and then the primitive gcd of
   Brown's PRS (J. ACM 1971) splits it.  Atoms stay independent
   indeterminates, so equal rational functions over them get equal forms.
@@ -435,15 +435,22 @@ def _content_in(poly, off):
     return content, _primitive(_divide(poly, content))[1]
 
 
-def _gcd(a, b):
-    """Primitive gcd of two nonzero polynomials: Brown's primitive PRS
-    (J. ACM 1971), recursive in the generators by name."""
+def _shared_gen(a, b):
+    """Bit offset of the first generator, in ``a``'s order, that both
+    polynomials contain, or None: then their gcd is a constant."""
     shared = b.support()
     for g, _ in _mono_items(a.support()):
         off = g.unit.bit_length() - 1
         if shared >> off & _FIELD_MASK:
-            break
-    else:
+            return off
+    return None
+
+
+def _gcd(a, b):
+    """Primitive gcd of two nonzero polynomials: Brown's primitive PRS
+    (J. ACM 1971), recursive in the generators by name."""
+    off = _shared_gen(a, b)
+    if off is None:
         return _P_ONE
     ca, a = _content_in(a, off)
     cb, b = _content_in(b, off)
@@ -498,16 +505,20 @@ def _common(num, f):
     """(g, num / g) for the primitive gcd g of ``num`` and the factor ``f``,
     or None when they are coprime.
 
-    The screen is a proof: when f has a term that is a power of one
-    generator, f is primitive in it, and if the images of num and f
-    (other generators at their screen values, f keeping its degree) are
-    coprime mod _PRIME, any common factor is free of that generator and
-    so divides f's content, 1.  Otherwise f itself is tried by exact
-    division, and then the gcd is computed.
+    Polynomials with no generator in common are coprime.  The screen is
+    a proof: when f's coefficient of some power of one
+    generator is an integer, f (primitive over the integers) is primitive
+    in that generator, and if the images of num and f (other generators
+    at their screen values, f keeping its degree) are coprime mod _PRIME,
+    any common factor is free of that generator and so divides f's
+    content, 1.  Otherwise f itself is tried by exact division, and then
+    the gcd is computed.
     """
+    if _shared_gen(f, num) is None:
+        return None
     for g, _ in _mono_items(f.support()):
         off = g.unit.bit_length() - 1
-        if any(not m & ~(_FIELD_MASK << off) for m in f.terms):
+        if any(_is_const(c) for c in _coeffs(f, off).values()):
             fi = _image(f, off)
             deg = len(fi) - 1
             if fi[deg]:
@@ -567,46 +578,26 @@ class ScalarExpr:
 
     ``num`` has integer coefficients, ``scale`` is a positive integer and
     each factor f is a generator or a primitive polynomial whose largest
-    packed monomial has a positive coefficient.  Arithmetic does not
-    cancel: a result's numerator may still share a divisor with a factor
-    or with ``scale``.  Reading an expression (:func:`normalize`, ``num``,
-    ``den``, ``lead``, its key, rendering or value, or any test but
-    ``is_zero``) first cancels those and the integer content, in place, so
-    every reader sees the canonical form.  Use the module constructors (:func:`sym`,
-    :func:`rat`, :func:`exp`, ...) and the arithmetic operators.
+    packed monomial has a positive coefficient.  ``num`` shares no divisor
+    with any factor or with ``scale`` (see :func:`_make`).  Use the module
+    constructors (:func:`sym`, :func:`rat`, :func:`exp`, ...) and the
+    arithmetic operators.
     """
 
-    __slots__ = ("_num", "_dens", "_scale", "_reduced", "_den", "_lead", "_key", "_h", "_plan")
+    __slots__ = ("num", "_dens", "_scale", "_den", "_lead", "_key", "_h", "_plan")
 
-    def __init__(self, num, dens=_NO_FACTORS, scale=1, reduced=True):
-        self._num = num
+    def __init__(self, num, dens=_NO_FACTORS, scale=1):
+        self.num = num
         self._dens = dens
         self._scale = scale
-        self._reduced = reduced
         self._den = self._lead = self._key = self._h = self._plan = None
-
-    def _canonical(self):
-        """Cancel the numerator against every factor and ``scale``, in place."""
-        if not self._reduced:
-            dens = dict(self._dens)
-            num = _cancel(self._num, dens, list(dens))
-            dens = {f: e for f, e in dens.items() if e}
-            g = math.gcd(self._scale, *num.terms.values())
-            if g != 1:
-                num = Poly({m: c // g for m, c in num.terms.items()})
-            self._num, self._dens, self._scale, self._reduced = num, dens, self._scale // g, True
-        return self
-
-    @property
-    def num(self):
-        return self._canonical()._num
 
     @property
     def den(self):
         """The denominator multiplied out, factors in ``dens`` order."""
         d = self._den
         if d is None:
-            d = Poly({0: self._canonical()._scale})
+            d = Poly({0: self._scale})
             for f, e in self._dens.items():
                 d = d.mul(f.pow(e))
             self._den = d
@@ -643,7 +634,7 @@ class ScalarExpr:
 
     @property
     def is_zero(self):
-        return not self._num.terms
+        return not self.num.terms
 
     @property
     def is_one(self):
@@ -652,16 +643,16 @@ class ScalarExpr:
     @property
     def is_polynomial(self):
         """True when the denominator is a constant."""
-        return not self._canonical()._dens
+        return not self._dens
 
     def as_fraction(self):
         """Exact rational value, or None if the expression is not constant."""
-        if not self.is_polynomial:
+        if self._dens:
             return None
-        if not self._num.terms:
+        if not self.num.terms:
             return Fraction(0)
-        if _is_const(self._num):
-            return Fraction(self._num.terms[0], self._scale)
+        if _is_const(self.num):
+            return Fraction(self.num.terms[0], self._scale)
         return None
 
     # -- arithmetic ---------------------------------------------------
@@ -670,17 +661,12 @@ class ScalarExpr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        dens = dict(self._dens)
-        for f, e in other._dens.items():
-            if dens.get(f, 0) < e:
-                dens[f] = e
-        scale = math.lcm(self._scale, other._scale)
-        return _make(_lift(self, dens, scale).add(_lift(other, dens, scale)), dens, scale)
+        return add_all((self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr(self._num.neg(), self._dens, self._scale, self._reduced)
+        return ScalarExpr(self.num.neg(), self._dens, self._scale)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -698,10 +684,15 @@ class ScalarExpr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_zero or other.is_zero:
+            return ZERO
         dens = dict(self._dens)
         for f, e in other._dens.items():
             dens[f] = dens.get(f, 0) + e
-        return _make(self._num.mul(other._num), dens, self._scale * other._scale)
+        # each numerator is already coprime to its own factors
+        a = _cancel(self.num, dens, [f for f in other._dens if f not in self._dens])
+        b = _cancel(other.num, dens, [f for f in self._dens if f not in other._dens])
+        return _make(a.mul(b), dens, self._scale * other._scale, ())
 
     __rmul__ = __mul__
 
@@ -731,8 +722,7 @@ class ScalarExpr:
         if k == 0:
             return ONE
         # powers of coprime parts stay coprime
-        e = self._canonical()
-        return _make(e._num.pow(k), {f: n * k for f, n in e._dens.items()}, e._scale ** k, True)
+        return _make(self.num.pow(k), {f: n * k for f, n in self._dens.items()}, self._scale ** k, ())
 
     # -- rendering ----------------------------------------------------
 
@@ -741,7 +731,7 @@ class ScalarExpr:
         if self.is_polynomial:
             return num
         den = _poly_str(self.den, self.lead)
-        if len(self._num.terms) > 1:
+        if len(self.num.terms) > 1:
             num = "(%s)" % num
         return "%s / (%s)" % (num, den)
 
@@ -759,7 +749,7 @@ def _coerce(v):
 
 def _lift(e, dens, scale):
     """The numerator of ``e`` over the denominator scale * prod f^k for f, k in dens."""
-    num = e._num
+    num = e.num
     if scale != e._scale:
         num = num.mul(Poly({0: scale // e._scale}))
     for f, k in dens.items():
@@ -769,15 +759,47 @@ def _lift(e, dens, scale):
     return num
 
 
-def _make(num, dens, scale, reduced=False):
-    """The fraction num / (scale * prod f^e for f, e in dens), canonical
-    on first read (already when ``reduced``)."""
+def add_all(terms):
+    """The sum of a sequence of expressions over the lcm of their
+    denominators (the largest exponent of each factor), cancelled once
+    rather than after each addition."""
+    dens = {}
+    scale = 1
+    for t in terms:
+        for f, e in t._dens.items():
+            if dens.get(f, 0) < e:
+                dens[f] = e
+        scale = math.lcm(scale, t._scale)
+    out = {}
+    get = out.get
+    for t in terms:
+        for m, c in _lift(t, dens, scale).terms.items():
+            out[m] = get(m, 0) + c
+    return _make(Poly({m: c for m, c in out.items() if c}), dens, scale)
+
+
+def _make(num, dens, scale, todo=None):
+    """The canonical fraction num / (scale * prod f^e for f, e in dens).
+
+    ``num`` is divided by what it shares with ``scale`` and with each
+    factor in ``todo`` (all of ``dens`` by default), splitting a factor
+    that shares only a proper divisor; ``dens`` is updated in place.
+    """
     if not num.terms:
         return ZERO
-    for f, e in dens.items():
-        if e > MAX_EXPONENT:
-            raise _too_large(e, _poly_str(f))
-    return ScalarExpr(num, dens, scale, reduced)
+    if dens:
+        for f, e in dens.items():
+            if e > MAX_EXPONENT:
+                raise _too_large(e, _poly_str(f))
+        num = _cancel(num, dens, list(dens if todo is None else todo))
+        if 0 in dens.values():
+            dens = {f: e for f, e in dens.items() if e}
+    if scale != 1:
+        g = math.gcd(scale, *num.terms.values())
+        if g != 1:
+            num = Poly({m: c // g for m, c in num.terms.items()})
+            scale //= g
+    return ScalarExpr(num, dens, scale)
 
 
 ZERO = ScalarExpr(_P_ZERO)
@@ -855,16 +877,16 @@ def flatexp(u):
 
 
 def normalize(e):
-    """Return the canonical form of ``e``, coercing plain numbers.
+    """Return the canonical form of ``e``.
 
-    A :class:`ScalarExpr` is reduced in place and returned, so whatever
-    holds a normalized expression (a form's coefficients, an atom's
-    argument) holds its canonical form.
+    Every :class:`ScalarExpr` is built canonical, so this is the identity
+    on them; it exists as the explicit entry point and coerces plain
+    numbers.
     """
     c = _coerce(e)
     if c is NotImplemented:
         raise TypeError("cannot normalize %r" % (e,))
-    return c._canonical()
+    return c
 
 
 def _atom_derivative(gen):
@@ -885,25 +907,23 @@ def _atom_derivative(gen):
 
 
 def _poly_partial(poly, name, d=1):
-    """d(poly / d) / d name for a positive integer d."""
-    total = ZERO
+    """d(poly / d) / d name for a positive integer d, by the chain rule:
+    the sum of d poly / d g * dg / d name over the generators g."""
+    parts = {}  # generator -> terms of d poly / d generator
     dgens = {}
     for mono, c in poly.terms.items():
         for g, e in _mono_items(mono):
-            if isinstance(g, CoordGen):
-                if g.name != name:
-                    continue
-                dgen = ONE
-            else:
-                dgen = dgens.get(g)
-                if dgen is None:
+            dgen = dgens.get(g)
+            if dgen is None:
+                if isinstance(g, CoordGen):
+                    dgen = ONE if g.name == name else ZERO
+                else:
                     darg = partial(g.arg, name)
-                    dgen = dgens[g] = darg if darg.is_zero else _atom_derivative(g) * darg
-                if dgen.is_zero:
-                    continue
-            factor = _make(Poly({mono - g.unit: c * e}), _NO_FACTORS, d)
-            total = total + factor * dgen
-    return total
+                    dgen = darg if darg.is_zero else _atom_derivative(g) * darg
+                dgens[g] = dgen
+            if not dgen.is_zero:
+                parts.setdefault(g, {})[mono - g.unit] = c * e
+    return add_all([_make(Poly(t), _NO_FACTORS, d) * dgens[g] for g, t in parts.items()])
 
 
 def partial(e, name):
@@ -913,12 +933,12 @@ def partial(e, name):
         return _poly_partial(e.num, name, e._scale)
     # d(N / (s prod f^k)) = dN / (s prod f^k) - (N / (s prod f^k)) sum k df / f,
     # so each factor's exponent grows by at most one
-    total = _poly_partial(e.num, name) * ScalarExpr(_P_ONE, e._dens, e._scale)
+    terms = [_poly_partial(e.num, name) * ScalarExpr(_P_ONE, e._dens, e._scale)]
     for f, k in e._dens.items():
         df = _poly_partial(f, name)
         if not df.is_zero:
-            total = total - e * df * ScalarExpr(Poly({0: k}), {f: 1})
-    return total
+            terms.append(-e * df * ScalarExpr(Poly({0: k}), {f: 1}))
+    return add_all(terms)
 
 
 def free_coords(e):
@@ -947,7 +967,7 @@ def substitute(e, mapping):
     table = {k: normalize(v) for k, v in mapping.items()}
 
     def sub_poly(p):
-        total = ZERO
+        terms = []
         for mono, c in p.terms.items():
             term = const(c)
             for g, exp_ in _mono_items(mono):
@@ -958,8 +978,8 @@ def substitute(e, mapping):
                 else:
                     base = _atom_expr(g.kind, sub_expr(g.arg))
                 term = term * base**exp_
-            total = total + term
-        return total
+            terms.append(term)
+        return add_all(terms)
 
     def sub_expr(x):
         out = sub_poly(x.num) / x._scale

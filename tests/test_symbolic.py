@@ -77,6 +77,9 @@ def test_equal_fractions_get_equal_keys():
     assert (1 / (1 + x)).key == ((1 + x) / (1 + x) ** 2).key
     # equal atom arguments make one atom, so the difference normalizes to zero
     assert (exp(2 / (1 + x)) - exp((2 + 2 * x) / (1 + x) ** 2)).is_zero
+    # the constant term of (1 + x)(1 + y) = 1 + x + y + xy does not make it primitive in x
+    assert (1 + y) / ((1 + x) * (1 + y)) == 1 / (1 + x)
+    assert (exp((1 + y) / ((1 + x) * (1 + y))) - exp(1 / (1 + x))).is_zero
 
 
 @pytest.mark.parametrize(
@@ -86,6 +89,9 @@ def test_equal_fractions_get_equal_keys():
         (lambda: (x - 1) / (x ** 2 - 1), "1 / (1 + x)"),
         (lambda: 1 / (x ** 2 - 1) + x / (x ** 2 - 1), "1 / (-1 + x)"),
         (lambda: (x * y - y) / (x ** 2 - 1), "y / (1 + x)"),
+        # a factor with a constant term that is not primitive in either generator
+        (lambda: (2 + 2 * y) / ((1 + x) * (1 + y)), "2 / (1 + x)"),
+        (lambda: (1 + x) / ((1 + x) * (1 + y)), "1 / (1 + y)"),
         # a factor with no term that is a power of one generator
         (lambda: (x * y + x * z + y * z) * (1 + x) / ((x * y + x * z + y * z) * (2 + x)),
          "(1 + x) / (2 + x)"),
@@ -449,6 +455,7 @@ def test_latex_rendering_smoke():
 # the polynomials among them share proper factors, such as x - 1 with x**2 - 1
 _LEAVES = (
     "x", "y", "z", "exp(x)", "exp(x*y)", "x - 1", "x + 1", "x**2 - 1", "x*y - y", "x**2 - y**2", "1 + x*y",
+    "1 + y", "1 + x + y + x*y",
 )
 
 
