@@ -965,19 +965,29 @@ def substitute(e, mapping):
     """
     e = normalize(e)
     table = {k: normalize(v) for k, v in mapping.items()}
+    powers = {}  # (generator, exponent) -> image ** exponent, each built once
 
-    def sub_poly(p):
-        terms = []
-        for mono, c in p.terms.items():
-            term = const(c)
-            for g, exp_ in _mono_items(mono):
+    def power(g, k):
+        p = powers.get((g, k))
+        if p is None:
+            base = powers.get((g, 1))
+            if base is None:
                 if isinstance(g, CoordGen):
                     base = table.get(g.name)
                     if base is None:
                         base = ScalarExpr(_poly_gen(g))
                 else:
                     base = _atom_expr(g.kind, sub_expr(g.arg))
-                term = term * base**exp_
+                powers[(g, 1)] = base
+            p = powers[(g, k)] = base if k == 1 else base**k
+        return p
+
+    def sub_poly(p):
+        terms = []
+        for mono, c in p.terms.items():
+            term = const(c)
+            for g, k in _mono_items(mono):
+                term = term * power(g, k)
             terms.append(term)
         return add_all(terms)
 
