@@ -174,7 +174,7 @@ def _overlap_or_none(a: Region, b: Region, cfg):
     except ValueError:
         return None
     try:
-        ov.sample_point(cfg.rng_seed, 0)
+        next(cfg.points(ov))
     except SamplingError:
         return None
     return ov
@@ -212,9 +212,8 @@ def check_family(fam: FoliationFamily, cfg: ZeroTestConfig) -> StructuredReport:
             detail="leaf dimensions %s" % dims,
         )
     )
-    working = fam.working_region()
-    samples = (working.sample_point(cfg.rng_seed, i) for i in range(cfg.sample_count))
-    gap = next((p for p in samples if not any(f.region.contains(p) for f in fam.members)), None)
+    points = cfg.points(fam.working_region())
+    gap = next((p for p in points if not any(f.region.contains(p) for f in fam.members)), None)
     entries.append(
         CheckEntry.from_witness(
             "coverage",
@@ -305,8 +304,7 @@ def check_invariance(m: CoordinateMap, fol: Foliation, cfg: ZeroTestConfig):
     transverse generator must stay in the annihilator ideal:
     pullback(m, w) ^ nu == 0 on the region.
     """
-    for i in range(cfg.sample_count):
-        point = fol.region.sample_point(cfg.rng_seed, i)
+    for point in cfg.points(fol.region):
         image = m.apply(point)
         if not fol.region.contains(image):
             raise PreconditionError(

@@ -392,8 +392,7 @@ def gram_independent(gens, point):
 def dependent_sample(gens, region, cfg):
     """The first of at most 8 sampled points of the region where the
     1-forms are not independent, or None when every probe passes."""
-    for i in range(min(cfg.sample_count, 8)):
-        point = region.sample_point(cfg.rng_seed, i)
+    for _, point in zip(range(8), cfg.points(region)):  # range first: no ninth point is drawn
         if not gram_independent(gens, point):
             return point
     return None

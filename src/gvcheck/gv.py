@@ -67,8 +67,7 @@ def adapted_gauge(fol: Foliation) -> ScalarExpr:
 
 def _require_nonvanishing(h, region, cfg, message):
     """Raise ``message`` with the first sampled point where |h| <= abs_tol."""
-    for i in range(cfg.sample_count):
-        point = region.sample_point(cfg.rng_seed, i)
+    for point in cfg.points(region):
         if abs(evaluate(h, point)) <= cfg.abs_tol:
             raise PreconditionError(message, witness=point)
 
@@ -181,8 +180,9 @@ def check_overlap_identities(
     With q1 the codimension gap, q2 = codim of the larger-leaved
     foliation, and I the ideal spanned by the sup's transverse 1-forms:
 
-    * dtheta-residual:        d theta - (-1)^q2 theta ^ (mu1 - (-1)^q1 mu2) in I;
-    * theta-wedge-dtransition: theta ^ d(mu3) in I for the transition witness mu3;
+    * dtheta-residual:        d theta - theta ^ mu3 in I, with
+      mu3 = (-1)^q2 (mu1 - (-1)^q1 mu2) the transition witness;
+    * theta-wedge-dtransition: theta ^ d(mu3) in I;
     * dtransition-membership:  d(mu3) in I;
     * dmu-sub-membership:      d(mu1) in I.
     """
@@ -192,11 +192,11 @@ def check_overlap_identities(
         raise ValueError("expected a positive codimension gap, got %d" % q1)
     gens = f_sup.decomposition
     mu3 = transition_mu(mu1, mu2, q1, q2)
-    residual = ext_d(theta) - wedge(theta, mu1 - mu2 * _sign(q1)) * _sign(q2)
+    d_mu3 = ext_d(mu3)
     checks = (
-        ("dtheta-residual", residual),
-        ("theta-wedge-dtransition", wedge(theta, ext_d(mu3))),
-        ("dtransition-membership", ext_d(mu3)),
+        ("dtheta-residual", ext_d(theta) - wedge(theta, mu3)),
+        ("theta-wedge-dtransition", wedge(theta, d_mu3)),
+        ("dtransition-membership", d_mu3),
         ("dmu-sub-membership", ext_d(mu1)),
     )
     entries = []
@@ -229,6 +229,12 @@ def check_minimal_vanishing(
     overlap with a member of codimension q_j < q_max.  A refuted
     vanishing gets gauge-change advice in the detail.
     """
+    return _minimal_vanishing(fam, mu, cfg)[0]
+
+
+def _minimal_vanishing(fam, mu, cfg):
+    """:func:`check_minimal_vanishing`'s report, the smallest-leaved
+    member and the GV form of its witness."""
     entries = []
     for f in fam.members:
         out = verify_frobenius(f.nu, mu.for_member(f.name), f.region, cfg)
@@ -253,7 +259,7 @@ def check_minimal_vanishing(
         for label, out in ((label_pow, out_pow), (label_gv, out_gv)):
             detail = _GAUGE_ADVICE if out.status is ZeroStatus.NONZERO else ""
             entries.append(CheckEntry.from_outcome(label, out, detail=detail))
-    return StructuredReport(tuple(entries))
+    return StructuredReport(tuple(entries)), f_min, gv
 
 
 @dataclass(frozen=True)
@@ -291,7 +297,7 @@ def gv_min(fam: FoliationFamily, mu: MuChoice, rank: int, cfg: ZeroTestConfig) -
         raise ValueError("rank %d is not the leaf dimension of any member" % rank)
     members = tuple(f for f in fam.members if f.leaf_dim >= rank)
     sub = FoliationFamily(members, box=fam.box, saturated=fam.saturated)
-    vanishing = check_minimal_vanishing(sub, mu, cfg)
+    vanishing, f_min, gv = _minimal_vanishing(sub, mu, cfg)
     for e in vanishing.entries:
         if e.verdict is Verdict.FAIL:
             raise GluingError(
@@ -299,10 +305,7 @@ def gv_min(fam: FoliationFamily, mu: MuChoice, rank: int, cfg: ZeroTestConfig) -
                 witness=e.witness_point,
                 detail=e.detail,
             )
-    f_min = min(members, key=lambda f: f.leaf_dim)
-    q = f_min.codim
-    gv = gv_form(mu.for_member(f_min.name), q)
-    degree = 2 * q + 1
+    degree = 2 * f_min.codim + 1
     pieces = [(f_min.region, gv)]
     for f in members:
         if f is not f_min:
@@ -327,15 +330,17 @@ def check_basic(
     return ideal_member(dphi, fol.decomposition, region, cfg)
 
 
-def require_basic(phi: ScalarExpr, fol: Foliation, cfg: ZeroTestConfig) -> ZeroOutcome:
-    """:func:`check_basic` on the foliation's region; a refuted weight raises
-    with the refutation's witness and detail."""
-    basic = check_basic(phi, fol, fol.region, cfg)
+def require_basic(phi: ScalarExpr, fol: Foliation, cfg: ZeroTestConfig):
+    """:func:`check_basic` of a normalized phi on the foliation's region; a
+    refuted weight raises with the refutation's witness and detail.
+    Returns the outcome and d(phi)."""
+    dphi = ext_d(scalar_form(fol.coords, phi))
+    basic = ideal_member(dphi, fol.decomposition, fol.region, cfg)
     if basic.nonzero:
         raise PreconditionError(
             "weight is not basic for the foliation", witness=basic.witness, detail=basic.detail
         )
-    return basic
+    return basic, dphi
 
 
 def weighted_gv_form(phi, mu: DiffForm, fol: Foliation, basic: ZeroOutcome, cfg: ZeroTestConfig):
@@ -368,8 +373,7 @@ def gv_weighted(phi: ScalarExpr, mu: DiffForm, fol: Foliation, cfg: ZeroTestConf
     d(phi) ^ mu ^ (d mu)^q vanishes.  Returns (form, report).
     """
     phi = normalize(phi)
-    basic = require_basic(phi, fol, cfg)
+    basic, dphi = require_basic(phi, fol, cfg)
     nu_bar, plain, rows = weighted_gv_form(phi, mu, fol, basic, cfg)
-    dphi = ext_d(scalar_form(fol.coords, phi))
     gradient = vanishes_on(wedge(dphi, plain), fol.region, cfg)
     return nu_bar, StructuredReport(rows + (CheckEntry.from_outcome("gradient-wedge", gradient),))

@@ -59,9 +59,6 @@ class Region:
             % (self.name or self.constraints, _MAX_REJECT)
         )
 
-    def sample_points(self, seed, count):
-        return [self.sample_point(seed, i) for i in range(count)]
-
 
 def box_region(coords, box, name="box"):
     """The whole working box as a region."""

@@ -36,7 +36,6 @@ from .symbolic import (
     free_coords,
     mix_seed,
     normalize,
-    partial,
     rat,
     sym,
 )
@@ -187,17 +186,14 @@ def verify_exact(nu_bar: DiffForm, tau: DiffForm, region: Region, cfg: ZeroTestC
     return forms_equal(ext_d(tau), nu_bar, region, cfg)
 
 
-def _regular_value_check(phi, td: TubularData, cfg: ZeroTestConfig):
-    """Sampled lower bound for the gradient norm on the slice {t = 0}."""
-    coords = td.region.coords
-    grads = {n: partial(phi, n) for n in coords}
+def _regular_value_check(dphi: DiffForm, td: TubularData, cfg: ZeroTestConfig):
+    """Sampled lower bound for the norm of d(phi) on the slice {t = 0}."""
     worst = None
     worst_norm = math.inf
-    for i in range(cfg.sample_count):
-        point = td.region.sample_point(cfg.rng_seed, i)
+    for point in cfg.points(td.region):
         point = dict(point)
         point[td.t] = 0.0
-        norm2 = sum(evaluate(g, point) ** 2 for g in grads.values())
+        norm2 = sum(evaluate(g, point) ** 2 for g in dphi.coeffs.values())
         norm = math.sqrt(norm2)
         if norm < worst_norm:
             worst_norm = norm
@@ -233,10 +229,9 @@ def check_exactness_pipeline(
       phi^q nu_bar is the form the supplied primitive integrates).
     """
     phi = normalize(phi)
-    basic = require_basic(phi, fol, cfg)
-    floor = _regular_value_check(phi, td, cfg)
+    basic, dphi = require_basic(phi, fol, cfg)
+    floor = _regular_value_check(dphi, td, cfg)
     nu_bar, _, rows = weighted_gv_form(phi, mu, fol, basic, cfg)
-    dphi = ext_d(scalar_form(fol.coords, phi))
     transversal = vanishes_on(wedge(dphi, nu_bar), fol.region, cfg)
     exact = verify_exact(nu_bar * (phi ** fol.codim), tau, fol.region, cfg)
     entries = rows + (

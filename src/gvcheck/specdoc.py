@@ -258,10 +258,6 @@ class _StatementParser(ExprParser):
             self.reject(message)
         return value
 
-    def need_chart(self):
-        if not self.doc.coords:
-            self.fail("a chart must be declared first")
-
     def separated(self, read) -> list:
         """One or more values read by ``read``, separated by commas."""
         values = [read()]
@@ -362,7 +358,6 @@ def _stmt_chart(p: _StatementParser):
 
 
 def _stmt_box(p: _StatementParser):
-    p.need_chart()
     coord = p.coordinate()
     lo = float(p.real())
     hi = float(p.real())
@@ -400,7 +395,6 @@ def _stmt_tolerance(p: _StatementParser, key):
 
 
 def _stmt_scalar(p: _StatementParser):
-    p.need_chart()
     name = p.fresh_expr_name(p.doc.scalars, "scalar")
     p.expect("=")
     value = p.scalar_expression()
@@ -409,7 +403,6 @@ def _stmt_scalar(p: _StatementParser):
 
 
 def _stmt_form(p: _StatementParser):
-    p.need_chart()
     name = p.fresh_expr_name(p.doc.forms, "form")
     p.expect("=")
     value = p.form_expression()
@@ -418,7 +411,6 @@ def _stmt_form(p: _StatementParser):
 
 
 def _stmt_map(p: _StatementParser):
-    p.need_chart()
     name = p.fresh_name(p.doc.maps, "map")
     p.expect("=")
     comps = {}
@@ -445,7 +437,6 @@ def _constraint(p: _StatementParser) -> ScalarExpr:
 
 
 def _stmt_region(p: _StatementParser):
-    p.need_chart()
     name = p.fresh_name(p.doc.regions, "region")
     p.expect("=")
     constraints = [] if p.accept("all") else p.separated(lambda: _constraint(p))
@@ -454,7 +445,6 @@ def _stmt_region(p: _StatementParser):
 
 
 def _stmt_foliation(p: _StatementParser):
-    p.need_chart()
     name = p.fresh_name(p.doc.foliations, "foliation")
     region = p.on_region()
     p.expect("leafdim")
@@ -492,7 +482,6 @@ def _stmt_foliation(p: _StatementParser):
 
 
 def _stmt_family(p: _StatementParser):
-    p.need_chart()
     name = p.fresh_name(p.doc.families, "family")
     p.expect("=")
     members = []
@@ -509,7 +498,6 @@ def _stmt_family(p: _StatementParser):
 
 
 def _stmt_mu(p: _StatementParser):
-    p.need_chart()
     fol = p.lookup(p.doc.foliations, "foliation")
     if fol.name in p.doc.mus:
         p.reject("mu for %r declared twice" % fol.name)
@@ -520,7 +508,6 @@ def _stmt_mu(p: _StatementParser):
 
 
 def _stmt_closedset(p: _StatementParser):
-    p.need_chart()
     name = p.fresh_name(p.doc.closedsets, "closed set")
     p.expect("=")
     expr = None
@@ -550,7 +537,6 @@ def _stmt_closedset(p: _StatementParser):
 
 
 def _stmt_bump(p: _StatementParser):
-    p.need_chart()
     name = p.fresh_name(p.doc.bumps, "bump")
     p.expect("=")
     p.expect("center")
@@ -565,7 +551,6 @@ def _stmt_bump(p: _StatementParser):
 
 
 def _stmt_testfn(p: _StatementParser):
-    p.need_chart()
     name = p.fresh_expr_name(p.doc.testfns, "test function")
     p.expect("=")
     p.expect("cover")
@@ -580,7 +565,6 @@ def _stmt_testfn(p: _StatementParser):
 
 
 def _stmt_tubular(p: _StatementParser):
-    p.need_chart()
     name = p.fresh_name(p.doc.tubulars, "collar")
     region = p.on_region()
     p.expect("f")
@@ -911,6 +895,10 @@ def _stmt_check(p: _StatementParser):
     checks.append(CheckDirective(len(checks), kind, label, run))
 
 
+# statements that need no chart; a check before the chart fails at its
+# first name, which nothing can have declared yet
+_CHART_FREE = ("chart", "seed", "samples", "abs_tol", "rel_tol", "check")
+
 _HANDLERS = {
     "chart": _stmt_chart,
     "box": _stmt_box,
@@ -958,6 +946,9 @@ def parse_spec(text: str):
             diagnostics.append(
                 Diagnostic(lineno, head.col, "unknown statement %r" % (head.text or raw.strip()))
             )
+            continue
+        if not doc.coords and head.text not in _CHART_FREE:
+            diagnostics.append(Diagnostic(lineno, tokens[1].col, "a chart must be declared first"))
             continue
         try:
             _HANDLERS[head.text](_StatementParser(doc, tokens))

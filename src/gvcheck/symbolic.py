@@ -762,7 +762,10 @@ def _lift(e, dens, scale):
 def add_all(terms):
     """The sum of a sequence of expressions over the lcm of their
     denominators (the largest exponent of each factor), cancelled once
-    rather than after each addition."""
+    rather than after each addition.  A lone term, canonical already,
+    comes back as it is."""
+    if len(terms) == 1:
+        return terms[0]
     dens = {}
     scale = 1
     for t in terms:
@@ -1172,6 +1175,13 @@ class ZeroTestConfig:
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
 
+    def points(self, region):
+        """The seeded sample points of ``region``, ``region.sample_point(rng_seed, i)``
+        for i = 0 .. sample_count - 1, each drawn only when it is asked for,
+        so a search that stops at its first witness draws no further point."""
+        for i in range(self.sample_count):
+            yield region.sample_point(self.rng_seed, i)
+
 
 def is_zero_on(e, region, cfg=None):
     """Tri-state zero test of ``e`` on a sampleable region.
@@ -1188,8 +1198,7 @@ def is_zero_on(e, region, cfg=None):
         cfg = ZeroTestConfig()
     max_abs = 0.0
     skipped = 0
-    for i in range(cfg.sample_count):
-        point = region.sample_point(cfg.rng_seed, i)
+    for point in cfg.points(region):
         try:
             cache = {}
             v = _eval_expr(e, point, cache)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import GvError
 from .forms import DiffForm, differential, ext_d, form_power, scalar_form, wedge
-from .symbolic import ScalarExpr, exp, flatexp, log, psi0, rat, sym
+from .symbolic import ONE, const, exp, flatexp, log, psi0, sym
 
 FUNCTIONS = ("exp", "log", "psi0", "flatexp", "d")
 RESERVED = set(FUNCTIONS) | {
@@ -185,7 +185,7 @@ class ExprParser:
     def _prefix(self):
         t = self.advance()
         if t.kind == "NUM":
-            return _const(parse_number(t.text))
+            return const(parse_number(t.text))
         if t.text == "(":
             inner = self.parse()
             self.expect(")")
@@ -238,7 +238,7 @@ class ExprParser:
                 if fb:
                     raise ParseError("cannot divide by a form", col=t.col)
                 if fa:
-                    return a * (_const(1) / b)
+                    return a * (ONE / b)
                 return a / b
             if op == "+":
                 _check_same_species(fa, fb, t.col)
@@ -251,10 +251,6 @@ class ExprParser:
         except (ZeroDivisionError, ValueError, GvError) as exc:
             raise ParseError(str(exc), col=t.col) from None
         raise ParseError("unknown operator %r" % op, col=t.col)
-
-
-def _const(v) -> ScalarExpr:
-    return rat(Fraction(v))
 
 
 def _check_same_species(fa, fb, col):

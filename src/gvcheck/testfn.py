@@ -136,8 +136,18 @@ class ClosedSetSpec:
         object.__setattr__(self, "balls", tuple((dict(c), float(r)) for c, r in self.balls))
         object.__setattr__(self, "anchors", tuple(dict(a) for a in self.anchors))
 
-    def _draw(self, rng: Random) -> dict:
-        return {n: rng.uniform(*self.box[n]) for n in self.coords}
+    def _rejection(self, out: list, seed: int, count: int, keep) -> list:
+        """Extend ``out`` with the window draws that ``keep`` accepts, one
+        seeded draw per index, until it holds ``count`` points or
+        50 * count draws are spent."""
+        for index in range(50 * max(count, 1)):
+            if len(out) >= count:
+                break
+            rng = Random(mix_seed(seed, index))
+            p = {n: rng.uniform(*self.box[n]) for n in self.coords}
+            if keep(p):
+                out.append(p)
+        return out
 
     def _in_ball(self, point, strict: bool) -> bool:
         for center, r in self.balls:
@@ -158,34 +168,15 @@ class ClosedSetSpec:
     def sample_complement(self, seed: int, count: int, tol: float = 1e-9) -> list:
         """Window samples off the set; may return fewer when the
         complement is empty or thin."""
-        out = []
-        attempts = 0
-        index = 0
-        while len(out) < count and attempts < 50 * max(count, 1):
-            rng = Random(mix_seed(seed, index))
-            index += 1
-            attempts += 1
-            p = self._draw(rng)
-            if not self.contains(p, tol):
-                out.append(p)
-        return out
+        return self._rejection([], seed, count, lambda p: not self.contains(p, tol))
 
     def sample_set(self, seed: int, count: int) -> list:
         """Points of the set itself: anchors, ball interiors, or
         rejection samples, depending on the description."""
         out = list(self.anchors)
         if self.kind == "zeroset":
-            return out[:count] if count < len(out) else out
-        index = 0
-        attempts = 0
-        while len(out) < count and attempts < 50 * max(count, 1):
-            rng = Random(mix_seed(seed ^ 0x5E7, index))
-            index += 1
-            attempts += 1
-            p = self._draw(rng)
-            if self.contains(p):
-                out.append(p)
-        return out
+            return out[:count]
+        return self._rejection(out, seed ^ 0x5E7, count, self.contains)
 
     def boundary_anchors(self, seed: int) -> list:
         """Flatness base points: explicit anchors, plus sphere points

@@ -36,15 +36,15 @@ class ZeroOutcome:
 
 
 
-def combine_outcomes(outcomes, detail=""):
+def combine_outcomes(outcomes):
     """All proved -> proved; any refuted -> first refutation; else undecided."""
     outcomes = list(outcomes)
     for o in outcomes:
         if o.nonzero:
             return o
     if all(o.proved for o in outcomes):
-        return ZeroOutcome(ZeroStatus.PROVED_ZERO, detail=detail)
-    return ZeroOutcome(ZeroStatus.UNDECIDED, detail=detail or "not settled by normalization or sampling")
+        return ZeroOutcome(ZeroStatus.PROVED_ZERO)
+    return ZeroOutcome(ZeroStatus.UNDECIDED, detail="not settled by normalization or sampling")
 
 
 class Verdict(Enum):

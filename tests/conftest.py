@@ -32,6 +32,19 @@ def square_box(coords, half=2.0):
     return {c: (-half, half) for c in coords}
 
 
+class CountingRegion:
+    """A stub region on XY whose sample i is the point (xs[i], 0); it
+    logs every (seed, index) it is asked for."""
+
+    def __init__(self, xs):
+        self.xs = xs
+        self.drawn = []
+
+    def sample_point(self, seed, index):
+        self.drawn.append((seed, index))
+        return {"x": self.xs[index], "y": 0.0}
+
+
 @pytest.fixture
 def cfg():
     return ZeroTestConfig()

@@ -302,7 +302,7 @@ def test_criterion_09_exactness_pipeline_and_critical_weight_control(cfg):
 def test_criterion_10_wedge_criterion_matches_pointwise_oracle(cfg):
     """Symbolic membership and the numeric annihilator oracle agree."""
     region = space()
-    points = region.sample_points(4242, 16)
+    points = list(ZeroTestConfig(sample_count=16, rng_seed=4242).points(region))
     rng = random.Random(77)
     queries = disagreements = 0
     attempts = 0

@@ -30,9 +30,9 @@ from gvcheck import (
     wedge_all,
     zero_form,
 )
-from gvcheck.forms import _det, gram_independent
+from gvcheck.forms import _det, dependent_sample, gram_independent
 from pointwise import ideal_member_pointwise
-from conftest import XY, XYZ, random_form, random_map, square_box
+from conftest import XY, XYZ, CountingRegion, random_form, random_map, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")
 XYZW = ("x", "y", "z", "w")
@@ -348,6 +348,16 @@ def test_det_exact_cases():
     assert _det([[0.0, 1.0], [1.0, 0.0]]) == -1.0
     assert _det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
     assert _det([[0.0, 0.0], [0.0, 1.0]]) == 0.0
+
+
+def test_independence_probe_draws_at_most_eight_points(cfg):
+    dx = differential(XY, "x")
+    region = CountingRegion([1.0] * 32)
+    assert dependent_sample((dx,), region, cfg) is None
+    assert region.drawn == [(cfg.rng_seed, i) for i in range(8)]
+    region = CountingRegion([1.0, 0.0] + [1.0] * 30)
+    assert dependent_sample((dx * sym("x"),), region, cfg) == {"x": 0.0, "y": 0.0}
+    assert region.drawn == [(cfg.rng_seed, 0), (cfg.rng_seed, 1)]
 
 
 def test_gram_independent_exact_cases():

@@ -315,6 +315,18 @@ def test_gv_min_glues_with_zero(cfg):
     assert all(e.verdict is Verdict.PASS for e in report.closedness.entries)
 
 
+def test_gv_min_builds_the_gv_form_once(cfg, monkeypatch):
+    """The glued piece is the form the overlap-vanishing rows tested."""
+    from gvcheck import gv
+
+    built = []
+    monkeypatch.setattr(gv, "gv_form", lambda mu, q: built.append(q) or gv_form(mu, q))
+    fam, mu, mu0 = glued_family()
+    report = gv_min(fam, mu, 2, cfg)
+    assert built == [1]
+    assert report.piecewise.piece_on("core") == gv_form(mu0, 1)
+
+
 def test_gv_min_rank_must_exist(cfg):
     fam, mu, _ = glued_family()
     with pytest.raises(ValueError):

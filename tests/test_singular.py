@@ -226,6 +226,26 @@ def test_pipeline_happy_path(space, cfg):
     assert float(gradient_note[0].rsplit(" ", 1)[1]) > 1e-6
 
 
+def test_pipeline_builds_d_phi_once(space, cfg, monkeypatch):
+    """The basic test, the regular-value probe and the transversal row share d(phi)."""
+    from gvcheck import gv, singular
+
+    zero_forms = []
+
+    def counting(a):
+        if a.degree == 0:
+            zero_forms.append(a.coefficient(()))
+        return ext_d(a)
+
+    for module in (gv, singular):
+        monkeypatch.setattr(module, "ext_d", counting)
+    fol = spiral(space)
+    phi = y * exp(-x)
+    rep = check_exactness_pipeline(fol, phi, spiral_mu(), collar(space, phi), cubic_tau(), cfg)
+    assert rep.passed
+    assert zero_forms == [phi]
+
+
 def test_pipeline_target_is_the_twisted_form(space, cfg):
     """The primitive integrates phi^q * nu_bar, not nu_bar itself."""
     fol = spiral(space)

@@ -418,6 +418,26 @@ class TestCheckParsing:
 class TestDiagnosticColumns:
     """A diagnostic points at the token that caused it."""
 
+    @pytest.mark.parametrize("line, col, message", [
+        ("box x -1 1", 5, "a chart must be declared first"),
+        ("scalar a = x", 8, "a chart must be declared first"),
+        ("form w = dx", 6, "a chart must be declared first"),
+        ("map m = x -> y", 5, "a chart must be declared first"),
+        ("region R = all", 8, "a chart must be declared first"),
+        ("foliation H on R leafdim 1 nu dy", 11, "a chart must be declared first"),
+        ("family fam = H", 8, "a chart must be declared first"),
+        ("mu H = dx", 4, "a chart must be declared first"),
+        ("closedset C = balls (0, 0, 1)", 11, "a chart must be declared first"),
+        ("bump b = center (0, 0) radius 1", 6, "a chart must be declared first"),
+        ("testfn t = cover b of C", 8, "a chart must be declared first"),
+        ("tubular T on R f y t y eps 1/4 outer 1/2", 9, "a chart must be declared first"),
+        ("check zero x on R", 12, "unresolved reference 'x'"),
+    ])
+    def test_chart_precondition_at_first_argument(self, line, col, message):
+        """Only chart, seed, samples, abs_tol, rel_tol and check need no chart."""
+        _, diagnostics = parse_spec("seed 3\nsamples 4\nabs_tol 1e-8\nrel_tol 1e-8\n" + line + "\nchart x y\n")
+        assert [(d.line, d.col, d.message) for d in diagnostics] == [(5, col, message)]
+
     FAMILY = "chart x y\nregion R = all\nfoliation H on R leafdim 1 nu dy transverse y\nfamily fam = H\n"
 
     @pytest.mark.parametrize("line, token", [

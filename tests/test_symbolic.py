@@ -33,7 +33,7 @@ from gvcheck import (
 import gvcheck
 from gvcheck import symbolic
 from gvcheck.symbolic import MAX_EXPONENT, CoordGen, ScalarExpr, _eval_expr, _mono_items, _scale_at
-from conftest import XY, random_polynomial, random_scalar, square_box
+from conftest import XY, CountingRegion, random_polynomial, random_scalar, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")
 
@@ -378,6 +378,24 @@ def test_zero_test_respects_region_constraints(cfg):
     assert out.status is ZeroStatus.UNDECIDED
     out_full = is_zero_on(flatexp(-x), r, cfg)
     assert out_full.status is ZeroStatus.NONZERO
+
+
+def test_sample_points_are_drawn_lazily_in_index_order():
+    cfg = ZeroTestConfig(sample_count=4, rng_seed=77)
+    region = CountingRegion([0.0, 0.5, 1.0, 1.5])
+    points = cfg.points(region)
+    assert region.drawn == []
+    assert next(points) == {"x": 0.0, "y": 0.0}
+    assert region.drawn == [(77, 0)]
+    assert [p["x"] for p in points] == [0.5, 1.0, 1.5]
+    assert region.drawn == [(77, i) for i in range(4)]
+
+
+def test_zero_test_draws_no_point_after_its_witness():
+    region = CountingRegion([0.0, 0.0, 1.0] + [0.0] * 29)
+    out = is_zero_on(x + x * y, region, ZeroTestConfig(rng_seed=5))
+    assert out.nonzero and out.witness == {"x": 1.0, "y": 0.0}
+    assert region.drawn == [(5, 0), (5, 1), (5, 2)]
 
 
 def test_zero_test_default_config(plane):
