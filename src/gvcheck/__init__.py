@@ -6,8 +6,8 @@ The package has three layers:
   exact rational-coefficient exterior calculus with interned flat atoms;
 * geometry and invariants (:mod:`gvcheck.foliations`, :mod:`gvcheck.gv`,
   :mod:`gvcheck.testfn`, :mod:`gvcheck.singular`) built on tri-state
-  zero tests: PROVED-ZERO by normalization, NONZERO by a numeric
-  witness, UNDECIDED otherwise;
+  zero tests: PASS by normalization, FAIL by a numeric witness,
+  UNDECIDED otherwise;
 * a document format and runner (:mod:`gvcheck.specdoc`,
   :mod:`gvcheck.runner`, :mod:`gvcheck.cli`) for reproducible batch
   runs with deterministic JSON reports.
@@ -31,9 +31,7 @@ from .verdicts import (
     StructuredReport,
     Verdict,
     ZeroOutcome,
-    ZeroStatus,
     combine_outcomes,
-    verdict_of,
 )
 from .symbolic import (
     ScalarExpr,

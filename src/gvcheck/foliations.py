@@ -228,7 +228,7 @@ def check_family(fam: FoliationFamily, cfg: ZeroTestConfig) -> StructuredReport:
             label = "overlap-nesting[%s<%s]" % (fi.name, fj.name)
             ov = _overlap_or_none(fi.region, fj.region, cfg)
             if ov is None:
-                entries.append(CheckEntry(label, Verdict.PASS, detail="no overlap detected"))
+                entries.append(CheckEntry.from_witness(label, None, passed="no overlap detected"))
                 continue
             outcome = combine_outcomes(
                 vanishes_on(wedge_all(fam.coords, (w,) + fi.decomposition), ov, cfg)
@@ -351,7 +351,7 @@ def check_piecewise(pw: PiecewiseForm, cfg: ZeroTestConfig) -> StructuredReport:
             label = "agree[%s,%s]" % (ri.name or i, rj.name or j)
             ov = _overlap_or_none(ri, rj, cfg)
             if ov is None:
-                entries.append(CheckEntry(label, Verdict.PASS, detail="no overlap detected"))
+                entries.append(CheckEntry.from_witness(label, None, passed="no overlap detected"))
                 continue
             entries.append(CheckEntry.from_outcome(label, forms_equal(fi, fj, ov, cfg)))
     return StructuredReport(tuple(entries))

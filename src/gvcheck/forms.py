@@ -28,7 +28,7 @@ from .symbolic import (
     substitute,
     to_latex,
 )
-from .verdicts import ZeroOutcome, ZeroStatus, combine_outcomes
+from .verdicts import Verdict, ZeroOutcome, combine_outcomes
 
 
 def perm_sign(seq):
@@ -327,14 +327,12 @@ def forms_equal(a: DiffForm, b: DiffForm, region, cfg=None):
     if a.degree != b.degree and not (a.is_zero or b.is_zero):
         raise DegreeError("cannot compare a %d-form with a %d-form" % (a.degree, b.degree))
     diff = a - b
-    if diff.is_zero:
-        return ZeroOutcome(ZeroStatus.PROVED_ZERO)
     outcomes = []
     for idx in sorted(diff.coeffs):
         o = is_zero_on(diff.coeffs[idx], region, cfg)
         if o.nonzero:
             detail = "coefficient of %s differs" % (diff._basis_str(idx) or "1")
-            return ZeroOutcome(ZeroStatus.NONZERO, witness=o.witness, value=o.value, detail=detail)
+            return ZeroOutcome(Verdict.FAIL, witness=o.witness, value=o.value, detail=detail)
         outcomes.append(o)
     return combine_outcomes(outcomes)
 
@@ -392,10 +390,8 @@ def gram_independent(gens, point):
 def dependent_sample(gens, region, cfg):
     """The first of at most 8 sampled points of the region where the
     1-forms are not independent, or None when every probe passes."""
-    for _, point in zip(range(8), cfg.points(region)):  # range first: no ninth point is drawn
-        if not gram_independent(gens, point):
-            return point
-    return None
+    probes = (point for _, point in zip(range(8), cfg.points(region)))  # range first: no ninth draw
+    return next((point for point in probes if not gram_independent(gens, point)), None)
 
 
 def ideal_member(b: DiffForm, gens, region, cfg=None):

@@ -29,7 +29,7 @@ from .forms import (
 )
 from .regions import Region
 from .symbolic import ONE, ScalarExpr, ZeroTestConfig, evaluate, normalize, rat
-from .verdicts import CheckEntry, StructuredReport, Verdict, ZeroOutcome, ZeroStatus, worst
+from .verdicts import CheckEntry, StructuredReport, Verdict, ZeroOutcome, worst
 
 _GAUGE_ADVICE = "consider a different Frobenius witness (gauge change mu -> mu + f*nu)"
 
@@ -251,13 +251,13 @@ def _minimal_vanishing(fam, mu, cfg):
         label_pow = "power-vanishing[%s]" % f.name
         label_gv = "gv-vanishing[%s]" % f.name
         if ov is None:
-            entries.append(CheckEntry(label_pow, Verdict.PASS, detail="no overlap detected"))
-            entries.append(CheckEntry(label_gv, Verdict.PASS, detail="no overlap detected"))
+            entries.append(CheckEntry.from_witness(label_pow, None, passed="no overlap detected"))
+            entries.append(CheckEntry.from_witness(label_gv, None, passed="no overlap detected"))
             continue
         out_pow = vanishes_on(form_power(d_mu, 1 + f.codim), ov, cfg)
         out_gv = vanishes_on(gv, ov, cfg)
         for label, out in ((label_pow, out_pow), (label_gv, out_gv)):
-            detail = _GAUGE_ADVICE if out.status is ZeroStatus.NONZERO else ""
+            detail = _GAUGE_ADVICE if out.nonzero else ""
             entries.append(CheckEntry.from_outcome(label, out, detail=detail))
     return StructuredReport(tuple(entries)), f_min, gv
 
@@ -317,7 +317,7 @@ def gv_min(fam: FoliationFamily, mu: MuChoice, rank: int, cfg: ZeroTestConfig) -
             for region, piece in pw.pieces
         )
     )
-    glued = all(e.verdict is Verdict.PASS for e in vanishing.entries)
+    glued = vanishing.passed
     notes = () if glued else ("gluing not certified: an overlap verdict stayed undecided",)
     return GVReport(rank, degree, pw, vanishing, closedness, glued, notes)
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from .errors import GvError, WitnessedError
 from .specdoc import CheckDirective, SpecDocument
 from .symbolic import ZeroTestConfig, mix_seed
-from .verdicts import EXIT_STATUS, Verdict, ZeroOutcome, ZeroStatus, verdict_of, worst
+from .verdicts import EXIT_STATUS, Verdict, ZeroOutcome, worst
 
 SCHEMA_VERSION = 1
 
@@ -89,7 +89,7 @@ def _check_result(directive, result, latex, detail, timing_ms) -> CheckResult:
     has none, so its row shows the run's.
     """
     if isinstance(result, ZeroOutcome):
-        verdict, witness, entries, notes = verdict_of(result), result.witness, (), ()
+        verdict, witness, entries, notes = result.status, result.witness, (), ()
         detail = result.detail
     else:
         verdict, witness, entries, notes = result.verdict, None, result.entries, result.notes
@@ -114,11 +114,11 @@ def _execute(directive: CheckDirective, cfg: ZeroTestConfig) -> CheckResult:
     # an error becomes a FAIL row: a refuting outcome with the error's witness, if any
     except WitnessedError as e:
         message = str(e) + (("; " + e.detail) if e.detail else "")
-        result = ZeroOutcome(ZeroStatus.NONZERO, witness=e.witness, detail=message)
+        result = ZeroOutcome(Verdict.FAIL, witness=e.witness, detail=message)
     except (GvError, ValueError, KeyError, ZeroDivisionError) as e:
-        result = ZeroOutcome(ZeroStatus.NONZERO, detail="%s: %s" % (type(e).__name__, e))
+        result = ZeroOutcome(Verdict.FAIL, detail="%s: %s" % (type(e).__name__, e))
     except Exception as e:  # never let a run crash on one bad check
-        result = ZeroOutcome(ZeroStatus.NONZERO, detail="internal error (%s: %s)" % (type(e).__name__, e))
+        result = ZeroOutcome(Verdict.FAIL, detail="internal error (%s: %s)" % (type(e).__name__, e))
     elapsed = (time.perf_counter() - start) * 1000.0
     return _check_result(directive, result, latex, detail, elapsed)
 

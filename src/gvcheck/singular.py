@@ -40,7 +40,7 @@ from .symbolic import (
     sym,
 )
 from .testfn import smooth_step
-from .verdicts import CheckEntry, StructuredReport, ZeroStatus
+from .verdicts import CheckEntry, StructuredReport
 
 REGULAR_VALUE_FLOOR = 1e-6
 
@@ -85,20 +85,15 @@ class TubularData:
     def validate(self, cfg: ZeroTestConfig) -> StructuredReport:
         """Sampled cutoff invariants: 1 on the inner band, 0 outside the outer."""
         rng = Random(mix_seed(cfg.rng_seed, 0x7B))
-        inner_bad = None
-        for _ in range(cfg.sample_count):
-            t = rng.uniform(-float(self.eps), float(self.eps))
-            if evaluate(self.rho, {self.t: t}) != 1.0:
-                inner_bad = {self.t: t}
-                break
-        lo, hi = self.region.box[self.t]
-        outer_bad = None
-        for _ in range(cfg.sample_count):
-            t = rng.uniform(float(self.eps_outer), max(hi, float(self.eps_outer) + 1.0))
-            t = t if rng.random() < 0.5 else -t
-            if evaluate(self.rho, {self.t: t}) != 0.0:
-                outer_bad = {self.t: t}
-                break
+        draws = range(cfg.sample_count)
+        eps, outer = float(self.eps), float(self.eps_outer)
+        inner = ({self.t: rng.uniform(-eps, eps)} for _ in draws)
+        inner_bad = next((p for p in inner if evaluate(self.rho, p) != 1.0), None)
+        hi = max(self.region.box[self.t][1], outer + 1.0)
+        # each point draws its magnitude, then its sign
+        beyond = (rng.uniform(outer, hi) for _ in draws)
+        outside = ({self.t: t if rng.random() < 0.5 else -t} for t in beyond)
+        outer_bad = next((p for p in outside if evaluate(self.rho, p) != 0.0), None)
         return StructuredReport(
             (
                 CheckEntry.from_witness("cutoff-inner", inner_bad),
@@ -164,7 +159,7 @@ def iso_decompose(
     entries = []
     for name, w in (("alpha-closed", alpha), ("beta-closed", beta)):
         out = vanishes_on(ext_d(w), td.region, cfg)
-        if out.status is ZeroStatus.NONZERO:
+        if out.nonzero:
             raise PreconditionError(
                 "%s input is not closed" % name.split("-")[0], witness=out.witness
             )

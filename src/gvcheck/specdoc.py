@@ -71,7 +71,7 @@ from .singular import TubularData, check_exactness_pipeline, d_f, iso_decompose,
 from .symbolic import ScalarExpr, ZeroTestConfig, is_zero_on, normalize, sym, to_latex
 from .syntax import Environment, ExprParser, ParseError, RESERVED, parse_number, tokenize
 from .testfn import BumpSpec, ClosedSetSpec, bump_sum, check_cover, flatness_check
-from .verdicts import CheckEntry, StructuredReport, ZeroOutcome, ZeroStatus
+from .verdicts import CheckEntry, StructuredReport, Verdict, ZeroOutcome
 
 DEFAULT_BOX = (-2.0, 2.0)
 _SAMPLING = ZeroTestConfig()  # the sampling defaults of a document
@@ -283,6 +283,8 @@ class _StatementParser(ExprParser):
         values = self.point_values()
         if len(values) != len(self.doc.coords) + 1:
             self.reject("ball needs %d center coordinates and a radius" % len(self.doc.coords))
+        if values[-1] <= 0:
+            self.reject("ball radius must be positive")
         center = {n: float(v) for n, v in zip(self.doc.coords, values[:-1])}
         return center, float(values[-1])
 
@@ -449,32 +451,33 @@ def _stmt_foliation(p: _StatementParser):
     region = p.on_region()
     p.expect("leafdim")
     leafdim = p.integer()
+    m = len(p.doc.coords)
+    if not 0 <= leafdim <= m:
+        p.reject("leaf dimension %d outside 0..%d" % (leafdim, m))
+    q = m - leafdim
     nu = None
     gens = None
     transverse = None
     while not p.done():
         if p.accept("nu"):
             nu = p.form_expression()
+            if nu.degree != q:
+                p.reject("defining form has degree %d, expected codimension %d" % (nu.degree, q))
         elif p.accept("gens"):
             gens = p.separated(lambda: p.one_form("decomposition entries must be 1-forms"))
         elif p.accept("transverse"):
             transverse = p.separated(p.coordinate)
         else:
             p.fail("expected 'nu', 'gens' or 'transverse', found %r" % p.peek().text)
-    m = len(p.doc.coords)
     if nu is None:
         if leafdim != m:
             p.fail("a foliation without a defining form must have leaf dimension %d" % m)
         p.doc.foliations[name] = one_leaf(name, region)
         return
-    q = m - leafdim
     if gens is None:
-        if q == 1:
-            gens = [nu]
-        elif q == 0:
-            gens = []
-        else:
+        if q > 1:
             p.fail("codimension %d needs an explicit gens list" % q)
+        gens = [nu] * q  # codimension 1: nu itself; codimension 0: none
     p.doc.foliations[name] = Foliation(
         name, region, leafdim, nu, tuple(gens),
         transverse=tuple(transverse) if transverse else None,
@@ -490,7 +493,10 @@ def _stmt_family(p: _StatementParser):
         if p.accept("saturated"):
             saturated = True
             break
-        members.append(p.lookup(p.doc.foliations, "foliation"))
+        member = p.lookup(p.doc.foliations, "foliation")
+        if any(f.name == member.name for f in members):
+            p.reject("family members must have distinct names")
+        members.append(member)
     p.expect_end()
     if not members:
         p.fail("a family needs at least one member")
@@ -505,6 +511,15 @@ def _stmt_mu(p: _StatementParser):
     value = p.one_form(_NOT_A_WITNESS)
     p.expect_end()
     p.doc.mus[fol.name] = value
+
+
+def _window_bounds(p: _StatementParser):
+    """``coord lo hi`` of a closed set's window, failing at hi unless lo < hi."""
+    coord = p.coordinate()
+    lo, hi = float(p.real()), float(p.real())
+    if not lo < hi:
+        p.reject("window bounds must satisfy lo < hi")
+    return coord, (lo, hi)
 
 
 def _stmt_closedset(p: _StatementParser):
@@ -528,8 +543,7 @@ def _stmt_closedset(p: _StatementParser):
             anchors.append(p.point())
     box = dict(p.doc.box)
     if p.accept("window"):
-        for coord, lo, hi in p.separated(lambda: (p.coordinate(), float(p.real()), float(p.real()))):
-            box[coord] = (lo, hi)
+        box.update(p.separated(lambda: _window_bounds(p)))
     p.expect_end()
     p.doc.closedsets[name] = ClosedSetSpec(
         p.doc.coords, box, kind, expr=expr, balls=tuple(balls), anchors=tuple(anchors)
@@ -543,11 +557,15 @@ def _stmt_bump(p: _StatementParser):
     values = p.point_values()
     if len(values) != len(p.doc.coords):
         p.reject("center needs %d coordinates" % len(p.doc.coords))
+    at_center = p.start
     p.expect("radius")
     radius = p.real()
     p.expect_end()
     center = dict(zip(p.doc.coords, values))
-    p.doc.bumps[name] = BumpSpec(center, radius, box=dict(p.doc.box))
+    try:
+        p.doc.bumps[name] = BumpSpec(center, radius, box=dict(p.doc.box))
+    except ValueError as e:  # BumpSpec checks the radius, then the support against the box
+        raise ParseError(str(e), col=p.start if radius <= 0 else at_center) from None
 
 
 def _stmt_testfn(p: _StatementParser):
@@ -573,9 +591,13 @@ def _stmt_tubular(p: _StatementParser):
     t = p.coordinate()
     p.expect("eps")
     eps = p.real()
+    if eps <= 0:
+        p.reject("need eps_outer > eps > 0")
     p.expect("outer")
     outer = p.real()
     p.expect_end()
+    if outer <= eps:
+        p.reject("need eps_outer > eps > 0")
     p.doc.tubulars[name] = TubularData(region, f, t, eps, outer)
 
 
@@ -637,7 +659,7 @@ def _check_rank(p: _StatementParser):
         ok = got == want
         # an exact comparison: equal ranks are proved, unequal ones refuted at the point
         out = ZeroOutcome(
-            ZeroStatus.PROVED_ZERO if ok else ZeroStatus.NONZERO,
+            Verdict.PASS if ok else Verdict.FAIL,
             witness=None if ok else dict(point),
             detail="rank %d at the sample point (expected %d)" % (got, want),
         )

@@ -59,8 +59,8 @@ construction:
   t = 0, with d psi0(t) = 2 psi0(t) (1 - psi0(t)) / t^3 * dt.  Its values
   lie in [0, 1/2].
 
-Zero testing is a semi-decision: PROVED-ZERO comes only from exact
-normalization, NONZERO only from a numeric witness that clears the
+Zero testing is a semi-decision: PASS comes only from exact
+normalization, FAIL only from a numeric witness that clears the
 configured tolerances at a sampled point, and everything else stays
 UNDECIDED.
 """
@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, EvaluationError
-from .verdicts import ZeroOutcome, ZeroStatus
+from .verdicts import Verdict, ZeroOutcome
 
 _MASK64 = (1 << 64) - 1
 
@@ -1186,14 +1186,14 @@ class ZeroTestConfig:
 def is_zero_on(e, region, cfg=None):
     """Tri-state zero test of ``e`` on a sampleable region.
 
-    PROVED-ZERO when normalization reduces e to the zero expression;
-    NONZERO with a witness point when a seeded sample clears the mixed
+    PASS when normalization reduces e to the zero expression; FAIL
+    with a witness point when a seeded sample clears the mixed
     absolute/relative tolerance; UNDECIDED otherwise.  ``region`` only
     needs a ``sample_point(seed, index)`` method.
     """
     e = normalize(e)
     if e.is_zero:
-        return ZeroOutcome(ZeroStatus.PROVED_ZERO)
+        return ZeroOutcome(Verdict.PASS)
     if cfg is None:
         cfg = ZeroTestConfig()
     max_abs = 0.0
@@ -1208,13 +1208,13 @@ def is_zero_on(e, region, cfg=None):
             continue
         threshold = cfg.abs_tol + cfg.rel_tol * scale
         if abs(v) > threshold:
-            return ZeroOutcome(ZeroStatus.NONZERO, witness=dict(point), value=v)
+            return ZeroOutcome(Verdict.FAIL, witness=dict(point), value=v)
         if abs(v) > max_abs:
             max_abs = abs(v)
     detail = "max |value| %.3e over %d samples" % (max_abs, cfg.sample_count - skipped)
     if skipped:
         detail += " (%d samples skipped: evaluation error)" % skipped
-    return ZeroOutcome(ZeroStatus.UNDECIDED, detail=detail)
+    return ZeroOutcome(Verdict.UNDECIDED, detail=detail)
 
 
 # ---------------------------------------------------------------------------

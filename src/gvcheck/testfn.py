@@ -134,6 +134,10 @@ class ClosedSetSpec:
         if self.kind != "zeroset" and self.expr is not None:
             raise ValueError("only the zeroset description takes an expression")
         object.__setattr__(self, "balls", tuple((dict(c), float(r)) for c, r in self.balls))
+        if any(r <= 0 for _, r in self.balls):
+            raise ValueError("ball radius must be positive")
+        if any(not lo < hi for lo, hi in self.box.values()):
+            raise ValueError("window bounds must satisfy lo < hi")
         object.__setattr__(self, "anchors", tuple(dict(a) for a in self.anchors))
 
     def _rejection(self, out: list, seed: int, count: int, keep) -> list:
@@ -219,19 +223,11 @@ def check_cover(phi, balls, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Structure
     complement samples.
     """
     complement = m0.sample_complement(cfg.rng_seed, cfg.sample_count, cfg.abs_tol)
-    for p in complement:
-        if not any(b.in_inner(p) for b in balls):
-            raise CoverageError(
-                "complement sample lies in no inner ball", witness=p
-            )
-    entries = [
-        CheckEntry(
-            "coverage",
-            Verdict.PASS,
-            detail="%d complement samples covered by %d inner balls"
-            % (len(complement), len(balls)),
-        )
-    ]
+    gap = next((p for p in complement if not any(b.in_inner(p) for b in balls)), None)
+    if gap:
+        raise CoverageError("complement sample lies in no inner ball", witness=gap)
+    covered = "%d complement samples covered by %d inner balls" % (len(complement), len(balls))
+    entries = [CheckEntry.from_witness("coverage", gap, passed=covered)]
     on_set = m0.sample_set(cfg.rng_seed, cfg.sample_count)
     bad_zero = next((p for p in on_set if evaluate(phi, p) != 0.0), None)
     entries.append(CheckEntry.from_witness("vanishes-on-set", bad_zero, "a bump support reaches the set"))

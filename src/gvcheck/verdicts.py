@@ -1,50 +1,14 @@
 """Tri-state verdicts shared by every checking layer.
 
 The mathematical layer answers "is this expression zero on this region"
-with a :class:`ZeroOutcome`: proved zero by exact normalization, refuted
-by a numeric witness, or undecided.  Report layers map outcomes onto
-PASS / FAIL / UNDECIDED, and an UNDECIDED is never upgraded to PASS.
+with a :class:`ZeroOutcome` whose status is a :class:`Verdict`: PASS when
+proved zero by exact normalization, FAIL when refuted by a numeric
+witness, UNDECIDED otherwise.  An UNDECIDED is never upgraded to PASS.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-
-
-class ZeroStatus(Enum):
-    PROVED_ZERO = "PROVED-ZERO"
-    NONZERO = "NONZERO"
-    UNDECIDED = "UNDECIDED"
-
-
-@dataclass(frozen=True)
-class ZeroOutcome:
-    """Result of a zero test, with a witness when the answer is NONZERO."""
-
-    status: ZeroStatus
-    witness: dict | None = None
-    value: float | None = None
-    detail: str = ""
-
-    @property
-    def proved(self):
-        return self.status is ZeroStatus.PROVED_ZERO
-
-    @property
-    def nonzero(self):
-        return self.status is ZeroStatus.NONZERO
-
-
-
-def combine_outcomes(outcomes):
-    """All proved -> proved; any refuted -> first refutation; else undecided."""
-    outcomes = list(outcomes)
-    for o in outcomes:
-        if o.nonzero:
-            return o
-    if all(o.proved for o in outcomes):
-        return ZeroOutcome(ZeroStatus.PROVED_ZERO)
-    return ZeroOutcome(ZeroStatus.UNDECIDED, detail="not settled by normalization or sampling")
 
 
 class Verdict(Enum):
@@ -66,12 +30,37 @@ def worst(verdicts) -> Verdict:
 EXIT_STATUS = {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.UNDECIDED: 2}
 
 
+@dataclass(frozen=True)
+class ZeroOutcome:
+    """Result of a zero test: PASS when proved zero, FAIL with a witness
+    when refuted, UNDECIDED otherwise."""
+
+    status: Verdict
+    witness: dict | None = None
+    value: float | None = None
+    detail: str = ""
+
+    @property
+    def proved(self):
+        return self.status is Verdict.PASS
+
+    @property
+    def nonzero(self):
+        return self.status is Verdict.FAIL
+
+
+def combine_outcomes(outcomes):
+    """The :func:`worst` of the statuses; a FAIL is the first refutation, with its witness."""
+    outcomes = list(outcomes)
+    status = worst(o.status for o in outcomes)
+    if status is Verdict.UNDECIDED:
+        return ZeroOutcome(status, detail="not settled by normalization or sampling")
+    return next((o for o in outcomes if o.nonzero), ZeroOutcome(status))
+
+
 def verdict_of(outcome: ZeroOutcome) -> Verdict:
-    if outcome.proved:
-        return Verdict.PASS
-    if outcome.nonzero:
-        return Verdict.FAIL
-    return Verdict.UNDECIDED
+    """The outcome's status, under the name the benchmark workloads import."""
+    return outcome.status
 
 
 @dataclass(frozen=True)
@@ -88,7 +77,7 @@ class CheckEntry:
     def from_outcome(cls, name, outcome: ZeroOutcome, detail="", witness_form=None):
         return cls(
             name=name,
-            verdict=verdict_of(outcome),
+            verdict=outcome.status,
             detail=detail or outcome.detail,
             witness_point=outcome.witness,
             witness_form=witness_form,
@@ -97,7 +86,8 @@ class CheckEntry:
     @classmethod
     def from_witness(cls, name, witness, detail="", passed=""):
         """A row refuted at a sampled witness point, or passed (with the
-        ``passed`` detail) when the sampling found none."""
+        ``passed`` detail) when the sampling found none: the one place where
+        "no counterexample sampled" becomes a PASS."""
         if witness:
             return cls(name, Verdict.FAIL, detail, witness_point=witness)
         return cls(name, Verdict.PASS, passed)

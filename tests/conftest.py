@@ -10,8 +10,10 @@ import random
 import pytest
 
 from gvcheck import (
+    CheckEntry,
     DiffForm,
     Region,
+    Verdict,
     ZeroTestConfig,
     box_region,
     exp,
@@ -43,6 +45,20 @@ class CountingRegion:
     def sample_point(self, seed, index):
         self.drawn.append((seed, index))
         return {"x": self.xs[index], "y": 0.0}
+
+
+@pytest.fixture
+def sampling_proves_nothing(monkeypatch):
+    """Patch ``CheckEntry.from_witness`` so that a sampled search which
+    found no counterexample gives UNDECIDED instead of PASS."""
+    plain = CheckEntry.from_witness.__func__
+
+    def undecided(cls, name, witness, detail="", passed=""):
+        if witness:
+            return plain(cls, name, witness, detail, passed)
+        return cls(name, Verdict.UNDECIDED, passed)
+
+    monkeypatch.setattr(CheckEntry, "from_witness", classmethod(undecided))
 
 
 @pytest.fixture

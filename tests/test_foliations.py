@@ -5,15 +5,16 @@ from gvcheck import (
     CoordinateMap,
     Foliation,
     FoliationFamily,
+    MuChoice,
     PiecewiseForm,
     PreconditionError,
     Region,
     Verdict,
-    ZeroStatus,
     basis_form,
     box_region,
     check_family,
     check_invariance,
+    check_minimal_vanishing,
     check_piecewise,
     differential,
     one_leaf,
@@ -201,6 +202,23 @@ def test_disjoint_members_report_no_overlap(cfg):
     assert entry.detail == "no overlap detected"
 
 
+def test_no_overlap_rows_rest_on_sampling(cfg, sampling_proves_nothing):
+    # "no overlap detected" is a sampled search that found no common point,
+    # so reading that as UNDECIDED turns every such row UNDECIDED
+    right, left = half(XY, x - 1, "right"), half(XY, -x - 1, "left")
+    fam = FoliationFamily((horizontal(right), one_leaf("L", left)), box=square_box(XY))
+    mus = MuChoice({"H": zero_form(XY, 1), "L": zero_form(XY, 1)})
+    pw = PiecewiseForm(((right, differential(XY, "y")), (left, differential(XY, "y"))), 1)
+    vanishing = check_minimal_vanishing(fam, mus, cfg)
+    rows = (
+        check_family(fam, cfg).entry("overlap-nesting[H<L]"),
+        check_piecewise(pw, cfg).entry("agree[right,left]"),
+        vanishing.entry("power-vanishing[L]"),
+        vanishing.entry("gv-vanishing[L]"),
+    )
+    assert [(e.verdict, e.detail) for e in rows] == [(Verdict.UNDECIDED, "no overlap detected")] * 4
+
+
 # ---------------------------------------------------------------------------
 # rank and strata
 
@@ -266,7 +284,7 @@ def test_invariance_refutes_leaf_mixing(plane, cfg):
     h = horizontal(plane)
     mix = CoordinateMap(XY, XY, {"x": x, "y": x + y})
     out = check_invariance(mix, h, cfg)
-    assert out.status is ZeroStatus.NONZERO
+    assert out.status is Verdict.FAIL
     assert out.witness is not None
 
 

@@ -13,7 +13,7 @@ from gvcheck import (
     DegreeError,
     DiffForm,
     PreconditionError,
-    ZeroStatus,
+    Verdict,
     basis_form,
     box_region,
     differential,
@@ -230,13 +230,13 @@ def test_forms_equal_tristate(space, cfg):
 
     c = dd("x") * (x * y)
     out = forms_equal(a, c, space, cfg)
-    assert out.status is ZeroStatus.NONZERO
+    assert out.status is Verdict.FAIL
     assert out.witness is not None
     assert "dx" in out.detail
 
     flat = dd("x") * (flatexp(x) * flatexp(-x))
     out2 = forms_equal(flat, zero_form(XYZ, 1), space, cfg)
-    assert out2.status is ZeroStatus.UNDECIDED
+    assert out2.status is Verdict.UNDECIDED
 
 
 def test_forms_equal_degree_mismatch(space, cfg):
@@ -256,7 +256,7 @@ def test_ideal_member_positive_and_negative(space, cfg):
     assert out.proved
 
     out2 = ideal_member(dd("x", "y"), gens, space, cfg)
-    assert out2.status is ZeroStatus.NONZERO
+    assert out2.status is Verdict.FAIL
     assert out2.witness is not None
 
 

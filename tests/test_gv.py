@@ -13,7 +13,6 @@ from gvcheck import (
     Region,
     UnsupportedShapeError,
     Verdict,
-    ZeroStatus,
     adapted_gauge,
     basis_form,
     check_basic,
@@ -131,7 +130,7 @@ def test_frobenius_fixtures(space, cfg):
 def test_frobenius_refutes_wrong_witness(space, cfg):
     fol = spiral(space)
     out = verify_frobenius(fol.nu, d3("y"), space, cfg)
-    assert out.status is ZeroStatus.NONZERO
+    assert out.status is Verdict.FAIL
     assert out.witness is not None
 
 
@@ -376,7 +375,7 @@ def test_check_basic_accepts_leafwise_constant(space, cfg):
 def test_check_basic_rejects_transverse_weight(space, cfg):
     fol = spiral(space)
     out = check_basic(z, fol, space, cfg)
-    assert out.status is ZeroStatus.NONZERO
+    assert out.status is Verdict.FAIL
     assert out.witness is not None
 
 

@@ -11,6 +11,7 @@ from gvcheck import (
     PreconditionError,
     TubularData,
     Verdict,
+    ZeroTestConfig,
     basis_form,
     check_exactness_pipeline,
     d_f,
@@ -22,6 +23,7 @@ from gvcheck import (
     gv_form,
     gv_weighted,
     iso_decompose,
+    mix_seed,
     phi_map,
     rat,
     scalar_form,
@@ -90,6 +92,29 @@ def test_tubular_validate_passes(space, cfg):
     rep = collar(space, y).validate(cfg)
     assert [e.name for e in rep.entries] == ["cutoff-inner", "cutoff-support"]
     assert rep.passed
+
+
+def test_tubular_validate_reports_the_first_bad_sample_of_each_band(space):
+    # a narrower inner band and a wider support than the collar declares
+    cfg = ZeroTestConfig(rng_seed=5)
+    td = collar(space, y)
+    object.__setattr__(td, "rho", collar(space, y, eps=Fraction(1, 8), outer=Fraction(1)).rho)
+    # the draws in order: each inner point's t, then each outer point's |t| and its sign
+    rng = random.Random(mix_seed(cfg.rng_seed, 0x7B))
+
+    def first_bad(draw, bad):
+        for index in range(cfg.sample_count):
+            t = draw()
+            if bad(evaluate(td.rho, {"y": t})):
+                return index, {"y": t}
+
+    inner = first_bad(lambda: rng.uniform(-0.25, 0.25), lambda v: v != 1.0)
+    outer = first_bad(lambda: rng.uniform(0.5, 2.0) * (1 if rng.random() < 0.5 else -1), lambda v: v != 0.0)
+    assert (inner[0], outer[0]) == (3, 3)
+    rep = td.validate(cfg)
+    assert rep.entry("cutoff-inner").witness_point == inner[1]
+    assert rep.entry("cutoff-support").witness_point == outer[1]
+    assert rep.verdict is Verdict.FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -465,6 +465,8 @@ class TestDiagnosticColumns:
         ("closedset C = balls (0, 0)", "(", "ball needs 2 center coordinates and a radius"),
         ("closedset C = complement balls (0, 0, 1, 2)", "(", "ball needs 2 center coordinates and a radius"),
         ("closedset C = zeroset x anchors (0)", "(", "point needs 2 coordinates"),
+        ("closedset W = balls (0, 0, -1/2)", "(", "ball radius must be positive"),
+        ("closedset C = complement balls (0, 0, 1/2) window x 1 -1", "-1", "window bounds must satisfy lo < hi"),
         ("bump b = center (0) radius 1", "(", "center needs 2 coordinates"),
         ("check rank fam at (0) expect 1", "(", "point needs 2 coordinates"),
     ])
@@ -477,8 +479,22 @@ class TestDiagnosticColumns:
     def test_bump_leaving_the_box_names_its_center_as_written(self):
         _, diagnostics = parse_spec("chart x y\nbump b = center (1.9, 0) radius 1\n")
         assert [str(d) for d in diagnostics] == [
-            "line 2: support ball of bump at (19/10, 0) leaves the chart box along 'x'"
+            "line 2, col 17: support ball of bump at (19/10, 0) leaves the chart box along 'x'"
         ]
+
+    @pytest.mark.parametrize("line, col, message", [
+        ("foliation F on R leafdim 7 nu dx", 26, "leaf dimension 7 outside 0..2"),
+        ("foliation F on R leafdim -1 nu dx", 26, "leaf dimension -1 outside 0..2"),
+        ("foliation F on R leafdim 1 nu dx^dy", 31, "defining form has degree 2, expected codimension 1"),
+        ("family f2 = K H K", 17, "family members must have distinct names"),
+        ("tubular td on R f y t y eps 1/2 outer 1/4", 39, "need eps_outer > eps > 0"),
+        ("tubular td on R f y t y eps 1/2 outer 1/2", 39, "need eps_outer > eps > 0"),
+        ("tubular td on R f y t y eps 0 outer 1/2", 29, "need eps_outer > eps > 0"),
+        ("bump b = center (0, 0) radius -1", 31, "bump radius must be a positive rational constant"),
+    ])
+    def test_constructor_check_is_reported_at_the_value(self, line, col, message):
+        _, diagnostics = parse_spec(self.FAMILY + "foliation K on R leafdim 2\n" + line + "\n")
+        assert [(d.line, d.col, d.message) for d in diagnostics] == [(6, col, message)]
 
     @pytest.mark.parametrize("line", [
         "box q -1 1",

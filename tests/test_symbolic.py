@@ -1,4 +1,5 @@
 """Exact scalar expressions: arithmetic, calculus, evaluation, zero testing."""
+import itertools
 import math
 import os
 import random
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from gvcheck import (
     EvaluationError,
     Region,
-    ZeroStatus,
+    Verdict,
     ZeroTestConfig,
     box_region,
     evaluate,
@@ -33,6 +34,7 @@ from gvcheck import (
 import gvcheck
 from gvcheck import symbolic
 from gvcheck.symbolic import MAX_EXPONENT, CoordGen, ScalarExpr, _eval_expr, _mono_items, _scale_at
+from gvcheck.verdicts import ZeroOutcome, combine_outcomes, worst
 from conftest import XY, CountingRegion, random_polynomial, random_scalar, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")
@@ -215,7 +217,7 @@ def test_coefficient_beyond_the_float_range_is_an_evaluation_error(plane, cfg):
         evaluate(e, {"x": 1.0})
     # an engine limit, not a refutation: every sample is skipped
     out = is_zero_on(e - x, plane, cfg)
-    assert out.status is ZeroStatus.UNDECIDED
+    assert out.status is Verdict.UNDECIDED
     assert "(32 samples skipped: evaluation error)" in out.detail
 
 
@@ -348,12 +350,12 @@ def test_substitute_agrees_with_evaluation():
 def test_zero_test_proves_exact_identities(plane, cfg):
     e = (x + y) ** 2 - x * x - 2 * x * y - y * y
     out = is_zero_on(e, plane, cfg)
-    assert out.status is ZeroStatus.PROVED_ZERO
+    assert out.status is Verdict.PASS
 
 
 def test_zero_test_refutes_with_witness(plane, cfg):
     out = is_zero_on(x * y - 1, plane, cfg)
-    assert out.status is ZeroStatus.NONZERO
+    assert out.status is Verdict.FAIL
     assert out.witness is not None
     assert set(out.witness) == {"x", "y"}
     assert abs(out.value) > cfg.abs_tol
@@ -365,7 +367,7 @@ def test_zero_test_undecided_on_flat_product(plane, cfg):
     # zero as a function, but no normalization rule proves it and every
     # sample evaluates to exactly 0.0, so no witness can clear the bar.
     out = is_zero_on(flatexp(x) * flatexp(-x), plane, cfg)
-    assert out.status is ZeroStatus.UNDECIDED
+    assert out.status is Verdict.UNDECIDED
 
 
 def test_zero_test_respects_region_constraints(cfg):
@@ -375,9 +377,23 @@ def test_zero_test_respects_region_constraints(cfg):
     # refute it on the right half plane, and proof is out of reach too.
     # Use a simpler certified case instead: x > 0 makes flatexp(-x) vanish.
     out = is_zero_on(flatexp(-x), right, cfg)
-    assert out.status is ZeroStatus.UNDECIDED
+    assert out.status is Verdict.UNDECIDED
     out_full = is_zero_on(flatexp(-x), r, cfg)
-    assert out_full.status is ZeroStatus.NONZERO
+    assert out_full.status is Verdict.FAIL
+
+
+def test_combined_outcome_is_the_worst_status_with_the_first_refutation():
+    proved = ZeroOutcome(Verdict.PASS)
+    undecided = ZeroOutcome(Verdict.UNDECIDED, detail="max |value| 0 over 32 samples")
+    first = ZeroOutcome(Verdict.FAIL, witness={"x": 1.0}, detail="first")
+    later = ZeroOutcome(Verdict.FAIL, witness={"x": 2.0}, detail="later")
+    for outcomes in itertools.product((proved, undecided, first, later), repeat=3):
+        combined = combine_outcomes(outcomes)
+        assert combined.status is worst(o.status for o in outcomes)
+        if combined.nonzero:
+            assert combined is next(o for o in outcomes if o.nonzero)
+    assert combine_outcomes([]) == proved
+    assert combine_outcomes([proved, undecided]).detail == "not settled by normalization or sampling"
 
 
 def test_sample_points_are_drawn_lazily_in_index_order():

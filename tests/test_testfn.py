@@ -113,6 +113,19 @@ def test_closed_set_kind_validation():
         ClosedSetSpec(XY, WINDOW, "balls", expr=x)
 
 
+@pytest.mark.parametrize("balls, box, message", [
+    ((({"x": 0.0, "y": 0.0}, -0.5),), WINDOW, "ball radius must be positive"),
+    ((({"x": 0.0, "y": 0.0}, 0),), WINDOW, "ball radius must be positive"),
+    ((), dict(WINDOW, x=(1.0, -1.0)), "window bounds must satisfy lo < hi"),
+    ((), dict(WINDOW, y=(1.0, 1.0)), "window bounds must satisfy lo < hi"),
+])
+def test_closed_set_value_validation(balls, box, message):
+    # a negative radius used to act as its absolute value, and a reversed
+    # window gave a complement with no point in it
+    with pytest.raises(ValueError, match=message):
+        ClosedSetSpec(XY, box, "complement-of-balls", balls=balls)
+
+
 def test_zeroset_membership_and_sampling():
     m0 = ClosedSetSpec(
         XY, WINDOW, "zeroset", expr=x * x + y * y, anchors=({"x": 0.0, "y": 0.0},)
