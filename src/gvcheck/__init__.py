@@ -28,9 +28,8 @@ from .errors import (
 )
 from .verdicts import (
     CheckEntry,
-    StructuredReport,
+    Outcome,
     Verdict,
-    ZeroOutcome,
     combine_outcomes,
 )
 from .symbolic import (
@@ -82,8 +81,6 @@ from .foliations import (
 )
 from .gv import (
     GVReport,
-    MuChoice,
-    ThetaResult,
     adapted_gauge,
     check_basic,
     check_minimal_vanishing,

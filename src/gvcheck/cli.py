@@ -22,7 +22,7 @@ import os
 import sys
 
 from .errors import GvError, WitnessedError
-from .gv import MuChoice, gv_min
+from .gv import gv_min
 from .runner import render_report, run_checks, start_report
 from .specdoc import parse_spec
 from .verdicts import EXIT_STATUS, Verdict
@@ -172,7 +172,7 @@ def _cmd_gv(args) -> int:
         return EXIT_USAGE
     settings = start_report(doc, seed, source, args.samples, args.abs_tol, args.rel_tol)
     try:
-        report = gv_min(fam, MuChoice(mus), rank, settings.config(0))
+        report = gv_min(fam, mus, rank, settings.config(0))
     except WitnessedError as e:
         sys.stdout.write("FAIL: %s\n" % e)
         if e.witness:
@@ -196,11 +196,11 @@ def _cmd_gv(args) -> int:
             lines.append("  on %s:  %s" % (label, piece))
     lines.append("glued: %s" % ("yes" if report.glued else "no"))
     lines.append("vanishing: %s   closedness: %s" % (
-        report.vanishing.verdict.value, report.closedness.verdict.value))
+        report.vanishing.status.value, report.closedness.status.value))
     for n in report.notes:
         lines.append("note: %s" % n)
     sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_STATUS[report.verdict]
+    return EXIT_STATUS[report.status]
 
 
 _parser = None  # built on the first call, then reused: parsing leaves it unchanged

@@ -27,7 +27,7 @@ from .forms import (
 )
 from .regions import Region, box_region, hull_box, intersect
 from .symbolic import ONE, ZeroTestConfig
-from .verdicts import CheckEntry, StructuredReport, Verdict, combine_outcomes
+from .verdicts import CheckEntry, Outcome, Verdict, combine_outcomes
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def one_leaf(name, region):
     return Foliation(name, region, len(coords), scalar_form(coords, ONE), ())
 
 
-def validate_foliation(fol: Foliation, cfg: ZeroTestConfig) -> StructuredReport:
+def validate_foliation(fol: Foliation, cfg: ZeroTestConfig) -> Outcome:
     """Semantic checks behind the foliation presentation.
 
     * decomposition-product: wedge of the transverse 1-forms equals nu;
@@ -111,7 +111,7 @@ def validate_foliation(fol: Foliation, cfg: ZeroTestConfig) -> StructuredReport:
                 witness_form=None if outcome.proved else str(residual),
             )
         )
-    return StructuredReport(tuple(entries))
+    return Outcome.of(entries)
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def _overlap_or_none(a: Region, b: Region, cfg):
     return ov
 
 
-def check_family(fam: FoliationFamily, cfg: ZeroTestConfig) -> StructuredReport:
+def check_family(fam: FoliationFamily, cfg: ZeroTestConfig) -> Outcome:
     """Family-level conditions.
 
     * member-validity: every member passes :func:`validate_foliation`;
@@ -197,7 +197,7 @@ def check_family(fam: FoliationFamily, cfg: ZeroTestConfig) -> StructuredReport:
         entries.append(
             CheckEntry(
                 "member-validity[%s]" % f.name,
-                rep.verdict,
+                rep.status,
                 detail="; ".join(
                     "%s: %s" % (e.name, e.verdict.value) for e in rep.entries if e.verdict is not Verdict.PASS
                 ),
@@ -237,7 +237,7 @@ def check_family(fam: FoliationFamily, cfg: ZeroTestConfig) -> StructuredReport:
             detail = "" if fj.decomposition else "larger-leaved member has no generators"
             entries.append(CheckEntry.from_outcome(label, outcome, detail=detail))
     notes.append("saturation asserted by user: %s" % ("yes" if fam.saturated else "no"))
-    return StructuredReport(tuple(entries), tuple(notes))
+    return Outcome.of(entries, notes)
 
 
 def rank_at(fam: FoliationFamily, point):
@@ -328,7 +328,6 @@ class PiecewiseForm:
 
     pieces: tuple  # of (Region, DiffForm)
     degree: int
-    label: str = ""
 
     def __post_init__(self):
         for _, f in self.pieces:
@@ -342,7 +341,7 @@ class PiecewiseForm:
         raise KeyError(region_name)
 
 
-def check_piecewise(pw: PiecewiseForm, cfg: ZeroTestConfig) -> StructuredReport:
+def check_piecewise(pw: PiecewiseForm, cfg: ZeroTestConfig) -> Outcome:
     """Pairwise overlap agreement of the pieces (tri-state per pair)."""
     entries = []
     for i, (ri, fi) in enumerate(pw.pieces):
@@ -354,4 +353,4 @@ def check_piecewise(pw: PiecewiseForm, cfg: ZeroTestConfig) -> StructuredReport:
                 entries.append(CheckEntry.from_witness(label, None, passed="no overlap detected"))
                 continue
             entries.append(CheckEntry.from_outcome(label, forms_equal(fi, fj, ov, cfg)))
-    return StructuredReport(tuple(entries))
+    return Outcome.of(entries)

@@ -28,7 +28,7 @@ from .symbolic import (
     substitute,
     to_latex,
 )
-from .verdicts import Verdict, ZeroOutcome, combine_outcomes
+from .verdicts import Outcome, Verdict, combine_outcomes
 
 
 def perm_sign(seq):
@@ -332,7 +332,7 @@ def forms_equal(a: DiffForm, b: DiffForm, region, cfg=None):
         o = is_zero_on(diff.coeffs[idx], region, cfg)
         if o.nonzero:
             detail = "coefficient of %s differs" % (diff._basis_str(idx) or "1")
-            return ZeroOutcome(Verdict.FAIL, witness=o.witness, value=o.value, detail=detail)
+            return Outcome(Verdict.FAIL, witness=o.witness, value=o.value, detail=detail)
         outcomes.append(o)
     return combine_outcomes(outcomes)
 

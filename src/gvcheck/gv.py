@@ -29,7 +29,7 @@ from .forms import (
 )
 from .regions import Region
 from .symbolic import ONE, ScalarExpr, ZeroTestConfig, evaluate, normalize, rat
-from .verdicts import CheckEntry, StructuredReport, Verdict, ZeroOutcome, worst
+from .verdicts import CheckEntry, Outcome, Verdict, worst
 
 _GAUGE_ADVICE = "consider a different Frobenius witness (gauge change mu -> mu + f*nu)"
 
@@ -93,7 +93,7 @@ def solve_mu(fol: Foliation, cfg: ZeroTestConfig | None = None) -> DiffForm:
     return mu
 
 
-def verify_frobenius(nu: DiffForm, mu: DiffForm, region: Region, cfg: ZeroTestConfig) -> ZeroOutcome:
+def verify_frobenius(nu: DiffForm, mu: DiffForm, region: Region, cfg: ZeroTestConfig) -> Outcome:
     """Tri-state verdict on the integrability identity d(nu) = nu ^ mu."""
     return forms_equal(ext_d(nu), wedge(nu, mu), region, cfg)
 
@@ -105,29 +105,19 @@ def gv_form(mu: DiffForm, q: int) -> DiffForm:
     return wedge(mu, form_power(ext_d(mu), q))
 
 
-@dataclass(frozen=True)
-class ThetaResult:
-    """Factorization nu_sub = nu_sup ^ theta with the sign that worked.
-
-    ``sign`` is +1 when the raw quotient form satisfied the identity as
-    written and -1 when the wedge-ordering correction was needed.
-    """
-
-    theta: DiffForm
-    sign: int
-    outcome: ZeroOutcome
-
-
 def solve_theta(
     f_sub: Foliation, f_sup: Foliation, overlap: Region, cfg: ZeroTestConfig
-) -> ThetaResult:
+) -> tuple:
     """Factor the smaller-leaved defining form through the larger one.
 
     Both foliations must be adapted with the sup's transverse
     coordinates a subset of the sub's.  The candidate is
     theta = (h_sub/h_sup) * d(tilde coordinates); the identity
     nu_sub = nu_sup ^ theta is then verified on the overlap, retrying
-    with -theta on a sign mismatch and recording which sign held.
+    with -theta on a sign mismatch.  Returns (theta, sign) for the
+    proved factorization: sign is +1 when the raw quotient form held as
+    written and -1 when the wedge-ordering correction was needed.
+    Raises when neither sign is proved.
     """
     h1 = adapted_gauge(f_sub)
     h2 = adapted_gauge(f_sup)
@@ -147,10 +137,10 @@ def solve_theta(
     theta0 = base * (h1 / h2)
     plus = forms_equal(f_sub.nu, wedge(f_sup.nu, theta0), overlap, cfg)
     if plus.proved:
-        return ThetaResult(theta0, 1, plus)
+        return theta0, 1
     minus = forms_equal(f_sub.nu, wedge(f_sup.nu, -theta0), overlap, cfg)
     if minus.proved:
-        return ThetaResult(-theta0, -1, minus)
+        return -theta0, -1
     raise GvError(
         "factorization failed for both signs (statuses %s / %s)"
         % (plus.status.value, minus.status.value)
@@ -174,7 +164,7 @@ def check_overlap_identities(
     theta: DiffForm,
     overlap: Region,
     cfg: ZeroTestConfig,
-) -> StructuredReport:
+) -> Outcome:
     """Ideal memberships tying the two witnesses together on an overlap.
 
     With q1 the codimension gap, q2 = codim of the larger-leaved
@@ -199,32 +189,17 @@ def check_overlap_identities(
         ("dtransition-membership", d_mu3),
         ("dmu-sub-membership", ext_d(mu1)),
     )
-    entries = []
-    for name, form in checks:
-        entries.append(CheckEntry.from_outcome(name, ideal_member(form, gens, overlap, cfg)))
-    return StructuredReport(tuple(entries))
+    return Outcome.of(
+        CheckEntry.from_outcome(name, ideal_member(form, gens, overlap, cfg)) for name, form in checks
+    )
 
 
-@dataclass(frozen=True)
-class MuChoice:
-    """A user-chosen Frobenius witness per family member, keyed by name."""
-
-    choices: dict
-
-    def for_member(self, name: str) -> DiffForm:
-        try:
-            return self.choices[name]
-        except KeyError:
-            raise KeyError("no mu supplied for foliation %r" % name) from None
-
-
-def check_minimal_vanishing(
-    fam: FoliationFamily, mu: MuChoice, cfg: ZeroTestConfig
-) -> StructuredReport:
+def check_minimal_vanishing(fam: FoliationFamily, mu: dict, cfg: ZeroTestConfig) -> Outcome:
     """Vanishing of the minimal-stratum GV form on larger-leaved overlaps.
 
-    Verifies each chosen witness first, then, writing mu_min for the
-    witness of the smallest-leaved member (codimension q_max), checks
+    ``mu`` maps each member's name to its Frobenius witness.  Verifies
+    each witness first, then, writing mu_min for the witness of the
+    smallest-leaved member (codimension q_max), checks
     (d mu_min)^(1+q_j) == 0 and gv_form(mu_min, q_max) == 0 on every
     overlap with a member of codimension q_j < q_max.  A refuted
     vanishing gets gauge-change advice in the detail.
@@ -237,10 +212,10 @@ def _minimal_vanishing(fam, mu, cfg):
     member and the GV form of its witness."""
     entries = []
     for f in fam.members:
-        out = verify_frobenius(f.nu, mu.for_member(f.name), f.region, cfg)
+        out = verify_frobenius(f.nu, mu[f.name], f.region, cfg)
         entries.append(CheckEntry.from_outcome("frobenius[%s]" % f.name, out))
     f_min = min(fam.members, key=lambda f: f.leaf_dim)
-    mu_min = mu.for_member(f_min.name)
+    mu_min = mu[f_min.name]
     q_max = f_min.codim
     d_mu = ext_d(mu_min)
     gv = gv_form(mu_min, q_max)
@@ -259,7 +234,7 @@ def _minimal_vanishing(fam, mu, cfg):
         for label, out in ((label_pow, out_pow), (label_gv, out_gv)):
             detail = _GAUGE_ADVICE if out.nonzero else ""
             entries.append(CheckEntry.from_outcome(label, out, detail=detail))
-    return StructuredReport(tuple(entries)), f_min, gv
+    return Outcome.of(entries), f_min, gv
 
 
 @dataclass(frozen=True)
@@ -273,17 +248,17 @@ class GVReport:
     rank: int
     degree: int
     piecewise: PiecewiseForm
-    vanishing: StructuredReport
-    closedness: StructuredReport
+    vanishing: Outcome
+    closedness: Outcome
     glued: bool
     notes: tuple = ()
 
     @property
-    def verdict(self) -> Verdict:
-        return worst((self.vanishing.verdict, self.closedness.verdict))
+    def status(self) -> Verdict:
+        return worst((self.vanishing.status, self.closedness.status))
 
 
-def gv_min(fam: FoliationFamily, mu: MuChoice, rank: int, cfg: ZeroTestConfig) -> GVReport:
+def gv_min(fam: FoliationFamily, mu: dict, rank: int, cfg: ZeroTestConfig) -> GVReport:
     """Glue the GV form of the rank stratum across the family.
 
     Restricts the family to members with leaf dimension >= rank, takes
@@ -310,21 +285,19 @@ def gv_min(fam: FoliationFamily, mu: MuChoice, rank: int, cfg: ZeroTestConfig) -
     for f in members:
         if f is not f_min:
             pieces.append((f.region, zero_form(fam.coords, degree)))
-    pw = PiecewiseForm(tuple(pieces), degree, label="gv-min[rank=%d]" % rank)
-    closedness = StructuredReport(
-        tuple(
-            CheckEntry.from_outcome("closed[%s]" % region.name, vanishes_on(ext_d(piece), region, cfg))
-            for region, piece in pw.pieces
-        )
+    pw = PiecewiseForm(tuple(pieces), degree)
+    closedness = Outcome.of(
+        CheckEntry.from_outcome("closed[%s]" % region.name, vanishes_on(ext_d(piece), region, cfg))
+        for region, piece in pw.pieces
     )
-    glued = vanishing.passed
+    glued = vanishing.proved
     notes = () if glued else ("gluing not certified: an overlap verdict stayed undecided",)
     return GVReport(rank, degree, pw, vanishing, closedness, glued, notes)
 
 
 def check_basic(
     phi: ScalarExpr, fol: Foliation, region: Region, cfg: ZeroTestConfig
-) -> ZeroOutcome:
+) -> Outcome:
     """Is phi constant along the leaves?  d(phi) must lie in the ideal."""
     dphi = ext_d(scalar_form(fol.coords, normalize(phi)))
     return ideal_member(dphi, fol.decomposition, region, cfg)
@@ -343,7 +316,7 @@ def require_basic(phi: ScalarExpr, fol: Foliation, cfg: ZeroTestConfig):
     return basic, dphi
 
 
-def weighted_gv_form(phi, mu: DiffForm, fol: Foliation, basic: ZeroOutcome, cfg: ZeroTestConfig):
+def weighted_gv_form(phi, mu: DiffForm, fol: Foliation, basic: Outcome, cfg: ZeroTestConfig):
     """The weighted GV form nu_bar = gv_form(phi*mu, q), q the codimension,
     and the plain gv_form(mu, q), with the rows every weighted report
     opens with: ``basic`` (the outcome of :func:`require_basic`),
@@ -376,4 +349,4 @@ def gv_weighted(phi: ScalarExpr, mu: DiffForm, fol: Foliation, cfg: ZeroTestConf
     basic, dphi = require_basic(phi, fol, cfg)
     nu_bar, plain, rows = weighted_gv_form(phi, mu, fol, basic, cfg)
     gradient = vanishes_on(wedge(dphi, plain), fol.region, cfg)
-    return nu_bar, StructuredReport(rows + (CheckEntry.from_outcome("gradient-wedge", gradient),))
+    return nu_bar, Outcome.of(rows + (CheckEntry.from_outcome("gradient-wedge", gradient),))

@@ -1,15 +1,17 @@
 """Execute a document's checks and render deterministic reports.
 
 What a check computes is its directive's ``run``, from
-:data:`gvcheck.specdoc.CHECKS`; this module times it, turns its errors
-into rows and renders the rows.  Each check runs under its own
-sub-seeded configuration, so reports do not depend on check order or on
-which other checks appear in the document.  Engine errors never escape:
-a check whose preconditions are refuted, or that cannot be sampled,
-becomes a FAIL row carrying the witness; anything unexpected becomes a
-FAIL row flagged as an internal error.  The JSON rendering is
-byte-deterministic for a fixed document and seed (timings are reported
-as null there; the text rendering shows live timings).
+:data:`gvcheck.specdoc.CHECKS`, which returns one
+:class:`~gvcheck.verdicts.Outcome` and its LaTeX; this module times the
+run, copies the outcome's fields into a report row and renders the
+rows.  Each check runs under its own sub-seeded configuration, so
+reports do not depend on check order or on which other checks appear in
+the document.  Engine errors never escape: a check whose preconditions
+are refuted, or that cannot be sampled, becomes a FAIL outcome carrying
+the witness; anything unexpected becomes a FAIL outcome flagged as an
+internal error.  The JSON rendering is byte-deterministic for a fixed
+document and seed (timings are reported as null there; the text
+rendering shows live timings).
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from .errors import GvError, WitnessedError
 from .specdoc import CheckDirective, SpecDocument
 from .symbolic import ZeroTestConfig, mix_seed
-from .verdicts import EXIT_STATUS, Verdict, ZeroOutcome, worst
+from .verdicts import EXIT_STATUS, Outcome, Verdict, worst
 
 SCHEMA_VERSION = 1
 
@@ -82,45 +84,31 @@ class RunReport:
         return cls(checks=checks, **raw)
 
 
-def _check_result(directive, result, latex, detail, timing_ms) -> CheckResult:
-    """The report row of one check from its engine result.
-
-    A zero test's row shows the test's own detail; a structured report
-    has none, so its row shows the run's.
-    """
-    if isinstance(result, ZeroOutcome):
-        verdict, witness, entries, notes = result.status, result.witness, (), ()
-        detail = result.detail
-    else:
-        verdict, witness, entries, notes = result.verdict, None, result.entries, result.notes
-    return CheckResult(
-        name=directive.label,
-        kind=directive.kind,
-        verdict=verdict.value,
-        detail=detail,
-        witness=witness,
-        entries=[dict(asdict(e), verdict=e.verdict.value) for e in entries],
-        notes=list(notes),
-        latex=latex,
-        timing_ms=timing_ms,
-    )
-
-
 def _execute(directive: CheckDirective, cfg: ZeroTestConfig) -> CheckResult:
     start = time.perf_counter()
-    latex = detail = ""
+    latex = ""
     try:
-        result, latex, detail = directive.run(cfg)
+        outcome, latex = directive.run(cfg)
     # an error becomes a FAIL row: a refuting outcome with the error's witness, if any
     except WitnessedError as e:
         message = str(e) + (("; " + e.detail) if e.detail else "")
-        result = ZeroOutcome(Verdict.FAIL, witness=e.witness, detail=message)
+        outcome = Outcome(Verdict.FAIL, witness=e.witness, detail=message)
     except (GvError, ValueError, KeyError, ZeroDivisionError) as e:
-        result = ZeroOutcome(Verdict.FAIL, detail="%s: %s" % (type(e).__name__, e))
+        outcome = Outcome(Verdict.FAIL, detail="%s: %s" % (type(e).__name__, e))
     except Exception as e:  # never let a run crash on one bad check
-        result = ZeroOutcome(Verdict.FAIL, detail="internal error (%s: %s)" % (type(e).__name__, e))
+        outcome = Outcome(Verdict.FAIL, detail="internal error (%s: %s)" % (type(e).__name__, e))
     elapsed = (time.perf_counter() - start) * 1000.0
-    return _check_result(directive, result, latex, detail, elapsed)
+    return CheckResult(
+        name=directive.label,
+        kind=directive.kind,
+        verdict=outcome.status.value,
+        detail=outcome.detail,
+        witness=outcome.witness,
+        entries=[dict(asdict(e), verdict=e.verdict.value) for e in outcome.entries],
+        notes=list(outcome.notes),
+        latex=latex,
+        timing_ms=elapsed,
+    )
 
 
 def start_report(doc: SpecDocument, seed, seed_source, samples, abs_tol, rel_tol) -> RunReport:

@@ -40,7 +40,7 @@ from .symbolic import (
     sym,
 )
 from .testfn import smooth_step
-from .verdicts import CheckEntry, StructuredReport
+from .verdicts import CheckEntry, Outcome
 
 REGULAR_VALUE_FLOOR = 1e-6
 
@@ -82,7 +82,7 @@ class TubularData:
             self, "projection", CoordinateMap(self.region.coords, self.region.coords, comps)
         )
 
-    def validate(self, cfg: ZeroTestConfig) -> StructuredReport:
+    def validate(self, cfg: ZeroTestConfig) -> Outcome:
         """Sampled cutoff invariants: 1 on the inner band, 0 outside the outer."""
         rng = Random(mix_seed(cfg.rng_seed, 0x7B))
         draws = range(cfg.sample_count)
@@ -94,7 +94,7 @@ class TubularData:
         beyond = (rng.uniform(outer, hi) for _ in draws)
         outside = ({self.t: t if rng.random() < 0.5 else -t} for t in beyond)
         outer_bad = next((p for p in outside if evaluate(self.rho, p) != 0.0), None)
-        return StructuredReport(
+        return Outcome.of(
             (
                 CheckEntry.from_witness("cutoff-inner", inner_bad),
                 CheckEntry.from_witness("cutoff-support", outer_bad),
@@ -169,7 +169,7 @@ def iso_decompose(
     if not beta.is_zero:
         composite = composite + wedge(df, tilde_extend(beta, td)) * (f ** (p - 1))
     entries.append(CheckEntry.from_outcome("df-closed", vanishes_on(d_f(f, composite), td.region, cfg)))
-    return composite, StructuredReport(tuple(entries))
+    return composite, Outcome.of(entries)
 
 
 def verify_exact(nu_bar: DiffForm, tau: DiffForm, region: Region, cfg: ZeroTestConfig):
@@ -209,7 +209,7 @@ def check_exactness_pipeline(
     td: TubularData,
     tau: DiffForm,
     cfg: ZeroTestConfig,
-) -> StructuredReport:
+) -> Outcome:
     """End-to-end verdicts for a weighted GV form and its primitive.
 
     Preconditions (each refutation raises with a witness): phi is basic
@@ -237,4 +237,4 @@ def check_exactness_pipeline(
         "slice connectedness is assumed, not verified",
         "min sampled gradient norm on the slice: %.3e" % floor,
     )
-    return StructuredReport(entries, notes)
+    return Outcome.of(entries, notes)

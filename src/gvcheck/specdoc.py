@@ -56,7 +56,6 @@ from .forms import (
     zero_form,
 )
 from .gv import (
-    MuChoice,
     check_basic,
     check_minimal_vanishing,
     check_overlap_identities,
@@ -68,10 +67,10 @@ from .gv import (
 )
 from .regions import Region, intersect
 from .singular import TubularData, check_exactness_pipeline, d_f, iso_decompose, verify_exact
-from .symbolic import ScalarExpr, ZeroTestConfig, is_zero_on, normalize, sym, to_latex
+from .symbolic import ONE, ScalarExpr, ZeroTestConfig, is_zero_on, normalize, sym, to_latex
 from .syntax import Environment, ExprParser, ParseError, RESERVED, parse_number, tokenize
 from .testfn import BumpSpec, ClosedSetSpec, bump_sum, check_cover, flatness_check
-from .verdicts import CheckEntry, StructuredReport, Verdict, ZeroOutcome
+from .verdicts import CheckEntry, Outcome, Verdict
 
 DEFAULT_BOX = (-2.0, 2.0)
 _SAMPLING = ZeroTestConfig()  # the sampling defaults of a document
@@ -103,7 +102,7 @@ class CheckDirective:
     index: int
     kind: str
     label: str
-    run: object  # made by CHECKS[kind]: ZeroTestConfig -> (engine result, LaTeX, detail)
+    run: object  # made by CHECKS[kind]: ZeroTestConfig -> (Outcome, LaTeX)
 
 
 @dataclass
@@ -148,10 +147,10 @@ class SpecDocument:
 class _StatementParser(ExprParser):
     """The token cursor over one statement, with its value readers.
 
-    The readers ``ident``, ``number``, ``real``, ``expression`` and
-    ``point_values`` record in ``start`` the column where their value
-    began, and :meth:`reject` fails there: a check made after a value
-    has been read points at that value.
+    The readers ``ident``, ``number``, ``real``, ``expression``,
+    ``separated`` and ``point_values`` record in ``start`` the column
+    where their value began, and :meth:`reject` fails there: a check
+    made after a value has been read points at that value.
     """
 
     def __init__(self, doc: SpecDocument, tokens):
@@ -259,10 +258,13 @@ class _StatementParser(ExprParser):
         return value
 
     def separated(self, read) -> list:
-        """One or more values read by ``read``, separated by commas."""
+        """One or more values read by ``read``, separated by commas; the
+        list's value begins at the first one."""
+        start = self.peek().col
         values = [read()]
         while self.accept(","):
             values.append(read())
+        self.start = start
         return values
 
     def point_values(self) -> list:
@@ -463,10 +465,16 @@ def _stmt_foliation(p: _StatementParser):
             nu = p.form_expression()
             if nu.degree != q:
                 p.reject("defining form has degree %d, expected codimension %d" % (nu.degree, q))
+            if q == 0 and nu.coefficient(()) != ONE:
+                p.reject("a one-leaf foliation must use the constant 0-form 1")
         elif p.accept("gens"):
             gens = p.separated(lambda: p.one_form("decomposition entries must be 1-forms"))
+            if len(gens) != q:
+                p.reject("decomposition must have exactly %d transverse 1-forms" % q)
         elif p.accept("transverse"):
             transverse = p.separated(p.coordinate)
+            if len(transverse) != q:
+                p.reject("transverse coordinate list must have length %d" % q)
         else:
             p.fail("expected 'nu', 'gens' or 'transverse', found %r" % p.peek().text)
     if nu is None:
@@ -602,15 +610,16 @@ def _stmt_tubular(p: _StatementParser):
 
 
 # check kinds: each reader parses a check's arguments and returns its run, cfg ->
-# (ZeroOutcome or StructuredReport, LaTeX, detail).  A run looks its engine functions
-# up by this module's names when it runs, so a patched binding (the benchmark's
-# tracer) takes effect, and builds its LaTeX after them: a check that raises has none.
+# (Outcome, LaTeX); the outcome is the whole report row but its name, kind, LaTeX
+# and timing.  A run looks its engine functions up by this module's names when it
+# runs, so a patched binding (the benchmark's tracer) takes effect, and builds its
+# LaTeX after them: a check that raises has none.
 
 
 def _check_zero(p: _StatementParser):
     expr = p.scalar_expression()
     region = p.on_region()
-    return lambda cfg: (is_zero_on(expr, region, cfg), r"%s \overset{?}{=} 0" % to_latex(expr), "")
+    return lambda cfg: (is_zero_on(expr, region, cfg), r"%s \overset{?}{=} 0" % to_latex(expr))
 
 
 def _check_forms_equal(p: _StatementParser):
@@ -621,7 +630,6 @@ def _check_forms_equal(p: _StatementParser):
     return lambda cfg: (
         forms_equal(left, right, region, cfg),
         r"%s \overset{?}{=} %s" % (left.to_latex(), right.to_latex()),
-        "",
     )
 
 
@@ -633,18 +641,17 @@ def _check_ideal_member(p: _StatementParser):
     return lambda cfg: (
         ideal_member(form, gens, region, cfg),
         r"%s \in \left\langle %s \right\rangle" % (form.to_latex(), ", ".join(g.to_latex() for g in gens)),
-        "",
     )
 
 
 def _check_foliation(p: _StatementParser):
     fol = p.lookup(p.doc.foliations, "foliation")
-    return lambda cfg: (validate_foliation(fol, cfg), r"\nu = %s" % fol.nu.to_latex(), "")
+    return lambda cfg: (validate_foliation(fol, cfg), r"\nu = %s" % fol.nu.to_latex())
 
 
 def _check_family(p: _StatementParser):
     fam = p.lookup(p.doc.families, "family")
-    return lambda cfg: (check_family(fam, cfg), "", "")
+    return lambda cfg: (check_family(fam, cfg), "")
 
 
 def _check_rank(p: _StatementParser):
@@ -658,19 +665,19 @@ def _check_rank(p: _StatementParser):
         got = rank_at(fam, point)
         ok = got == want
         # an exact comparison: equal ranks are proved, unequal ones refuted at the point
-        out = ZeroOutcome(
+        out = Outcome(
             Verdict.PASS if ok else Verdict.FAIL,
             witness=None if ok else dict(point),
             detail="rank %d at the sample point (expected %d)" % (got, want),
         )
-        return out, "", ""
+        return out, ""
     return run
 
 
 def _check_invariance(p: _StatementParser):
     phi = p.lookup(p.doc.maps, "map")
     fol = p.lookup(p.doc.foliations, "foliation")
-    return lambda cfg: (check_invariance(phi, fol, cfg), "", "")
+    return lambda cfg: (check_invariance(phi, fol, cfg), "")
 
 
 def _with_witness(p: _StatementParser):
@@ -686,7 +693,6 @@ def _check_frobenius(p: _StatementParser):
     return lambda cfg: (
         verify_frobenius(fol.nu, mu, fol.region, cfg),
         r"d\nu \overset{?}{=} \nu \wedge \mu,\ \mu = %s" % mu.to_latex(),
-        "",
     )
 
 
@@ -695,7 +701,7 @@ def _check_gv_closed(p: _StatementParser):
 
     def run(cfg):
         w = gv_form(mu, fol.codim)
-        return vanishes_on(ext_d(w), fol.region, cfg), r"d\left(%s\right) \overset{?}{=} 0" % w.to_latex(), ""
+        return vanishes_on(ext_d(w), fol.region, cfg), r"d\left(%s\right) \overset{?}{=} 0" % w.to_latex()
     return run
 
 
@@ -708,19 +714,19 @@ def _check_gv_form(p: _StatementParser):
     def run(cfg):
         w = gv_form(mu, fol.codim)
         out = forms_equal(w, expected, fol.region, cfg)
-        return out, r"\mu \wedge (d\mu)^{%d} = %s" % (fol.codim, w.to_latex()), ""
+        return out, r"\mu \wedge (d\mu)^{%d} = %s" % (fol.codim, w.to_latex())
     return run
 
 
 def _family_witnesses(p: _StatementParser):
     """A family and the witness of each member, the zero 1-form for a one-leaf one."""
     fam = p.lookup(p.doc.families, "family")
-    return fam, MuChoice({f.name: p.witness(f, one_leaf_zero=True) for f in fam.members})
+    return fam, {f.name: p.witness(f, one_leaf_zero=True) for f in fam.members}
 
 
 def _check_overlap_vanishing(p: _StatementParser):
     fam, mus = _family_witnesses(p)
-    return lambda cfg: (check_minimal_vanishing(fam, mus, cfg), "", "")
+    return lambda cfg: (check_minimal_vanishing(fam, mus, cfg), "")
 
 
 def _check_gv_min(p: _StatementParser):
@@ -734,14 +740,14 @@ def _check_gv_min(p: _StatementParser):
 
     def run(cfg):
         report = gv_min(fam, mus, rank, cfg)
-        rows = StructuredReport(report.vanishing.entries + report.closedness.entries, report.notes)
         detail = "degree %d form, glued with zero on %d region(s)" % (
             report.degree,
             len(report.piecewise.pieces) - 1,
         )
         if not report.glued:
             detail += "; gluing not established"
-        return rows, report.piecewise.pieces[0][1].to_latex(), detail
+        rows = Outcome.of(report.vanishing.entries + report.closedness.entries, report.notes, detail)
+        return rows, report.piecewise.pieces[0][1].to_latex()
     return run
 
 
@@ -752,7 +758,6 @@ def _check_basic(p: _StatementParser):
     return lambda cfg: (
         check_basic(weight, fol, fol.region, cfg),
         r"d\varphi \in \left\langle \nu \right\rangle,\ \varphi = %s" % to_latex(weight),
-        "",
     )
 
 
@@ -764,7 +769,7 @@ def _check_gv_weighted(p: _StatementParser):
 
     def run(cfg):
         nu_bar, report = gv_weighted(weight, mu, fol, cfg)
-        return report, r"\bar\nu = %s" % nu_bar.to_latex(), ""
+        return report, r"\bar\nu = %s" % nu_bar.to_latex()
     return run
 
 
@@ -776,9 +781,9 @@ def _check_overlap_identities(p: _StatementParser):
 
     def run(cfg):
         overlap = intersect(sub.region, sup.region, name="overlap")
-        theta = solve_theta(sub, sup, overlap, cfg)
-        report = check_overlap_identities(sub, sup, mu_sub, mu_sup, theta.theta, overlap, cfg)
-        return report, r"\theta = %s" % theta.theta.to_latex(), "theta sign %+d" % theta.sign
+        theta, sign = solve_theta(sub, sup, overlap, cfg)
+        report = check_overlap_identities(sub, sup, mu_sub, mu_sup, theta, overlap, cfg)
+        return Outcome.of(report.entries, detail="theta sign %+d" % sign), r"\theta = %s" % theta.to_latex()
     return run
 
 
@@ -791,19 +796,19 @@ def _check_theta(p: _StatementParser):
         # solve_theta returns only a proved factorization (it raises otherwise),
         # so the row's verdict is that of the optional comparison
         overlap = intersect(sub.region, sup.region, name="overlap")
-        res = solve_theta(sub, sup, overlap, cfg)
+        theta, sign = solve_theta(sub, sup, overlap, cfg)
         entries = ()
         if expected is not None:
-            cmp = forms_equal(res.theta, expected, overlap, cfg)
+            cmp = forms_equal(theta, expected, overlap, cfg)
             entries = (CheckEntry.from_outcome("matches-expected", cmp),)
-        return StructuredReport(entries), r"\theta = %s" % res.theta.to_latex(), "sign %+d" % res.sign
+        return Outcome.of(entries, detail="sign %+d" % sign), r"\theta = %s" % theta.to_latex()
     return run
 
 
 def _check_cover(p: _StatementParser):
     decl = p.lookup(p.doc.testfns, "test function")
     return lambda cfg: (
-        check_cover(decl.phi, decl.balls, decl.closedset, cfg), r"\varphi = %s" % to_latex(decl.phi), ""
+        check_cover(decl.phi, decl.balls, decl.closedset, cfg), r"\varphi = %s" % to_latex(decl.phi)
     )
 
 
@@ -811,7 +816,7 @@ def _check_flatness(p: _StatementParser):
     expr = p.scalar_expression()
     p.expect("near")
     m0 = p.lookup(p.doc.closedsets, "closed set")
-    return lambda cfg: (flatness_check(expr, m0, cfg), to_latex(expr), "")
+    return lambda cfg: (flatness_check(expr, m0, cfg), to_latex(expr))
 
 
 def _check_df_closed(p: _StatementParser):
@@ -822,7 +827,7 @@ def _check_df_closed(p: _StatementParser):
 
     def run(cfg):
         residual = d_f(f, form)
-        return vanishes_on(residual, region, cfg), r"d_f\,\omega = %s" % residual.to_latex(), ""
+        return vanishes_on(residual, region, cfg), r"d_f\,\omega = %s" % residual.to_latex()
     return run
 
 
@@ -834,7 +839,6 @@ def _check_exactness(p: _StatementParser):
     return lambda cfg: (
         verify_exact(form, primitive, region, cfg),
         r"d\left(%s\right) \overset{?}{=} %s" % (primitive.to_latex(), form.to_latex()),
-        "",
     )
 
 
@@ -848,7 +852,7 @@ def _check_exactness_pipeline(p: _StatementParser):
     p.expect("primitive")
     primitive = p.form_expression()
     return lambda cfg: (
-        check_exactness_pipeline(fol, weight, mu, td, primitive, cfg), r"\varphi = %s" % to_latex(weight), ""
+        check_exactness_pipeline(fol, weight, mu, td, primitive, cfg), r"\varphi = %s" % to_latex(weight)
     )
 
 
@@ -864,13 +868,13 @@ def _check_iso(p: _StatementParser):
 
     def run(cfg):
         composite, report = iso_decompose(weight, alpha, beta, td, cfg)
-        return report, composite.to_latex(), ""
+        return report, composite.to_latex()
     return run
 
 
 def _check_tubular(p: _StatementParser):
     td = p.lookup(p.doc.tubulars, "collar")
-    return lambda cfg: (td.validate(cfg), r"\rho = %s" % to_latex(td.rho), "")
+    return lambda cfg: (td.validate(cfg), r"\rho = %s" % to_latex(td.rho))
 
 
 CHECKS = {

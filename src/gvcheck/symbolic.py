@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, EvaluationError
-from .verdicts import Verdict, ZeroOutcome
+from .verdicts import Outcome, Verdict
 
 _MASK64 = (1 << 64) - 1
 
@@ -1193,7 +1193,7 @@ def is_zero_on(e, region, cfg=None):
     """
     e = normalize(e)
     if e.is_zero:
-        return ZeroOutcome(Verdict.PASS)
+        return Outcome(Verdict.PASS)
     if cfg is None:
         cfg = ZeroTestConfig()
     max_abs = 0.0
@@ -1208,13 +1208,13 @@ def is_zero_on(e, region, cfg=None):
             continue
         threshold = cfg.abs_tol + cfg.rel_tol * scale
         if abs(v) > threshold:
-            return ZeroOutcome(Verdict.FAIL, witness=dict(point), value=v)
+            return Outcome(Verdict.FAIL, witness=dict(point), value=v)
         if abs(v) > max_abs:
             max_abs = abs(v)
     detail = "max |value| %.3e over %d samples" % (max_abs, cfg.sample_count - skipped)
     if skipped:
         detail += " (%d samples skipped: evaluation error)" % skipped
-    return ZeroOutcome(Verdict.UNDECIDED, detail=detail)
+    return Outcome(Verdict.UNDECIDED, detail=detail)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .symbolic import (
     rat,
     sym,
 )
-from .verdicts import CheckEntry, StructuredReport, Verdict
+from .verdicts import CheckEntry, Outcome, Verdict
 
 FLAT_DISTANCES = (0.1, 0.01, 0.001)
 FLAT_TOL = 1e-6
@@ -214,7 +214,7 @@ def weak_test_from_cover(balls, m0: ClosedSetSpec, cfg: ZeroTestConfig):
     return phi, check_cover(phi, balls, m0, cfg)
 
 
-def check_cover(phi, balls, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> StructuredReport:
+def check_cover(phi, balls, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
     """Is ``phi``, the bump sum of ``balls``, a weak test function for the complement?
 
     The inner balls must cover every sampled complement point (a gap
@@ -233,7 +233,7 @@ def check_cover(phi, balls, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Structure
     entries.append(CheckEntry.from_witness("vanishes-on-set", bad_zero, "a bump support reaches the set"))
     bad_pos = next((p for p in complement if not evaluate(phi, p) > 0.0), None)
     entries.append(CheckEntry.from_witness("positive-on-complement", bad_pos))
-    return StructuredReport(tuple(entries))
+    return Outcome.of(entries)
 
 
 def _has_flat_atom(e: ScalarExpr) -> bool:
@@ -269,7 +269,7 @@ def _directional_fd(phi, base, direction, h, order, values):
     return (at(1.5 * h) - 3 * at(0.5 * h) + 3 * at(-0.5 * h) - at(-1.5 * h)) / (h ** 3)
 
 
-def flatness_check(phi, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> StructuredReport:
+def flatness_check(phi, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
     """Do all derivatives of phi vanish on approach to the set?
 
     For each anchor and seeded unit direction, directional derivatives
@@ -331,4 +331,4 @@ def flatness_check(phi, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> StructuredRep
                 witness_point=None if ok else worst_point,
             )
         )
-    return StructuredReport(tuple(entries))
+    return Outcome.of(entries)

@@ -1,13 +1,16 @@
 """Tri-state verdicts shared by every checking layer.
 
-The mathematical layer answers "is this expression zero on this region"
-with a :class:`ZeroOutcome` whose status is a :class:`Verdict`: PASS when
-proved zero by exact normalization, FAIL when refuted by a numeric
-witness, UNDECIDED otherwise.  An UNDECIDED is never upgraded to PASS.
+Every check answers with one :class:`Outcome` whose status is a
+:class:`Verdict`: PASS when proved by exact normalization, FAIL when
+refuted by a numeric witness, UNDECIDED otherwise.  An UNDECIDED is
+never upgraded to PASS.  A zero test's outcome carries its witness and
+value; a structured outcome, built by :meth:`Outcome.of`, carries named
+:class:`CheckEntry` rows and takes the :func:`worst` of their verdicts.
+The runner turns an outcome into a report row field by field.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -31,14 +34,23 @@ EXIT_STATUS = {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.UNDECIDED: 2}
 
 
 @dataclass(frozen=True)
-class ZeroOutcome:
-    """Result of a zero test: PASS when proved zero, FAIL with a witness
-    when refuted, UNDECIDED otherwise."""
+class Outcome:
+    """Result of a check: PASS when proved, FAIL when refuted (with a
+    witness, if any), UNDECIDED otherwise.  A structured outcome also
+    holds named entries and notes."""
 
     status: Verdict
     witness: dict | None = None
     value: float | None = None
     detail: str = ""
+    entries: tuple = ()
+    notes: tuple = ()
+
+    @classmethod
+    def of(cls, entries, notes=(), detail=""):
+        """A structured outcome: the :func:`worst` of its entries' verdicts."""
+        entries = tuple(entries)
+        return cls(worst(e.verdict for e in entries), detail=detail, entries=entries, notes=tuple(notes))
 
     @property
     def proved(self):
@@ -48,17 +60,23 @@ class ZeroOutcome:
     def nonzero(self):
         return self.status is Verdict.FAIL
 
+    def entry(self, name):
+        for e in self.entries:
+            if e.name == name:
+                return e
+        raise KeyError(name)
+
 
 def combine_outcomes(outcomes):
     """The :func:`worst` of the statuses; a FAIL is the first refutation, with its witness."""
     outcomes = list(outcomes)
     status = worst(o.status for o in outcomes)
     if status is Verdict.UNDECIDED:
-        return ZeroOutcome(status, detail="not settled by normalization or sampling")
-    return next((o for o in outcomes if o.nonzero), ZeroOutcome(status))
+        return Outcome(status, detail="not settled by normalization or sampling")
+    return next((o for o in outcomes if o.nonzero), Outcome(status))
 
 
-def verdict_of(outcome: ZeroOutcome) -> Verdict:
+def verdict_of(outcome: Outcome) -> Verdict:
     """The outcome's status, under the name the benchmark workloads import."""
     return outcome.status
 
@@ -74,7 +92,7 @@ class CheckEntry:
     witness_form: str | None = None
 
     @classmethod
-    def from_outcome(cls, name, outcome: ZeroOutcome, detail="", witness_form=None):
+    def from_outcome(cls, name, outcome: Outcome, detail="", witness_form=None):
         return cls(
             name=name,
             verdict=outcome.status,
@@ -91,25 +109,3 @@ class CheckEntry:
         if witness:
             return cls(name, Verdict.FAIL, detail, witness_point=witness)
         return cls(name, Verdict.PASS, passed)
-
-
-@dataclass(frozen=True)
-class StructuredReport:
-    """A bag of named entries with an aggregate verdict."""
-
-    entries: tuple = field(default_factory=tuple)
-    notes: tuple = field(default_factory=tuple)
-
-    def entry(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    @property
-    def verdict(self) -> Verdict:
-        return worst(e.verdict for e in self.entries)
-
-    @property
-    def passed(self):
-        return self.verdict is Verdict.PASS

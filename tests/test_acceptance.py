@@ -22,7 +22,6 @@ from gvcheck import (
     Foliation,
     FoliationFamily,
     GluingError,
-    MuChoice,
     PreconditionError,
     Region,
     TubularData,
@@ -149,11 +148,10 @@ def test_criterion_04_nested_pair_theta_and_overlap_identities(cfg):
         "Curves", region, 1, nu_sub, (d3("y") * exp(x), d3("z")), transverse=("y", "z")
     )
     surf = Foliation("Surf", region, 2, d3("z"), (d3("z"),), transverse=("z",))
-    res = solve_theta(curves, surf, region, cfg)
-    assert res.outcome.proved
-    assert forms_equal(nu_sub, wedge(d3("z"), res.theta), region, cfg).proved
+    theta, _ = solve_theta(curves, surf, region, cfg)
+    assert forms_equal(nu_sub, wedge(d3("z"), theta), region, cfg).proved
     rep = check_overlap_identities(
-        curves, surf, d3("x"), zero_form(XYZ, 1), res.theta, region, cfg
+        curves, surf, d3("x"), zero_form(XYZ, 1), theta, region, cfg
     )
     assert [e.name for e in rep.entries] == [
         "dtheta-residual",
@@ -161,7 +159,7 @@ def test_criterion_04_nested_pair_theta_and_overlap_identities(cfg):
         "dtransition-membership",
         "dmu-sub-membership",
     ]
-    assert rep.passed
+    assert rep.proved
 
 
 def glued_fixture():
@@ -177,17 +175,17 @@ def glued_fixture():
 def test_criterion_05_minimal_stratum_invariant_glues(cfg):
     """Vanishing on the larger-leaved overlap glues the piecewise form."""
     fam, mu0, shell = glued_fixture()
-    mus = MuChoice({"Leaves": mu0, "Whole": zero_form(XYZ, 1)})
+    mus = {"Leaves": mu0, "Whole": zero_form(XYZ, 1)}
     # the gauge curvature vanishes to the order the open-set member needs
     assert forms_equal(form_power_of_dmu(mu0, 1), zero_form(XYZ, 2), shell, cfg).proved
-    assert check_minimal_vanishing(fam, mus, cfg).passed
+    assert check_minimal_vanishing(fam, mus, cfg).proved
     report = gv_min(fam, mus, 2, cfg)
     assert report.glued
     assert report.degree == 3
     assert report.piecewise.piece_on("core") == gv_form(mu0, 1)
     assert report.piecewise.piece_on("shell").is_zero
-    assert report.verdict.value == "PASS"
-    bad = MuChoice({"Leaves": mu0 + d3("y") * z, "Whole": zero_form(XYZ, 1)})
+    assert report.status.value == "PASS"
+    bad = {"Leaves": mu0 + d3("y") * z, "Whole": zero_form(XYZ, 1)}
     with pytest.raises(GluingError) as err:
         gv_min(fam, bad, 2, cfg)
     assert err.value.witness is not None
@@ -208,7 +206,7 @@ def test_criterion_06_weighted_invariant_for_a_basic_weight(cfg):
     phi = y * exp(-x)
     assert check_basic(phi, fol, region, cfg).proved
     nu_bar, rep = gv_weighted(phi, mu, fol, cfg)
-    assert rep.passed
+    assert rep.proved
     assert forms_equal(nu_bar, gv_form(mu, 1) * (phi * phi), region, cfg).proved
     assert forms_equal(ext_d(nu_bar), zero_form(XYZ, 4), region, cfg).proved
     refusal = check_basic(z, fol, region, cfg)
@@ -227,14 +225,14 @@ def test_criterion_07_flatness_estimates_and_weak_test_cover():
     cfg = ZeroTestConfig()
     quad = x * x + y * y
     rep = flatness_check(quad, origin, cfg)
-    assert not rep.passed
+    assert not rep.proved
     order2 = rep.entry("order-2")
     estimates = [float(v) for v in re.findall(r": ([0-9.e+-]+)", order2.detail)]
     assert len(estimates) == 3
     for value in estimates:
         assert abs(value - 2.0) <= 0.2  # second derivative of |x|^2 is 2
     strong = flatness_check(strengthen(quad), origin, cfg)
-    assert strong.passed
+    assert strong.proved
     for entry in strong.entries:
         if not entry.name.startswith("order-"):
             continue
@@ -248,7 +246,7 @@ def test_criterion_07_flatness_estimates_and_weak_test_cover():
     )
     cfg64 = ZeroTestConfig(sample_count=64)
     phi, cover = weak_test_from_cover(balls, origin, cfg64)
-    assert cover.passed
+    assert cover.proved
     assert "64 complement samples covered by 4 inner balls" in cover.entry("coverage").detail
 
 
@@ -286,7 +284,7 @@ def test_criterion_09_exactness_pipeline_and_critical_weight_control(cfg):
         "transversal",
         "exactness",
     ]
-    assert rep.passed
+    assert rep.proved
     nu_bar, _ = gv_weighted(phi, mu, fol, cfg)
     assert verify_exact(nu_bar * phi, tau, region, cfg).proved
     # the square of the weight has a critical zero level

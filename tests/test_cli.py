@@ -1,5 +1,6 @@
 """End-to-end tests for the command line and the check runner."""
 
+import ast
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import gvcheck.cli
 import gvcheck.runner
 from gvcheck.cli import ENV_SEED, build_parser, main
-from gvcheck.gv import MuChoice, gv_min
+from gvcheck.gv import gv_min
 from gvcheck.runner import CheckResult, RunReport, render_json, render_report, run_checks
 from gvcheck.specdoc import parse_spec
 from gvcheck.symbolic import ZeroTestConfig
@@ -316,6 +317,38 @@ class TestGvVerb:
         assert run_cli(["gv", str(spec)]) == 3
         assert "exactly one family" in capsys.readouterr().err
 
+    FAMILY = (
+        "chart x y z\nregion Core = 1 - x^2 - y^2 - z^2 > 0\nregion Whole = all\n"
+        "foliation L on Core leafdim 2 nu dy transverse y\nfoliation W on Whole leafdim 3\nfamily fam = L W\n"
+    )
+
+    def test_refuted_vanishing_prints_the_witness_and_advice(self, tmp_path, capsys):
+        spec = tmp_path / "refuted.fol"
+        spec.write_text(self.FAMILY + "mu L = z*dy\n")
+        assert run_cli(["gv", str(spec)]) == 1
+        head, witness, advice = capsys.readouterr().out.splitlines()
+        assert head == "FAIL: overlap vanishing refuted: power-vanishing[W]"
+        # the witness is a sampled point of the overlap, inside Core's ball
+        point = ast.literal_eval(witness.removeprefix("witness: "))
+        assert set(point) == {"x", "y", "z"} and sum(v * v for v in point.values()) < 1
+        assert advice == "consider a different Frobenius witness (gauge change mu -> mu + f*nu)"
+
+    def test_undecided_vanishing_is_not_glued(self, tmp_path, capsys):
+        # flatexp(x)*flatexp(-x) is zero, but no normalization proves it
+        text = self.FAMILY + "mu L = flatexp(x)*flatexp(-x)*z*dx\n"
+        spec = tmp_path / "undecided.fol"
+        spec.write_text(text)
+        assert run_cli(["gv", str(spec)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[-3:] == [
+            "glued: no",
+            "vanishing: UNDECIDED   closedness: PASS",
+            "note: gluing not certified: an overlap verdict stayed undecided",
+        ]
+        (row,) = run_checks(parse_doc(text + "check gv-min fam rank 2\n")).checks
+        assert row.verdict == "UNDECIDED"
+        assert row.detail.endswith("; gluing not established")
+
     def test_missing_mu_is_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "nomu.fol"
         spec.write_text(
@@ -387,11 +420,23 @@ class TestRunnerApi:
             "foliation H on R leafdim 1 nu dy transverse y\nmu H = 0*dx\nfamily fam = H\n"
             "check gv-min fam rank 1 as wrong-rank\n"
         )
-        fam, mus = doc.families["fam"], MuChoice(dict(doc.mus))
-        doc.checks[0] = replace(doc.checks[0], run=lambda cfg: (gv_min(fam, mus, 2, cfg), "", ""))
+        fam, mus = doc.families["fam"], dict(doc.mus)
+        doc.checks[0] = replace(doc.checks[0], run=lambda cfg: (gv_min(fam, mus, 2, cfg), ""))
         row = run_checks(doc, seed=5, seed_source="flag").checks[0]
         assert (row.verdict, row.witness, row.entries, row.latex) == ("FAIL", None, [], "")
         assert row.detail == "ValueError: rank 2 is not the leaf dimension of any member"
+
+    def test_unexpected_error_becomes_internal_error_row(self):
+        doc = parse_doc(TINY_DOC)
+
+        def run(cfg):
+            raise TypeError("unsupported operand")
+        doc.checks[0] = replace(doc.checks[0], run=run)
+        report = run_checks(doc, seed=5, seed_source="flag")
+        (row,) = report.checks
+        assert (row.verdict, row.witness, row.entries, row.latex) == ("FAIL", None, [], "")
+        assert row.detail == "internal error (TypeError: unsupported operand)"
+        assert report.exit_code() == 1
 
     @pytest.mark.parametrize("expr, value", [
         # undefined at the second base point's first order-1 probe point

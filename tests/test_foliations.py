@@ -5,7 +5,6 @@ from gvcheck import (
     CoordinateMap,
     Foliation,
     FoliationFamily,
-    MuChoice,
     PiecewiseForm,
     PreconditionError,
     Region,
@@ -75,14 +74,14 @@ def test_codim_and_one_leaf(plane):
 
 def test_validate_accepts_horizontal(plane, cfg):
     rep = validate_foliation(horizontal(plane), cfg)
-    assert rep.passed
+    assert rep.proved
     names = [e.name for e in rep.entries]
     assert names == ["decomposition-product", "independence", "integrability[0]"]
 
 
 def test_validate_accepts_spiral(space, cfg):
     rep = validate_foliation(spiral(space), cfg)
-    assert rep.passed
+    assert rep.proved
 
 
 def test_validate_flags_bad_decomposition_product(space, cfg):
@@ -90,7 +89,7 @@ def test_validate_flags_bad_decomposition_product(space, cfg):
     fol = Foliation("F", space, 2, nu, (differential(XYZ, "y"),))
     rep = validate_foliation(fol, cfg)
     assert rep.entry("decomposition-product").verdict is Verdict.FAIL
-    assert rep.verdict is Verdict.FAIL
+    assert rep.status is Verdict.FAIL
 
 
 def test_validate_flags_dependent_generators(space, cfg):
@@ -109,7 +108,7 @@ def test_validate_refutes_contact_form(space, cfg):
     entry = rep.entry("integrability[0]")
     assert entry.verdict is Verdict.FAIL
     assert entry.witness_form == "dx^dy^dz"
-    assert rep.verdict is Verdict.FAIL
+    assert rep.status is Verdict.FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +136,7 @@ def test_family_construction_guards(plane):
 def test_check_family_happy_path(plane, cfg):
     fam = FoliationFamily((horizontal(plane), one_leaf("top", plane)), saturated=True)
     rep = check_family(fam, cfg)
-    assert rep.passed
+    assert rep.proved
     names = [e.name for e in rep.entries]
     assert "member-validity[H]" in names
     assert "distinct-leaf-dims" in names
@@ -207,7 +206,7 @@ def test_no_overlap_rows_rest_on_sampling(cfg, sampling_proves_nothing):
     # so reading that as UNDECIDED turns every such row UNDECIDED
     right, left = half(XY, x - 1, "right"), half(XY, -x - 1, "left")
     fam = FoliationFamily((horizontal(right), one_leaf("L", left)), box=square_box(XY))
-    mus = MuChoice({"H": zero_form(XY, 1), "L": zero_form(XY, 1)})
+    mus = {"H": zero_form(XY, 1), "L": zero_form(XY, 1)}
     pw = PiecewiseForm(((right, differential(XY, "y")), (left, differential(XY, "y"))), 1)
     vanishing = check_minimal_vanishing(fam, mus, cfg)
     rows = (
@@ -306,7 +305,7 @@ def test_piecewise_guards_and_lookup(plane):
     r1 = half(XY, x, "right")
     r2 = half(XY, -x, "left")
     f = differential(XY, "y") * x
-    pw = PiecewiseForm(((r1, f), (r2, zero_form(XY, 1))), 1, label="w")
+    pw = PiecewiseForm(((r1, f), (r2, zero_form(XY, 1))), 1)
     assert pw.piece_on("right") == f
     with pytest.raises(KeyError):
         pw.piece_on("middle")
@@ -319,7 +318,7 @@ def test_check_piecewise_agreement(cfg):
     r2 = half(XY, x - 1, "narrow")         # x > 1
     same = differential(XY, "y") * (x * x)
     pw = PiecewiseForm(((r1, same), (r2, same)), 1)
-    assert check_piecewise(pw, cfg).passed
+    assert check_piecewise(pw, cfg).proved
 
     other = differential(XY, "y") * x
     pw2 = PiecewiseForm(((r1, same), (r2, other)), 1)
@@ -337,4 +336,4 @@ def test_check_piecewise_disjoint_pieces(cfg):
     )
     rep = check_piecewise(pw, cfg)
     assert rep.entries[0].detail == "no overlap detected"
-    assert rep.passed
+    assert rep.proved

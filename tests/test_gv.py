@@ -8,7 +8,6 @@ from gvcheck import (
     FoliationFamily,
     GluingError,
     GVReport,
-    MuChoice,
     PreconditionError,
     Region,
     UnsupportedShapeError,
@@ -186,11 +185,10 @@ def nested_pair(space):
 
 def test_solve_theta_finds_the_sign(space, cfg):
     curves, sheets = nested_pair(space)
-    res = solve_theta(curves, sheets, space, cfg)
-    assert res.sign == -1
-    assert res.theta == d3("y") * (-exp(x))
-    assert res.outcome.proved
-    assert forms_equal(curves.nu, wedge(sheets.nu, res.theta), space, cfg).proved
+    theta, sign = solve_theta(curves, sheets, space, cfg)
+    assert sign == -1
+    assert theta == d3("y") * (-exp(x))
+    assert forms_equal(curves.nu, wedge(sheets.nu, theta), space, cfg).proved
 
 
 def test_solve_theta_plain_orientation(space, cfg):
@@ -203,9 +201,9 @@ def test_solve_theta_plain_orientation(space, cfg):
         transverse=("y", "z"),
     )
     sheets = Foliation("S2", space, 2, d3("y"), (d3("y"),), transverse=("y",))
-    res = solve_theta(curves, sheets, space, cfg)
-    assert res.sign == 1
-    assert res.theta == d3("z")
+    theta, sign = solve_theta(curves, sheets, space, cfg)
+    assert sign == 1
+    assert theta == d3("z")
 
 
 def test_solve_theta_preconditions(space, cfg):
@@ -231,7 +229,7 @@ def test_transition_mu_signs():
 
 def test_overlap_identities_nested_fixture(space, cfg):
     curves, sheets = nested_pair(space)
-    theta = solve_theta(curves, sheets, space, cfg).theta
+    theta, _ = solve_theta(curves, sheets, space, cfg)
     rep = check_overlap_identities(curves, sheets, d3("x"), zero_form(XYZ, 1), theta, space, cfg)
     assert [e.name for e in rep.entries] == [
         "dtheta-residual",
@@ -239,7 +237,7 @@ def test_overlap_identities_nested_fixture(space, cfg):
         "dtransition-membership",
         "dmu-sub-membership",
     ]
-    assert rep.passed
+    assert rep.proved
 
 
 def test_overlap_identities_need_a_gap(space, cfg):
@@ -254,7 +252,7 @@ def test_overlap_identities_catch_corrupted_witness(space, cfg):
     """A witness whose differential escapes the sup ideal breaks three of
     the four memberships; the remaining one dies on a repeated factor."""
     curves, sheets = nested_pair(space)
-    theta = solve_theta(curves, sheets, space, cfg).theta
+    theta, _ = solve_theta(curves, sheets, space, cfg)
     bad = d3("x") + d3("x") * y  # d(bad) = dy^dx escapes the ideal (dz)
     rep = check_overlap_identities(curves, sheets, bad, zero_form(XYZ, 1), theta, space, cfg)
     assert rep.entry("dmu-sub-membership").verdict is Verdict.FAIL
@@ -277,15 +275,8 @@ def glued_family():
     )
     fam = FoliationFamily((leaves, one_leaf("W", shell)), box=square_box(XYZ))
     mu0 = d3("x") * (-2 * x / h)
-    mu = MuChoice({"L": mu0, "W": zero_form(XYZ, 1)})
+    mu = {"L": mu0, "W": zero_form(XYZ, 1)}
     return fam, mu, mu0
-
-
-def test_mu_choice_lookup():
-    mu = MuChoice({"L": d3("x")})
-    assert mu.for_member("L") == d3("x")
-    with pytest.raises(KeyError):
-        mu.for_member("missing")
 
 
 def test_check_minimal_vanishing_passes_glued_fixture(cfg):
@@ -298,7 +289,7 @@ def test_check_minimal_vanishing_passes_glued_fixture(cfg):
         "power-vanishing[W]",
         "gv-vanishing[W]",
     ]
-    assert rep.passed
+    assert rep.proved
 
 
 def test_gv_min_glues_with_zero(cfg):
@@ -308,7 +299,7 @@ def test_gv_min_glues_with_zero(cfg):
     assert report.rank == 2
     assert report.degree == 3
     assert report.glued
-    assert report.verdict is Verdict.PASS
+    assert report.status is Verdict.PASS
     assert report.piecewise.piece_on("core") == gv_form(mu0, 1)
     assert report.piecewise.piece_on("shell").is_zero
     assert all(e.verdict is Verdict.PASS for e in report.closedness.entries)
@@ -342,10 +333,10 @@ def test_gv_min_restricts_to_requested_rank(cfg):
 
 def test_gv_min_rejects_corrupted_gauge(cfg):
     fam, mu, mu0 = glued_family()
-    broken = MuChoice({"L": mu0 + d3("y") * z, "W": zero_form(XYZ, 1)})
+    broken = {"L": mu0 + d3("y") * z, "W": zero_form(XYZ, 1)}
     # the corrupted witness still satisfies the Frobenius identity ...
     leaves = fam.member("L")
-    assert verify_frobenius(leaves.nu, broken.for_member("L"), leaves.region, cfg).proved
+    assert verify_frobenius(leaves.nu, broken["L"], leaves.region, cfg).proved
     # ... but its curvature no longer vanishes on the overlap
     with pytest.raises(GluingError) as err:
         gv_min(fam, broken, 2, cfg)
@@ -356,10 +347,10 @@ def test_gv_min_rejects_corrupted_gauge(cfg):
 def test_gv_min_single_member_family_is_vacuously_glued(space, cfg):
     fol = spiral(space)
     fam = FoliationFamily((fol,), box=square_box(XYZ))
-    report = gv_min(fam, MuChoice({"F": spiral_mu()}), 2, cfg)
+    report = gv_min(fam, {"F": spiral_mu()}, 2, cfg)
     assert report.glued
     assert report.piecewise.pieces[0][1] == basis_form(XYZ, ("x", "y", "z"))
-    assert report.verdict is Verdict.PASS
+    assert report.status is Verdict.PASS
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +381,7 @@ def test_gv_weighted_identity_and_closedness(space, cfg):
     mu = spiral_mu()
     phi = y * exp(-x)
     nu_bar, rep = gv_weighted(phi, mu, fol, cfg)
-    assert rep.passed
+    assert rep.proved
     assert [e.name for e in rep.entries] == [
         "basic",
         "identity",

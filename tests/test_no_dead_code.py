@@ -4,6 +4,9 @@ A module-level function or class, or a non-dunder method, in
 ``src/gvcheck`` must be referenced in ``src/``, ``tests/`` or ``bench/``
 as a name, an attribute or an import alias.  A definition does not count
 as a reference to itself, so code that nothing calls shows up here.
+Likewise every module-level import in a module of ``src/gvcheck`` other
+than ``__init__.py``, whose imports are the package's exports, must be
+used by that module.
 """
 import ast
 import os
@@ -60,3 +63,24 @@ def _references():
 def test_every_definition_is_referenced():
     used = _references()
     assert [qualified for qualified, name in _definitions() if name not in used] == []
+
+
+def _unused_imports(path):
+    """Names a module binds by a module-level import and never uses."""
+    tree = _parse(path)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".", 1)[0] for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_every_import_is_used():
+    unused = []
+    for f in sorted(os.listdir(PACKAGE)):
+        if f.endswith(".py") and f != "__init__.py":
+            unused += ["%s: %s" % (f, name) for name in _unused_imports(os.path.join(PACKAGE, f))]
+    assert unused == []

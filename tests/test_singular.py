@@ -91,7 +91,7 @@ def test_projection_flattens_the_transverse_coordinate(space):
 def test_tubular_validate_passes(space, cfg):
     rep = collar(space, y).validate(cfg)
     assert [e.name for e in rep.entries] == ["cutoff-inner", "cutoff-support"]
-    assert rep.passed
+    assert rep.proved
 
 
 def test_tubular_validate_reports_the_first_bad_sample_of_each_band(space):
@@ -114,7 +114,7 @@ def test_tubular_validate_reports_the_first_bad_sample_of_each_band(space):
     rep = td.validate(cfg)
     assert rep.entry("cutoff-inner").witness_point == inner[1]
     assert rep.entry("cutoff-support").witness_point == outer[1]
-    assert rep.verdict is Verdict.FAIL
+    assert rep.status is Verdict.FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_iso_decompose_slab_fixture(space, cfg):
     alpha = basis_form(XYZ, ("x", "z"))
     beta = d3("x")
     composite, rep = iso_decompose(y, alpha, beta, td, cfg)
-    assert rep.passed
+    assert rep.proved
     assert [e.name for e in rep.entries] == ["alpha-closed", "beta-closed", "df-closed"]
     expected = alpha * (y * y) + wedge(d3("y"), tilde_extend(beta, td)) * y
     assert (composite - expected).is_zero
@@ -244,7 +244,7 @@ def test_pipeline_happy_path(space, cfg):
         "transversal",
         "exactness",
     ]
-    assert rep.passed
+    assert rep.proved
     assert "slice connectedness is assumed, not verified" in rep.notes
     gradient_note = [n for n in rep.notes if "gradient norm" in n]
     assert len(gradient_note) == 1
@@ -267,7 +267,7 @@ def test_pipeline_builds_d_phi_once(space, cfg, monkeypatch):
     fol = spiral(space)
     phi = y * exp(-x)
     rep = check_exactness_pipeline(fol, phi, spiral_mu(), collar(space, phi), cubic_tau(), cfg)
-    assert rep.passed
+    assert rep.proved
     assert zero_forms == [phi]
 
 

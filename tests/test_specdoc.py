@@ -486,6 +486,9 @@ class TestDiagnosticColumns:
         ("foliation F on R leafdim 7 nu dx", 26, "leaf dimension 7 outside 0..2"),
         ("foliation F on R leafdim -1 nu dx", 26, "leaf dimension -1 outside 0..2"),
         ("foliation F on R leafdim 1 nu dx^dy", 31, "defining form has degree 2, expected codimension 1"),
+        ("foliation F on R leafdim 1 nu dy gens dx, dy", 39, "decomposition must have exactly 1 transverse 1-forms"),
+        ("foliation F on R leafdim 1 nu dy transverse x, y", 45, "transverse coordinate list must have length 1"),
+        ("foliation F on R leafdim 2 nu 2", 31, "a one-leaf foliation must use the constant 0-form 1"),
         ("family f2 = K H K", 17, "family members must have distinct names"),
         ("tubular td on R f y t y eps 1/2 outer 1/4", 39, "need eps_outer > eps > 0"),
         ("tubular td on R f y t y eps 1/2 outer 1/2", 39, "need eps_outer > eps > 0"),

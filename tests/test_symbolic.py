@@ -34,7 +34,7 @@ from gvcheck import (
 import gvcheck
 from gvcheck import symbolic
 from gvcheck.symbolic import MAX_EXPONENT, CoordGen, ScalarExpr, _eval_expr, _mono_items, _scale_at
-from gvcheck.verdicts import ZeroOutcome, combine_outcomes, worst
+from gvcheck.verdicts import Outcome, combine_outcomes, worst
 from conftest import XY, CountingRegion, random_polynomial, random_scalar, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")
@@ -370,6 +370,21 @@ def test_zero_test_undecided_on_flat_product(plane, cfg):
     assert out.status is Verdict.UNDECIDED
 
 
+def test_zero_test_undecided_reports_the_largest_residual(plane):
+    # every residual is below the tolerance, so nothing is refuted; the
+    # detail names the largest one rather than claiming zero
+    out = is_zero_on(x * rat(1, 10**12), plane, ZeroTestConfig(rng_seed=1))
+    assert (out.status, out.witness) == (Verdict.UNDECIDED, None)
+    assert out.detail == "max |value| 1.974e-12 over 32 samples"
+
+
+def test_exact_division_refuses_an_inexact_quotient():
+    assert symbolic._divide((x * x - 1).num, (x + 1).num) == (x - 1).num
+    # a nonzero remainder, and a quotient with a non-integer coefficient
+    assert symbolic._divide((x * x + 1).num, (x + 1).num) is None
+    assert symbolic._divide(x.num, (2 * x).num) is None
+
+
 def test_zero_test_respects_region_constraints(cfg):
     r = box_region(XY, square_box(XY))
     right = Region(r.coords, (x,), dict(r.box), name="right")
@@ -383,10 +398,10 @@ def test_zero_test_respects_region_constraints(cfg):
 
 
 def test_combined_outcome_is_the_worst_status_with_the_first_refutation():
-    proved = ZeroOutcome(Verdict.PASS)
-    undecided = ZeroOutcome(Verdict.UNDECIDED, detail="max |value| 0 over 32 samples")
-    first = ZeroOutcome(Verdict.FAIL, witness={"x": 1.0}, detail="first")
-    later = ZeroOutcome(Verdict.FAIL, witness={"x": 2.0}, detail="later")
+    proved = Outcome(Verdict.PASS)
+    undecided = Outcome(Verdict.UNDECIDED, detail="max |value| 0 over 32 samples")
+    first = Outcome(Verdict.FAIL, witness={"x": 1.0}, detail="first")
+    later = Outcome(Verdict.FAIL, witness={"x": 2.0}, detail="later")
     for outcomes in itertools.product((proved, undecided, first, later), repeat=3):
         combined = combine_outcomes(outcomes)
         assert combined.status is worst(o.status for o in outcomes)

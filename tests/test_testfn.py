@@ -192,7 +192,7 @@ def origin_zeroset():
 
 def test_weak_test_from_cover_happy_path(cfg):
     phi, rep = weak_test_from_cover(four_ball_cover(), origin_zeroset(), cfg)
-    assert rep.passed
+    assert rep.proved
     names = [e.name for e in rep.entries]
     assert names == ["coverage", "vanishes-on-set", "positive-on-complement"]
     assert "32 complement samples covered by 4 inner balls" in rep.entry("coverage").detail
@@ -247,7 +247,7 @@ def parse_estimates(detail):
 
 def test_flatness_rejects_quadratic(cfg):
     rep = flatness_check(x * x + y * y, origin_zeroset(), cfg)
-    assert rep.verdict is Verdict.FAIL
+    assert rep.status is Verdict.FAIL
     assert [e.name for e in rep.entries] == ["order-1", "order-2", "order-3"]
     order2 = rep.entry("order-2")
     assert order2.verdict is Verdict.FAIL
@@ -260,7 +260,7 @@ def test_flatness_rejects_quadratic(cfg):
 
 def test_flatness_accepts_strengthened_quadratic(cfg):
     rep = flatness_check(strengthen(x * x + y * y), origin_zeroset(), cfg)
-    assert rep.passed
+    assert rep.proved
     names = [e.name for e in rep.entries]
     assert names == ["structural-flatness", "order-1", "order-2", "order-3"]
     for order in (1, 2, 3):
@@ -274,7 +274,7 @@ def test_flatness_on_ball_boundary(cfg):
     )
     f = flatexp(x * x + y * y - rat(1, 4))  # vanishes on the disk, flat at the sphere
     rep = flatness_check(f, disk, cfg)
-    assert rep.passed
+    assert rep.proved
     assert rep.entries[0].name == "structural-flatness"
 
 
