@@ -27,7 +27,6 @@ from .errors import (
     WitnessedError,
 )
 from .verdicts import (
-    CheckEntry,
     Outcome,
     Verdict,
     combine_outcomes,

@@ -21,9 +21,9 @@ import math
 import os
 import sys
 
-from .errors import GvError, WitnessedError
+from .errors import GvError, SamplingError, WitnessedError
 from .gv import gv_min
-from .runner import render_report, run_checks, start_report
+from .runner import _point_str, render_report, run_checks, start_report
 from .specdoc import parse_spec
 from .verdicts import EXIT_STATUS, Verdict
 
@@ -176,10 +176,13 @@ def _cmd_gv(args) -> int:
     except WitnessedError as e:
         sys.stdout.write("FAIL: %s\n" % e)
         if e.witness:
-            sys.stdout.write("witness: %s\n" % e.witness)
+            sys.stdout.write("witness: %s\n" % _point_str(e.witness))
         if e.detail:
             sys.stdout.write("%s\n" % e.detail)
         return EXIT_STATUS[Verdict.FAIL]
+    except SamplingError as e:
+        sys.stdout.write("UNDECIDED: %s\n" % e)
+        return EXIT_STATUS[Verdict.UNDECIDED]
     except GvError as e:
         sys.stderr.write("gvcheck: %s\n" % e)
         return EXIT_USAGE

@@ -10,7 +10,7 @@ the constant 0-form 1 as their defining form and have no generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import PreconditionError, SamplingError
 from .forms import (
@@ -27,7 +27,7 @@ from .forms import (
 )
 from .regions import Region, box_region, hull_box, intersect
 from .symbolic import ONE, ZeroTestConfig
-from .verdicts import CheckEntry, Outcome, Verdict, combine_outcomes
+from .verdicts import Outcome, Verdict, combine_outcomes
 
 
 @dataclass(frozen=True)
@@ -91,26 +91,17 @@ def validate_foliation(fol: Foliation, cfg: ZeroTestConfig) -> Outcome:
     * integrability: d(w) ^ nu == 0 for every transverse generator w
       (the Frobenius condition for the annihilator ideal).
     """
-    entries = []
     product = wedge_all(fol.coords, fol.decomposition)
-    entries.append(
-        CheckEntry.from_outcome(
-            "decomposition-product", forms_equal(product, fol.nu, fol.region, cfg)
-        )
-    )
+    entries = [("decomposition-product", forms_equal(product, fol.nu, fol.region, cfg))]
     if fol.decomposition:
         dependent = dependent_sample(fol.decomposition, fol.region, cfg)
-        entries.append(CheckEntry.from_witness("independence", dependent, "generators dependent at sample"))
+        entries.append(("independence", Outcome.from_witness(dependent, "generators dependent at sample")))
     for k, w in enumerate(fol.decomposition):
         residual = wedge(ext_d(w), fol.nu)
         outcome = vanishes_on(residual, fol.region, cfg)
-        entries.append(
-            CheckEntry.from_outcome(
-                "integrability[%d]" % k,
-                outcome,
-                witness_form=None if outcome.proved else str(residual),
-            )
-        )
+        if not outcome.proved:
+            outcome = replace(outcome, witness_form=str(residual))
+        entries.append(("integrability[%d]" % k, outcome))
     return Outcome.of(entries)
 
 
@@ -194,48 +185,36 @@ def check_family(fam: FoliationFamily, cfg: ZeroTestConfig) -> Outcome:
     notes = []
     for f in fam.members:
         rep = validate_foliation(f, cfg)
-        entries.append(
-            CheckEntry(
-                "member-validity[%s]" % f.name,
-                rep.status,
-                detail="; ".join(
-                    "%s: %s" % (e.name, e.verdict.value) for e in rep.entries if e.verdict is not Verdict.PASS
-                ),
-                witness_point=next((e.witness_point for e in rep.entries if e.witness_point), None),
-            )
+        member = Outcome(
+            rep.status,
+            witness=next((o.witness for _, o in rep.entries if o.witness), None),
+            detail="; ".join("%s: %s" % (n, o.status.value) for n, o in rep.entries if not o.proved),
         )
+        entries.append(("member-validity[%s]" % f.name, member))
     dims = [f.leaf_dim for f in fam.members]
-    entries.append(
-        CheckEntry(
-            "distinct-leaf-dims",
-            Verdict.PASS if len(set(dims)) == len(dims) else Verdict.FAIL,
-            detail="leaf dimensions %s" % dims,
-        )
-    )
+    distinct = Verdict.PASS if len(set(dims)) == len(dims) else Verdict.FAIL
+    entries.append(("distinct-leaf-dims", Outcome(distinct, detail="leaf dimensions %s" % dims)))
     points = cfg.points(fam.working_region())
     gap = next((p for p in points if not any(f.region.contains(p) for f in fam.members)), None)
-    entries.append(
-        CheckEntry.from_witness(
-            "coverage",
-            gap,
-            "sampled box point escapes every region",
-            passed="%d box samples covered" % cfg.sample_count,
-        )
+    coverage = Outcome.from_witness(
+        gap, "sampled box point escapes every region", passed="%d box samples covered" % cfg.sample_count
     )
+    entries.append(("coverage", coverage))
     ordered = sorted(fam.members, key=lambda f: f.leaf_dim)
     for i, fi in enumerate(ordered):
         for fj in ordered[i + 1:]:
             label = "overlap-nesting[%s<%s]" % (fi.name, fj.name)
             ov = _overlap_or_none(fi.region, fj.region, cfg)
             if ov is None:
-                entries.append(CheckEntry.from_witness(label, None, passed="no overlap detected"))
+                entries.append((label, Outcome.from_witness(None, passed="no overlap detected")))
                 continue
             outcome = combine_outcomes(
                 vanishes_on(wedge_all(fam.coords, (w,) + fi.decomposition), ov, cfg)
                 for w in fj.decomposition
             )
-            detail = "" if fj.decomposition else "larger-leaved member has no generators"
-            entries.append(CheckEntry.from_outcome(label, outcome, detail=detail))
+            if not fj.decomposition:
+                outcome = replace(outcome, detail="larger-leaved member has no generators")
+            entries.append((label, outcome))
     notes.append("saturation asserted by user: %s" % ("yes" if fam.saturated else "no"))
     return Outcome.of(entries, notes)
 
@@ -350,7 +329,7 @@ def check_piecewise(pw: PiecewiseForm, cfg: ZeroTestConfig) -> Outcome:
             label = "agree[%s,%s]" % (ri.name or i, rj.name or j)
             ov = _overlap_or_none(ri, rj, cfg)
             if ov is None:
-                entries.append(CheckEntry.from_witness(label, None, passed="no overlap detected"))
+                entries.append((label, Outcome.from_witness(None, passed="no overlap detected")))
                 continue
-            entries.append(CheckEntry.from_outcome(label, forms_equal(fi, fj, ov, cfg)))
+            entries.append((label, forms_equal(fi, fj, ov, cfg)))
     return Outcome.of(entries)

@@ -9,7 +9,7 @@ mu by a basic function before building the GV form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import GluingError, GvError, PreconditionError, UnsupportedShapeError
 from .foliations import Foliation, FoliationFamily, PiecewiseForm, _overlap_or_none
@@ -29,7 +29,7 @@ from .forms import (
 )
 from .regions import Region
 from .symbolic import ONE, ScalarExpr, ZeroTestConfig, evaluate, normalize, rat
-from .verdicts import CheckEntry, Outcome, Verdict, worst
+from .verdicts import Outcome, Verdict, worst
 
 _GAUGE_ADVICE = "consider a different Frobenius witness (gauge change mu -> mu + f*nu)"
 
@@ -189,9 +189,7 @@ def check_overlap_identities(
         ("dtransition-membership", d_mu3),
         ("dmu-sub-membership", ext_d(mu1)),
     )
-    return Outcome.of(
-        CheckEntry.from_outcome(name, ideal_member(form, gens, overlap, cfg)) for name, form in checks
-    )
+    return Outcome.of((name, ideal_member(form, gens, overlap, cfg)) for name, form in checks)
 
 
 def check_minimal_vanishing(fam: FoliationFamily, mu: dict, cfg: ZeroTestConfig) -> Outcome:
@@ -213,7 +211,7 @@ def _minimal_vanishing(fam, mu, cfg):
     entries = []
     for f in fam.members:
         out = verify_frobenius(f.nu, mu[f.name], f.region, cfg)
-        entries.append(CheckEntry.from_outcome("frobenius[%s]" % f.name, out))
+        entries.append(("frobenius[%s]" % f.name, out))
     f_min = min(fam.members, key=lambda f: f.leaf_dim)
     mu_min = mu[f_min.name]
     q_max = f_min.codim
@@ -226,14 +224,13 @@ def _minimal_vanishing(fam, mu, cfg):
         label_pow = "power-vanishing[%s]" % f.name
         label_gv = "gv-vanishing[%s]" % f.name
         if ov is None:
-            entries.append(CheckEntry.from_witness(label_pow, None, passed="no overlap detected"))
-            entries.append(CheckEntry.from_witness(label_gv, None, passed="no overlap detected"))
+            entries.append((label_pow, Outcome.from_witness(None, passed="no overlap detected")))
+            entries.append((label_gv, Outcome.from_witness(None, passed="no overlap detected")))
             continue
         out_pow = vanishes_on(form_power(d_mu, 1 + f.codim), ov, cfg)
         out_gv = vanishes_on(gv, ov, cfg)
         for label, out in ((label_pow, out_pow), (label_gv, out_gv)):
-            detail = _GAUGE_ADVICE if out.nonzero else ""
-            entries.append(CheckEntry.from_outcome(label, out, detail=detail))
+            entries.append((label, replace(out, detail=_GAUGE_ADVICE) if out.nonzero else out))
     return Outcome.of(entries), f_min, gv
 
 
@@ -273,13 +270,9 @@ def gv_min(fam: FoliationFamily, mu: dict, rank: int, cfg: ZeroTestConfig) -> GV
     members = tuple(f for f in fam.members if f.leaf_dim >= rank)
     sub = FoliationFamily(members, box=fam.box, saturated=fam.saturated)
     vanishing, f_min, gv = _minimal_vanishing(sub, mu, cfg)
-    for e in vanishing.entries:
-        if e.verdict is Verdict.FAIL:
-            raise GluingError(
-                "overlap vanishing refuted: %s" % e.name,
-                witness=e.witness_point,
-                detail=e.detail,
-            )
+    for name, out in vanishing.entries:
+        if out.nonzero:
+            raise GluingError("overlap vanishing refuted: %s" % name, witness=out.witness, detail=out.detail)
     degree = 2 * f_min.codim + 1
     pieces = [(f_min.region, gv)]
     for f in members:
@@ -287,8 +280,7 @@ def gv_min(fam: FoliationFamily, mu: dict, rank: int, cfg: ZeroTestConfig) -> GV
             pieces.append((f.region, zero_form(fam.coords, degree)))
     pw = PiecewiseForm(tuple(pieces), degree)
     closedness = Outcome.of(
-        CheckEntry.from_outcome("closed[%s]" % region.name, vanishes_on(ext_d(piece), region, cfg))
-        for region, piece in pw.pieces
+        ("closed[%s]" % region.name, vanishes_on(ext_d(piece), region, cfg)) for region, piece in pw.pieces
     )
     glued = vanishing.proved
     notes = () if glued else ("gluing not certified: an overlap verdict stayed undecided",)
@@ -328,11 +320,7 @@ def weighted_gv_form(phi, mu: DiffForm, fol: Foliation, basic: Outcome, cfg: Zer
     plain = gv_form(mu, q)
     identity = forms_equal(nu_bar, plain * (phi ** (1 + q)), fol.region, cfg)
     closed = vanishes_on(ext_d(nu_bar), fol.region, cfg)
-    rows = (
-        CheckEntry.from_outcome("basic", basic),
-        CheckEntry.from_outcome("identity", identity),
-        CheckEntry.from_outcome("closedness", closed),
-    )
+    rows = (("basic", basic), ("identity", identity), ("closedness", closed))
     return nu_bar, plain, rows
 
 
@@ -349,4 +337,4 @@ def gv_weighted(phi: ScalarExpr, mu: DiffForm, fol: Foliation, cfg: ZeroTestConf
     basic, dphi = require_basic(phi, fol, cfg)
     nu_bar, plain, rows = weighted_gv_form(phi, mu, fol, basic, cfg)
     gradient = vanishes_on(wedge(dphi, plain), fol.region, cfg)
-    return nu_bar, Outcome.of(rows + (CheckEntry.from_outcome("gradient-wedge", gradient),))
+    return nu_bar, Outcome.of(rows + (("gradient-wedge", gradient),))

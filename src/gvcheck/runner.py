@@ -3,22 +3,23 @@
 What a check computes is its directive's ``run``, from
 :data:`gvcheck.specdoc.CHECKS`, which returns one
 :class:`~gvcheck.verdicts.Outcome` and its LaTeX; this module times the
-run, copies the outcome's fields into a report row and renders the
-rows.  Each check runs under its own sub-seeded configuration, so
-reports do not depend on check order or on which other checks appear in
-the document.  Engine errors never escape: a check whose preconditions
-are refuted, or that cannot be sampled, becomes a FAIL outcome carrying
-the witness; anything unexpected becomes a FAIL outcome flagged as an
-internal error.  The JSON rendering is byte-deterministic for a fixed
-document and seed (timings are reported as null there; the text
-rendering shows live timings).
+run, writes the outcome and each of its ``(name, Outcome)`` entries into
+a report row, and renders the rows.  Each check runs under its own
+sub-seeded configuration, so reports do not depend on check order or on
+which other checks appear in the document.  Engine errors never escape:
+a check whose preconditions are refuted becomes a FAIL outcome carrying
+the witness; one whose region cannot be sampled becomes UNDECIDED;
+anything unexpected becomes a FAIL outcome flagged as an internal error.
+The JSON rendering is byte-deterministic for a fixed document and seed
+(timings are reported as null there; the text rendering shows live
+timings).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
 
-from .errors import GvError, WitnessedError
+from .errors import GvError, SamplingError, WitnessedError
 from .specdoc import CheckDirective, SpecDocument
 from .symbolic import ZeroTestConfig, mix_seed
 from .verdicts import EXIT_STATUS, Outcome, Verdict, worst
@@ -93,6 +94,9 @@ def _execute(directive: CheckDirective, cfg: ZeroTestConfig) -> CheckResult:
     except WitnessedError as e:
         message = str(e) + (("; " + e.detail) if e.detail else "")
         outcome = Outcome(Verdict.FAIL, witness=e.witness, detail=message)
+    # but a region that yields no sample refutes nothing
+    except SamplingError as e:
+        outcome = Outcome(Verdict.UNDECIDED, detail="SamplingError: %s" % e)
     except (GvError, ValueError, KeyError, ZeroDivisionError) as e:
         outcome = Outcome(Verdict.FAIL, detail="%s: %s" % (type(e).__name__, e))
     except Exception as e:  # never let a run crash on one bad check
@@ -104,7 +108,11 @@ def _execute(directive: CheckDirective, cfg: ZeroTestConfig) -> CheckResult:
         verdict=outcome.status.value,
         detail=outcome.detail,
         witness=outcome.witness,
-        entries=[dict(asdict(e), verdict=e.verdict.value) for e in outcome.entries],
+        entries=[
+            {"name": name, "verdict": entry.status.value, "detail": entry.detail,
+             "witness_point": entry.witness, "witness_form": entry.witness_form}
+            for name, entry in outcome.entries
+        ],
         notes=list(outcome.notes),
         latex=latex,
         timing_ms=elapsed,

@@ -40,7 +40,7 @@ from .symbolic import (
     sym,
 )
 from .testfn import smooth_step
-from .verdicts import CheckEntry, Outcome
+from .verdicts import Outcome
 
 REGULAR_VALUE_FLOOR = 1e-6
 
@@ -96,8 +96,8 @@ class TubularData:
         outer_bad = next((p for p in outside if evaluate(self.rho, p) != 0.0), None)
         return Outcome.of(
             (
-                CheckEntry.from_witness("cutoff-inner", inner_bad),
-                CheckEntry.from_witness("cutoff-support", outer_bad),
+                ("cutoff-inner", Outcome.from_witness(inner_bad)),
+                ("cutoff-support", Outcome.from_witness(outer_bad)),
             )
         )
 
@@ -163,12 +163,12 @@ def iso_decompose(
             raise PreconditionError(
                 "%s input is not closed" % name.split("-")[0], witness=out.witness
             )
-        entries.append(CheckEntry.from_outcome(name, out))
+        entries.append((name, out))
     df = ext_d(scalar_form(alpha.coords, f))
     composite = alpha * (f ** p)
     if not beta.is_zero:
         composite = composite + wedge(df, tilde_extend(beta, td)) * (f ** (p - 1))
-    entries.append(CheckEntry.from_outcome("df-closed", vanishes_on(d_f(f, composite), td.region, cfg)))
+    entries.append(("df-closed", vanishes_on(d_f(f, composite), td.region, cfg)))
     return composite, Outcome.of(entries)
 
 
@@ -229,10 +229,7 @@ def check_exactness_pipeline(
     nu_bar, _, rows = weighted_gv_form(phi, mu, fol, basic, cfg)
     transversal = vanishes_on(wedge(dphi, nu_bar), fol.region, cfg)
     exact = verify_exact(nu_bar * (phi ** fol.codim), tau, fol.region, cfg)
-    entries = rows + (
-        CheckEntry.from_outcome("transversal", transversal),
-        CheckEntry.from_outcome("exactness", exact),
-    )
+    entries = rows + (("transversal", transversal), ("exactness", exact))
     notes = (
         "slice connectedness is assumed, not verified",
         "min sampled gradient norm on the slice: %.3e" % floor,

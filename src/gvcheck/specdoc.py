@@ -70,7 +70,7 @@ from .singular import TubularData, check_exactness_pipeline, d_f, iso_decompose,
 from .symbolic import ONE, ScalarExpr, ZeroTestConfig, is_zero_on, normalize, sym, to_latex
 from .syntax import Environment, ExprParser, ParseError, RESERVED, parse_number, tokenize
 from .testfn import BumpSpec, ClosedSetSpec, bump_sum, check_cover, flatness_check
-from .verdicts import CheckEntry, Outcome, Verdict
+from .verdicts import Outcome, Verdict
 
 DEFAULT_BOX = (-2.0, 2.0)
 _SAMPLING = ZeroTestConfig()  # the sampling defaults of a document
@@ -800,7 +800,7 @@ def _check_theta(p: _StatementParser):
         entries = ()
         if expected is not None:
             cmp = forms_equal(theta, expected, overlap, cfg)
-            entries = (CheckEntry.from_outcome("matches-expected", cmp),)
+            entries = (("matches-expected", cmp),)
         return Outcome.of(entries, detail="sign %+d" % sign), r"\theta = %s" % theta.to_latex()
     return run
 

@@ -30,7 +30,7 @@ from .symbolic import (
     rat,
     sym,
 )
-from .verdicts import CheckEntry, Outcome, Verdict
+from .verdicts import Outcome, Verdict
 
 FLAT_DISTANCES = (0.1, 0.01, 0.001)
 FLAT_TOL = 1e-6
@@ -227,12 +227,12 @@ def check_cover(phi, balls, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
     if gap:
         raise CoverageError("complement sample lies in no inner ball", witness=gap)
     covered = "%d complement samples covered by %d inner balls" % (len(complement), len(balls))
-    entries = [CheckEntry.from_witness("coverage", gap, passed=covered)]
+    entries = [("coverage", Outcome.from_witness(gap, passed=covered))]
     on_set = m0.sample_set(cfg.rng_seed, cfg.sample_count)
     bad_zero = next((p for p in on_set if evaluate(phi, p) != 0.0), None)
-    entries.append(CheckEntry.from_witness("vanishes-on-set", bad_zero, "a bump support reaches the set"))
+    entries.append(("vanishes-on-set", Outcome.from_witness(bad_zero, "a bump support reaches the set")))
     bad_pos = next((p for p in complement if not evaluate(phi, p) > 0.0), None)
-    entries.append(CheckEntry.from_witness("positive-on-complement", bad_pos))
+    entries.append(("positive-on-complement", Outcome.from_witness(bad_pos)))
     return Outcome.of(entries)
 
 
@@ -285,13 +285,8 @@ def flatness_check(phi, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
     phi = normalize(phi)
     entries = []
     if _has_flat_atom(phi):
-        entries.append(
-            CheckEntry(
-                "structural-flatness",
-                Verdict.PASS,
-                detail="every numerator term carries a flat atom factor",
-            )
-        )
+        flat = Outcome(Verdict.PASS, detail="every numerator term carries a flat atom factor")
+        entries.append(("structural-flatness", flat))
     anchors = m0.boundary_anchors(cfg.rng_seed)
     if not anchors:
         raise PreconditionError(
@@ -321,14 +316,10 @@ def flatness_check(phi, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
                         worst_point = base
             estimates.append(worst)
         ok = estimates[-1] < FLAT_TOL and estimates[-1] <= estimates[0] + 1e-9
-        entries.append(
-            CheckEntry(
-                "order-%d" % order,
-                Verdict.PASS if ok else Verdict.FAIL,
-                detail="estimates " + ", ".join(
-                    "%g: %.3e" % (d, e) for d, e in zip(FLAT_DISTANCES, estimates)
-                ),
-                witness_point=None if ok else worst_point,
-            )
+        estimate = Outcome(
+            Verdict.PASS if ok else Verdict.FAIL,
+            witness=None if ok else worst_point,
+            detail="estimates " + ", ".join("%g: %.3e" % (d, e) for d, e in zip(FLAT_DISTANCES, estimates)),
         )
+        entries.append(("order-%d" % order, estimate))
     return Outcome.of(entries)

@@ -4,9 +4,9 @@ Every check answers with one :class:`Outcome` whose status is a
 :class:`Verdict`: PASS when proved by exact normalization, FAIL when
 refuted by a numeric witness, UNDECIDED otherwise.  An UNDECIDED is
 never upgraded to PASS.  A zero test's outcome carries its witness and
-value; a structured outcome, built by :meth:`Outcome.of`, carries named
-:class:`CheckEntry` rows and takes the :func:`worst` of their verdicts.
-The runner turns an outcome into a report row field by field.
+value.  A structured outcome, built by :meth:`Outcome.of`, holds named
+``(name, Outcome)`` entries and takes the :func:`worst` of their
+statuses; a sampled search answers through :meth:`Outcome.from_witness`.
 """
 from __future__ import annotations
 
@@ -36,8 +36,10 @@ EXIT_STATUS = {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.UNDECIDED: 2}
 @dataclass(frozen=True)
 class Outcome:
     """Result of a check: PASS when proved, FAIL when refuted (with a
-    witness, if any), UNDECIDED otherwise.  A structured outcome also
-    holds named entries and notes."""
+    witness point, if any), UNDECIDED otherwise; ``witness_form`` is the
+    text of a residual form left unproved.  A structured outcome also
+    holds named entries, ``(name, Outcome)`` pairs in report order, and
+    notes."""
 
     status: Verdict
     witness: dict | None = None
@@ -45,12 +47,22 @@ class Outcome:
     detail: str = ""
     entries: tuple = ()
     notes: tuple = ()
+    witness_form: str | None = None
 
     @classmethod
     def of(cls, entries, notes=(), detail=""):
-        """A structured outcome: the :func:`worst` of its entries' verdicts."""
+        """A structured outcome: the :func:`worst` of its entries' statuses."""
         entries = tuple(entries)
-        return cls(worst(e.verdict for e in entries), detail=detail, entries=entries, notes=tuple(notes))
+        return cls(worst(o.status for _, o in entries), detail=detail, entries=entries, notes=tuple(notes))
+
+    @classmethod
+    def from_witness(cls, witness, detail="", passed=""):
+        """Refuted at a sampled witness point, or passed (with the
+        ``passed`` detail) when the sampling found none: the one place where
+        "no counterexample sampled" becomes a PASS."""
+        if witness:
+            return cls(Verdict.FAIL, witness=witness, detail=detail)
+        return cls(Verdict.PASS, detail=passed)
 
     @property
     def proved(self):
@@ -61,9 +73,10 @@ class Outcome:
         return self.status is Verdict.FAIL
 
     def entry(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
+        """The outcome of the first entry with this name."""
+        for n, o in self.entries:
+            if n == name:
+                return o
         raise KeyError(name)
 
 
@@ -79,33 +92,3 @@ def combine_outcomes(outcomes):
 def verdict_of(outcome: Outcome) -> Verdict:
     """The outcome's status, under the name the benchmark workloads import."""
     return outcome.status
-
-
-@dataclass(frozen=True)
-class CheckEntry:
-    """One named line of a structured report."""
-
-    name: str
-    verdict: Verdict
-    detail: str = ""
-    witness_point: dict | None = None
-    witness_form: str | None = None
-
-    @classmethod
-    def from_outcome(cls, name, outcome: Outcome, detail="", witness_form=None):
-        return cls(
-            name=name,
-            verdict=outcome.status,
-            detail=detail or outcome.detail,
-            witness_point=outcome.witness,
-            witness_form=witness_form,
-        )
-
-    @classmethod
-    def from_witness(cls, name, witness, detail="", passed=""):
-        """A row refuted at a sampled witness point, or passed (with the
-        ``passed`` detail) when the sampling found none: the one place where
-        "no counterexample sampled" becomes a PASS."""
-        if witness:
-            return cls(name, Verdict.FAIL, detail, witness_point=witness)
-        return cls(name, Verdict.PASS, passed)

@@ -10,8 +10,8 @@ import random
 import pytest
 
 from gvcheck import (
-    CheckEntry,
     DiffForm,
+    Outcome,
     Region,
     Verdict,
     ZeroTestConfig,
@@ -49,16 +49,16 @@ class CountingRegion:
 
 @pytest.fixture
 def sampling_proves_nothing(monkeypatch):
-    """Patch ``CheckEntry.from_witness`` so that a sampled search which
+    """Patch ``Outcome.from_witness`` so that a sampled search which
     found no counterexample gives UNDECIDED instead of PASS."""
-    plain = CheckEntry.from_witness.__func__
+    plain = Outcome.from_witness.__func__
 
-    def undecided(cls, name, witness, detail="", passed=""):
+    def undecided(cls, witness, detail="", passed=""):
         if witness:
-            return plain(cls, name, witness, detail, passed)
-        return cls(name, Verdict.UNDECIDED, passed)
+            return plain(cls, witness, detail, passed)
+        return cls(Verdict.UNDECIDED, detail=passed)
 
-    monkeypatch.setattr(CheckEntry, "from_witness", classmethod(undecided))
+    monkeypatch.setattr(Outcome, "from_witness", classmethod(undecided))
 
 
 @pytest.fixture

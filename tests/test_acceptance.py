@@ -126,9 +126,9 @@ def test_criterion_02_frobenius_fixtures_and_contact_refutation(cfg):
     fol = Foliation("contact", region, 2, contact, (contact,))
     rep = validate_foliation(fol, cfg)
     entry = rep.entry("integrability[0]")
-    assert entry.verdict.value == "FAIL"
+    assert entry.status.value == "FAIL"
     assert entry.witness_form == "dx^dy^dz"
-    assert entry.witness_point is not None
+    assert entry.witness is not None
 
 
 def test_criterion_03_gv_form_is_the_volume_form_and_closed(cfg):
@@ -153,7 +153,7 @@ def test_criterion_04_nested_pair_theta_and_overlap_identities(cfg):
     rep = check_overlap_identities(
         curves, surf, d3("x"), zero_form(XYZ, 1), theta, region, cfg
     )
-    assert [e.name for e in rep.entries] == [
+    assert [name for name, _ in rep.entries] == [
         "dtheta-residual",
         "theta-wedge-dtransition",
         "dtransition-membership",
@@ -233,8 +233,8 @@ def test_criterion_07_flatness_estimates_and_weak_test_cover():
         assert abs(value - 2.0) <= 0.2  # second derivative of |x|^2 is 2
     strong = flatness_check(strengthen(quad), origin, cfg)
     assert strong.proved
-    for entry in strong.entries:
-        if not entry.name.startswith("order-"):
+    for name, entry in strong.entries:
+        if not name.startswith("order-"):
             continue
         for v in re.findall(r": ([0-9.e+-]+)", entry.detail):
             assert float(v) < 1e-6
@@ -277,7 +277,7 @@ def test_criterion_09_exactness_pipeline_and_critical_weight_control(cfg):
     tau = d3("y", "z") * (y ** 3 * exp(-x) ** 3 * rat(-1, 3))
     td = TubularData(region, phi, "y", Fraction(1, 4), Fraction(1, 2))
     rep = check_exactness_pipeline(fol, phi, mu, td, tau, cfg)
-    assert [e.name for e in rep.entries] == [
+    assert [name for name, _ in rep.entries] == [
         "basic",
         "identity",
         "closedness",

@@ -1,6 +1,5 @@
 """End-to-end tests for the command line and the check runner."""
 
-import ast
 import json
 import os
 import subprocess
@@ -14,7 +13,7 @@ import gvcheck.cli
 import gvcheck.runner
 from gvcheck.cli import ENV_SEED, build_parser, main
 from gvcheck.gv import gv_min
-from gvcheck.runner import CheckResult, RunReport, render_json, render_report, run_checks
+from gvcheck.runner import CheckResult, RunReport, render_json, render_report, render_text, run_checks
 from gvcheck.specdoc import parse_spec
 from gvcheck.symbolic import ZeroTestConfig
 
@@ -328,8 +327,11 @@ class TestGvVerb:
         assert run_cli(["gv", str(spec)]) == 1
         head, witness, advice = capsys.readouterr().out.splitlines()
         assert head == "FAIL: overlap vanishing refuted: power-vanishing[W]"
-        # the witness is a sampled point of the overlap, inside Core's ball
-        point = ast.literal_eval(witness.removeprefix("witness: "))
+        # the witness is a sampled point of the overlap, inside Core's ball,
+        # written as reports write a point
+        assert witness.startswith("witness: {") and witness.endswith("}")
+        pairs = (item.split(": ") for item in witness[len("witness: {"):-1].split(", "))
+        point = {name: float(value) for name, value in pairs}
         assert set(point) == {"x", "y", "z"} and sum(v * v for v in point.values()) < 1
         assert advice == "consider a different Frobenius witness (gauge change mu -> mu + f*nu)"
 
@@ -348,6 +350,25 @@ class TestGvVerb:
         (row,) = run_checks(parse_doc(text + "check gv-min fam rank 2\n")).checks
         assert row.verdict == "UNDECIDED"
         assert row.detail.endswith("; gluing not established")
+
+    # Core is empty, so no sample settles the Frobenius residual of mu
+    EMPTY_CORE = FAMILY.replace("1 - x^2 - y^2 - z^2 > 0", "-1 - x^2 > 0") + (
+        "mu L = flatexp(x)*flatexp(-x)*z*dx\n"
+    )
+    NO_SAMPLE = "no sample found in region Core after 2000 attempts (region may be empty or thin)"
+
+    def test_unsampleable_region_is_undecided(self, tmp_path, capsys):
+        spec = tmp_path / "empty.fol"
+        spec.write_text(self.EMPTY_CORE)
+        assert run_cli(["gv", str(spec)]) == 2
+        assert capsys.readouterr() == ("UNDECIDED: %s\n" % self.NO_SAMPLE, "")
+
+    def test_unsampleable_region_rows_are_undecided(self):
+        doc = parse_doc(self.EMPTY_CORE + "check gv-min fam rank 2\ncheck zero x on Core\n")
+        report = run_checks(doc)
+        rows = [(c.verdict, c.detail, c.witness) for c in report.checks]
+        assert rows == [("UNDECIDED", "SamplingError: " + self.NO_SAMPLE, None)] * 2
+        assert report.exit_code() == 2
 
     def test_missing_mu_is_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "nomu.fol"
@@ -477,6 +498,19 @@ class TestRunnerApi:
             CheckResult("c%d" % i, "zero", v) for i, v in enumerate(verdicts)
         ])
         assert report.exit_code() == status
+
+    def test_integrability_residual_in_both_renderings(self):
+        # a contact form: the refuted Frobenius condition carries its residual form
+        doc = parse_doc(
+            "chart x y z\nregion R = all\nfoliation C on R leafdim 2 nu dz - y*dx\ncheck foliation C\n"
+        )
+        report = run_checks(doc)
+        (row,) = [line for line in render_text(report).splitlines() if "integrability[0]" in line]
+        assert row.split()[:3] == ["-", "integrability[0]", "FAIL"]
+        assert row.endswith("  residual dx^dy^dz")
+        entry = json.loads(render_json(report))["checks"][0]["entries"][-1]
+        assert entry["name"] == "integrability[0]" and entry["verdict"] == "FAIL"
+        assert entry["witness_form"] == "dx^dy^dz"
 
     def test_render_report_rejects_unknown_format(self):
         doc = parse_doc(TINY_DOC)

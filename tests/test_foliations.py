@@ -75,7 +75,7 @@ def test_codim_and_one_leaf(plane):
 def test_validate_accepts_horizontal(plane, cfg):
     rep = validate_foliation(horizontal(plane), cfg)
     assert rep.proved
-    names = [e.name for e in rep.entries]
+    names = [name for name, _ in rep.entries]
     assert names == ["decomposition-product", "independence", "integrability[0]"]
 
 
@@ -88,7 +88,7 @@ def test_validate_flags_bad_decomposition_product(space, cfg):
     nu = differential(XYZ, "y") - differential(XYZ, "x") * y
     fol = Foliation("F", space, 2, nu, (differential(XYZ, "y"),))
     rep = validate_foliation(fol, cfg)
-    assert rep.entry("decomposition-product").verdict is Verdict.FAIL
+    assert rep.entry("decomposition-product").status is Verdict.FAIL
     assert rep.status is Verdict.FAIL
 
 
@@ -96,8 +96,8 @@ def test_validate_flags_dependent_generators(space, cfg):
     g = differential(XYZ, "x")
     fol = Foliation("D", space, 1, zero_form(XYZ, 2), (g, g * rat(2)))
     rep = validate_foliation(fol, cfg)
-    assert rep.entry("independence").verdict is Verdict.FAIL
-    assert rep.entry("independence").witness_point is not None
+    assert rep.entry("independence").status is Verdict.FAIL
+    assert rep.entry("independence").witness is not None
 
 
 def test_validate_refutes_contact_form(space, cfg):
@@ -106,7 +106,7 @@ def test_validate_refutes_contact_form(space, cfg):
     fol = Foliation("contact", space, 2, nu, (nu,))
     rep = validate_foliation(fol, cfg)
     entry = rep.entry("integrability[0]")
-    assert entry.verdict is Verdict.FAIL
+    assert entry.status is Verdict.FAIL
     assert entry.witness_form == "dx^dy^dz"
     assert rep.status is Verdict.FAIL
 
@@ -137,7 +137,7 @@ def test_check_family_happy_path(plane, cfg):
     fam = FoliationFamily((horizontal(plane), one_leaf("top", plane)), saturated=True)
     rep = check_family(fam, cfg)
     assert rep.proved
-    names = [e.name for e in rep.entries]
+    names = [name for name, _ in rep.entries]
     assert "member-validity[H]" in names
     assert "distinct-leaf-dims" in names
     assert "coverage" in names
@@ -151,16 +151,16 @@ def test_check_family_coverage_gap(cfg):
     fam = FoliationFamily((h,), box=square_box(XY))
     rep = check_family(fam, cfg)
     cov = rep.entry("coverage")
-    assert cov.verdict is Verdict.FAIL
-    assert cov.witness_point is not None
-    assert cov.witness_point["x"] > 0
+    assert cov.status is Verdict.FAIL
+    assert cov.witness is not None
+    assert cov.witness["x"] > 0
 
 
 def test_check_family_duplicate_dims(plane, cfg):
     a = horizontal(plane)
     b = Foliation("V", plane, 1, differential(XY, "x"), (differential(XY, "x"),))
     rep = check_family(FoliationFamily((a, b)), cfg)
-    assert rep.entry("distinct-leaf-dims").verdict is Verdict.FAIL
+    assert rep.entry("distinct-leaf-dims").status is Verdict.FAIL
 
 
 def test_overlap_nesting_detects_transverse_members(space, cfg):
@@ -174,7 +174,7 @@ def test_overlap_nesting_detects_transverse_members(space, cfg):
     sheets = Foliation("S", space, 2, differential(XYZ, "x"), (differential(XYZ, "x"),))
     rep = check_family(FoliationFamily((curves, sheets)), cfg)
     entry = rep.entry("overlap-nesting[C<S]")
-    assert entry.verdict is Verdict.FAIL
+    assert entry.status is Verdict.FAIL
 
 
 def test_overlap_nesting_accepts_nested_members(space, cfg):
@@ -187,7 +187,7 @@ def test_overlap_nesting_accepts_nested_members(space, cfg):
     )
     sheets = Foliation("S", space, 2, differential(XYZ, "z"), (differential(XYZ, "z"),))
     rep = check_family(FoliationFamily((curves, sheets)), cfg)
-    assert rep.entry("overlap-nesting[C<S]").verdict is Verdict.PASS
+    assert rep.entry("overlap-nesting[C<S]").status is Verdict.PASS
 
 
 def test_disjoint_members_report_no_overlap(cfg):
@@ -197,7 +197,7 @@ def test_disjoint_members_report_no_overlap(cfg):
     fam = FoliationFamily((a, b), box=square_box(XY))
     rep = check_family(fam, cfg)
     entry = rep.entry("overlap-nesting[H<left-leaf]")
-    assert entry.verdict is Verdict.PASS
+    assert entry.status is Verdict.PASS
     assert entry.detail == "no overlap detected"
 
 
@@ -215,7 +215,7 @@ def test_no_overlap_rows_rest_on_sampling(cfg, sampling_proves_nothing):
         vanishing.entry("power-vanishing[L]"),
         vanishing.entry("gv-vanishing[L]"),
     )
-    assert [(e.verdict, e.detail) for e in rows] == [(Verdict.UNDECIDED, "no overlap detected")] * 4
+    assert [(e.status, e.detail) for e in rows] == [(Verdict.UNDECIDED, "no overlap detected")] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +324,8 @@ def test_check_piecewise_agreement(cfg):
     pw2 = PiecewiseForm(((r1, same), (r2, other)), 1)
     rep = check_piecewise(pw2, cfg)
     entry = rep.entry("agree[wide,narrow]")
-    assert entry.verdict is Verdict.FAIL
-    assert entry.witness_point is not None
+    assert entry.status is Verdict.FAIL
+    assert entry.witness is not None
 
 
 def test_check_piecewise_disjoint_pieces(cfg):
@@ -335,5 +335,5 @@ def test_check_piecewise_disjoint_pieces(cfg):
         ((r1, differential(XY, "y")), (r2, differential(XY, "y") * rat(5))), 1
     )
     rep = check_piecewise(pw, cfg)
-    assert rep.entries[0].detail == "no overlap detected"
+    assert rep.entries[0][1].detail == "no overlap detected"
     assert rep.proved

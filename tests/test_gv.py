@@ -231,7 +231,7 @@ def test_overlap_identities_nested_fixture(space, cfg):
     curves, sheets = nested_pair(space)
     theta, _ = solve_theta(curves, sheets, space, cfg)
     rep = check_overlap_identities(curves, sheets, d3("x"), zero_form(XYZ, 1), theta, space, cfg)
-    assert [e.name for e in rep.entries] == [
+    assert [name for name, _ in rep.entries] == [
         "dtheta-residual",
         "theta-wedge-dtransition",
         "dtransition-membership",
@@ -255,11 +255,11 @@ def test_overlap_identities_catch_corrupted_witness(space, cfg):
     theta, _ = solve_theta(curves, sheets, space, cfg)
     bad = d3("x") + d3("x") * y  # d(bad) = dy^dx escapes the ideal (dz)
     rep = check_overlap_identities(curves, sheets, bad, zero_form(XYZ, 1), theta, space, cfg)
-    assert rep.entry("dmu-sub-membership").verdict is Verdict.FAIL
-    assert rep.entry("dtransition-membership").verdict is Verdict.FAIL
-    assert rep.entry("dtheta-residual").verdict is Verdict.FAIL
-    assert rep.entry("theta-wedge-dtransition").verdict is Verdict.PASS
-    assert rep.entry("dmu-sub-membership").witness_point is not None
+    assert rep.entry("dmu-sub-membership").status is Verdict.FAIL
+    assert rep.entry("dtransition-membership").status is Verdict.FAIL
+    assert rep.entry("dtheta-residual").status is Verdict.FAIL
+    assert rep.entry("theta-wedge-dtransition").status is Verdict.PASS
+    assert rep.entry("dmu-sub-membership").witness is not None
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def glued_family():
 def test_check_minimal_vanishing_passes_glued_fixture(cfg):
     fam, mu, _ = glued_family()
     rep = check_minimal_vanishing(fam, mu, cfg)
-    names = [e.name for e in rep.entries]
+    names = [name for name, _ in rep.entries]
     assert names == [
         "frobenius[L]",
         "frobenius[W]",
@@ -302,7 +302,7 @@ def test_gv_min_glues_with_zero(cfg):
     assert report.status is Verdict.PASS
     assert report.piecewise.piece_on("core") == gv_form(mu0, 1)
     assert report.piecewise.piece_on("shell").is_zero
-    assert all(e.verdict is Verdict.PASS for e in report.closedness.entries)
+    assert all(o.status is Verdict.PASS for _, o in report.closedness.entries)
 
 
 def test_gv_min_builds_the_gv_form_once(cfg, monkeypatch):
@@ -382,7 +382,7 @@ def test_gv_weighted_identity_and_closedness(space, cfg):
     phi = y * exp(-x)
     nu_bar, rep = gv_weighted(phi, mu, fol, cfg)
     assert rep.proved
-    assert [e.name for e in rep.entries] == [
+    assert [name for name, _ in rep.entries] == [
         "basic",
         "identity",
         "closedness",

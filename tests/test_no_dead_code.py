@@ -6,10 +6,12 @@ as a name, an attribute or an import alias.  A definition does not count
 as a reference to itself, so code that nothing calls shows up here.
 Likewise every module-level import in a module of ``src/gvcheck`` other
 than ``__init__.py``, whose imports are the package's exports, must be
-used by that module.
+used by that module.  And each row of the README's "Library layout"
+table names only what its module defines.
 """
 import ast
 import os
+import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "gvcheck")
@@ -84,3 +86,44 @@ def test_every_import_is_used():
         if f.endswith(".py") and f != "__init__.py":
             unused += ["%s: %s" % (f, name) for name in _unused_imports(os.path.join(PACKAGE, f))]
     assert unused == []
+
+
+def _defined_names(path):
+    """A module's top-level definitions and assignments, and ``Class.method``
+    for the methods of its classes."""
+    names = set()
+    for node in _parse(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                "%s.%s" % (node.name, item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return names
+
+
+def _layout_rows():
+    """(module, backticked identifiers) for each row of README's "Library layout" table."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        table = fh.read().split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    for line in table.splitlines():
+        row = re.fullmatch(r"\| `gvcheck\.(\w+)` \| (.*) \|", line)
+        if row:
+            yield row.group(1), re.findall(r"`([A-Za-z_][\w.]*)`", row.group(2))
+
+
+def test_library_layout_names_only_what_each_module_defines():
+    rows = dict(_layout_rows())
+    modules = {f[: -len(".py")] for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py"}
+    assert set(rows) == modules
+    missing = []
+    for module, names in rows.items():
+        defined = _defined_names(os.path.join(PACKAGE, module + ".py"))
+        missing += ["gvcheck.%s: %s" % (module, n) for n in names if n not in defined]
+    assert missing == []

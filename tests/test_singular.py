@@ -90,7 +90,7 @@ def test_projection_flattens_the_transverse_coordinate(space):
 
 def test_tubular_validate_passes(space, cfg):
     rep = collar(space, y).validate(cfg)
-    assert [e.name for e in rep.entries] == ["cutoff-inner", "cutoff-support"]
+    assert [name for name, _ in rep.entries] == ["cutoff-inner", "cutoff-support"]
     assert rep.proved
 
 
@@ -112,8 +112,8 @@ def test_tubular_validate_reports_the_first_bad_sample_of_each_band(space):
     outer = first_bad(lambda: rng.uniform(0.5, 2.0) * (1 if rng.random() < 0.5 else -1), lambda v: v != 0.0)
     assert (inner[0], outer[0]) == (3, 3)
     rep = td.validate(cfg)
-    assert rep.entry("cutoff-inner").witness_point == inner[1]
-    assert rep.entry("cutoff-support").witness_point == outer[1]
+    assert rep.entry("cutoff-inner").witness == inner[1]
+    assert rep.entry("cutoff-support").witness == outer[1]
     assert rep.status is Verdict.FAIL
 
 
@@ -189,7 +189,7 @@ def test_iso_decompose_slab_fixture(space, cfg):
     beta = d3("x")
     composite, rep = iso_decompose(y, alpha, beta, td, cfg)
     assert rep.proved
-    assert [e.name for e in rep.entries] == ["alpha-closed", "beta-closed", "df-closed"]
+    assert [name for name, _ in rep.entries] == ["alpha-closed", "beta-closed", "df-closed"]
     expected = alpha * (y * y) + wedge(d3("y"), tilde_extend(beta, td)) * y
     assert (composite - expected).is_zero
 
@@ -237,7 +237,7 @@ def test_pipeline_happy_path(space, cfg):
     phi = y * exp(-x)
     td = collar(space, phi)
     rep = check_exactness_pipeline(fol, phi, spiral_mu(), td, cubic_tau(), cfg)
-    assert [e.name for e in rep.entries] == [
+    assert [name for name, _ in rep.entries] == [
         "basic",
         "identity",
         "closedness",

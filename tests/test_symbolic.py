@@ -411,6 +411,17 @@ def test_combined_outcome_is_the_worst_status_with_the_first_refutation():
     assert combine_outcomes([proved, undecided]).detail == "not settled by normalization or sampling"
 
 
+def test_entry_is_the_first_outcome_of_that_name():
+    # names repeat: a gv-min row lists closed[R] once per piece on R
+    first = Outcome(Verdict.PASS, detail="first")
+    later = Outcome(Verdict.FAIL, detail="later")
+    rows = Outcome.of([("closed[R]", first), ("closed[S]", Outcome(Verdict.PASS)), ("closed[R]", later)])
+    assert rows.status is Verdict.FAIL
+    assert rows.entry("closed[R]") is first
+    with pytest.raises(KeyError):
+        rows.entry("closed[T]")
+
+
 def test_sample_points_are_drawn_lazily_in_index_order():
     cfg = ZeroTestConfig(sample_count=4, rng_seed=77)
     region = CountingRegion([0.0, 0.5, 1.0, 1.5])

@@ -193,7 +193,7 @@ def origin_zeroset():
 def test_weak_test_from_cover_happy_path(cfg):
     phi, rep = weak_test_from_cover(four_ball_cover(), origin_zeroset(), cfg)
     assert rep.proved
-    names = [e.name for e in rep.entries]
+    names = [name for name, _ in rep.entries]
     assert names == ["coverage", "vanishes-on-set", "positive-on-complement"]
     assert "32 complement samples covered by 4 inner balls" in rep.entry("coverage").detail
     assert evaluate(phi, {"x": 0.0, "y": 0.0}) == 0.0
@@ -232,9 +232,9 @@ def test_weak_test_rejects_support_touching_the_set(cfg):
     )
     phi, rep = weak_test_from_cover(fat, m0, cfg)
     entry = rep.entry("vanishes-on-set")
-    assert entry.verdict is Verdict.FAIL
+    assert entry.status is Verdict.FAIL
     assert entry.detail == "a bump support reaches the set"
-    assert entry.witness_point == {"x": 0.0, "y": 0.0}
+    assert entry.witness == {"x": 0.0, "y": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +248,20 @@ def parse_estimates(detail):
 def test_flatness_rejects_quadratic(cfg):
     rep = flatness_check(x * x + y * y, origin_zeroset(), cfg)
     assert rep.status is Verdict.FAIL
-    assert [e.name for e in rep.entries] == ["order-1", "order-2", "order-3"]
+    assert [name for name, _ in rep.entries] == ["order-1", "order-2", "order-3"]
     order2 = rep.entry("order-2")
-    assert order2.verdict is Verdict.FAIL
+    assert order2.status is Verdict.FAIL
     estimates = parse_estimates(order2.detail)
     # the second directional derivative of |x|^2 is exactly 2 everywhere
     for est in estimates:
         assert est == pytest.approx(2.0, rel=0.1)
-    assert order2.witness_point is not None
+    assert order2.witness is not None
 
 
 def test_flatness_accepts_strengthened_quadratic(cfg):
     rep = flatness_check(strengthen(x * x + y * y), origin_zeroset(), cfg)
     assert rep.proved
-    names = [e.name for e in rep.entries]
+    names = [name for name, _ in rep.entries]
     assert names == ["structural-flatness", "order-1", "order-2", "order-3"]
     for order in (1, 2, 3):
         for est in parse_estimates(rep.entry("order-%d" % order).detail):
@@ -275,7 +275,7 @@ def test_flatness_on_ball_boundary(cfg):
     f = flatexp(x * x + y * y - rat(1, 4))  # vanishes on the disk, flat at the sphere
     rep = flatness_check(f, disk, cfg)
     assert rep.proved
-    assert rep.entries[0].name == "structural-flatness"
+    assert rep.entries[0][0] == "structural-flatness"
 
 
 @pytest.mark.parametrize("closed_set", ["zeroset", "balls"])
@@ -302,6 +302,6 @@ def test_flatness_requires_anchors(cfg):
 
 def test_structural_entry_only_for_flat_atoms(cfg):
     rep = flatness_check(flatexp(x) * y + psi0(y), origin_zeroset(), cfg)
-    assert rep.entries[0].name == "structural-flatness"
+    assert rep.entries[0][0] == "structural-flatness"
     rep2 = flatness_check(flatexp(x) + x, origin_zeroset(), cfg)
-    assert rep2.entries[0].name == "order-1"
+    assert rep2.entries[0][0] == "order-1"
