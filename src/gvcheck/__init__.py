@@ -79,7 +79,6 @@ from .foliations import (
     validate_foliation,
 )
 from .gv import (
-    GVReport,
     adapted_gauge,
     check_basic,
     check_minimal_vanishing,

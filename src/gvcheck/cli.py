@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit status contract:
+Exit status contract, for the ``gv`` verb as for a report's rows (an
+engine error reads as the row :func:`gvcheck.runner.error_outcome` makes):
 
 * 0 -- every check passed;
 * 1 -- at least one check failed;
@@ -21,11 +22,10 @@ import math
 import os
 import sys
 
-from .errors import GvError, SamplingError, WitnessedError
 from .gv import gv_min
-from .runner import _point_str, render_report, run_checks, start_report
+from .runner import error_outcome, render_report, run_checks, start_report
 from .specdoc import parse_spec
-from .verdicts import EXIT_STATUS, Verdict
+from .verdicts import EXIT_STATUS, point_str
 
 EXIT_USAGE = 3
 EXIT_IO = 4
@@ -172,38 +172,31 @@ def _cmd_gv(args) -> int:
         return EXIT_USAGE
     settings = start_report(doc, seed, source, args.samples, args.abs_tol, args.rel_tol)
     try:
-        report = gv_min(fam, mus, rank, settings.config(0))
-    except WitnessedError as e:
-        sys.stdout.write("FAIL: %s\n" % e)
-        if e.witness:
-            sys.stdout.write("witness: %s\n" % _point_str(e.witness))
-        if e.detail:
-            sys.stdout.write("%s\n" % e.detail)
-        return EXIT_STATUS[Verdict.FAIL]
-    except SamplingError as e:
-        sys.stdout.write("UNDECIDED: %s\n" % e)
-        return EXIT_STATUS[Verdict.UNDECIDED]
-    except GvError as e:
-        sys.stderr.write("gvcheck: %s\n" % e)
-        return EXIT_USAGE
+        pw, out = gv_min(fam, mus, rank, settings.config(0))
+    except Exception as e:  # an engine error reads as its report row does
+        out = error_outcome(e)
+        sys.stdout.write("%s: %s\n" % (out.status.value, out.detail))
+        if out.witness:
+            sys.stdout.write("witness: %s\n" % point_str(out.witness))
+        return EXIT_STATUS[out.status]
     lines = []
     lines.append(
         "family %s: stratum rank %d, invariant degree %d, seed %d (%s)"
-        % (fam_name, report.rank, report.degree, settings.seed, settings.seed_source)
+        % (fam_name, rank, pw.degree, settings.seed, settings.seed_source)
     )
-    for region, piece in report.piecewise.pieces:
+    for region, piece in pw.pieces:
         label = region.name or "<region>"
         if args.format == "latex":
             lines.append("  on %s:  $%s$" % (label, piece.to_latex()))
         else:
             lines.append("  on %s:  %s" % (label, piece))
-    lines.append("glued: %s" % ("yes" if report.glued else "no"))
-    lines.append("vanishing: %s   closedness: %s" % (
-        report.vanishing.status.value, report.closedness.status.value))
-    for n in report.notes:
+    vanishing, closedness = out.entry("vanishing"), out.entry("closedness")
+    lines.append("glued: %s" % ("yes" if vanishing.proved else "no"))
+    lines.append("vanishing: %s   closedness: %s" % (vanishing.status.value, closedness.status.value))
+    for n in out.notes:
         lines.append("note: %s" % n)
     sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_STATUS[report.status]
+    return EXIT_STATUS[out.status]
 
 
 _parser = None  # built on the first call, then reused: parsing leaves it unchanged

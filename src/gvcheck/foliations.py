@@ -27,7 +27,7 @@ from .forms import (
 )
 from .regions import Region, box_region, hull_box, intersect
 from .symbolic import ONE, ZeroTestConfig
-from .verdicts import Outcome, Verdict, combine_outcomes
+from .verdicts import Outcome, Verdict, combine_outcomes, point_str
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ def check_invariance(m: CoordinateMap, fol: Foliation, cfg: ZeroTestConfig):
             raise PreconditionError(
                 "map does not preserve the region at a sample",
                 witness=dict(point),
-                detail="image %s" % {k: round(v, 6) for k, v in image.items()},
+                detail="image %s" % point_str(image),
             )
     return combine_outcomes(
         vanishes_on(wedge(pullback(m, w), fol.nu), fol.region, cfg) for w in fol.decomposition

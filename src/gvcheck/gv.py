@@ -9,7 +9,7 @@ mu by a basic function before building the GV form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .errors import GluingError, GvError, PreconditionError, UnsupportedShapeError
 from .foliations import Foliation, FoliationFamily, PiecewiseForm, _overlap_or_none
@@ -29,7 +29,7 @@ from .forms import (
 )
 from .regions import Region
 from .symbolic import ONE, ScalarExpr, ZeroTestConfig, evaluate, normalize, rat
-from .verdicts import Outcome, Verdict, worst
+from .verdicts import Outcome
 
 _GAUGE_ADVICE = "consider a different Frobenius witness (gauge change mu -> mu + f*nu)"
 
@@ -234,36 +234,19 @@ def _minimal_vanishing(fam, mu, cfg):
     return Outcome.of(entries), f_min, gv
 
 
-@dataclass(frozen=True)
-class GVReport:
-    """Outcome of gluing a stratum's GV form by extension with zero.
-
-    ``glued`` is claimed only when every overlap-vanishing verdict was
-    proved; closedness of each piece is reported separately.
-    """
-
-    rank: int
-    degree: int
-    piecewise: PiecewiseForm
-    vanishing: Outcome
-    closedness: Outcome
-    glued: bool
-    notes: tuple = ()
-
-    @property
-    def status(self) -> Verdict:
-        return worst((self.vanishing.status, self.closedness.status))
-
-
-def gv_min(fam: FoliationFamily, mu: dict, rank: int, cfg: ZeroTestConfig) -> GVReport:
+def gv_min(fam: FoliationFamily, mu: dict, rank: int, cfg: ZeroTestConfig):
     """Glue the GV form of the rank stratum across the family.
 
     Restricts the family to members with leaf dimension >= rank, takes
     the member realizing the minimum (leaf dimension == rank, codim q),
     and extends gv_form(mu, q) from its region by explicit zero pieces
-    on the other regions.  A refuted overlap-vanishing check raises a
-    gluing error with its witness; undecided checks leave the result
-    unglued.  The piecewise degree is always 2q+1.
+    on the other regions; the piecewise degree is always 2q+1.  Returns
+    (piecewise form, outcome).  The outcome has two entries:
+    ``vanishing`` (the overlap rows of :func:`check_minimal_vanishing`)
+    and ``closedness`` (one ``closed[region]`` row per piece).  The glue
+    holds only when ``vanishing`` is proved; an undecided overlap leaves
+    it unestablished, with a note.  A refuted overlap vanishing raises a
+    gluing error with its witness.
     """
     if rank not in fam.ranks():
         raise ValueError("rank %d is not the leaf dimension of any member" % rank)
@@ -282,9 +265,12 @@ def gv_min(fam: FoliationFamily, mu: dict, rank: int, cfg: ZeroTestConfig) -> GV
     closedness = Outcome.of(
         ("closed[%s]" % region.name, vanishes_on(ext_d(piece), region, cfg)) for region, piece in pw.pieces
     )
-    glued = vanishing.proved
-    notes = () if glued else ("gluing not certified: an overlap verdict stayed undecided",)
-    return GVReport(rank, degree, pw, vanishing, closedness, glued, notes)
+    detail = "degree %d form, glued with zero on %d region(s)" % (degree, len(pieces) - 1)
+    notes = ()
+    if not vanishing.proved:
+        detail += "; gluing not established"
+        notes = ("gluing not certified: an overlap verdict stayed undecided",)
+    return pw, Outcome.of((("vanishing", vanishing), ("closedness", closedness)), notes, detail)
 
 
 def check_basic(

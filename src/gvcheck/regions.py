@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import SamplingError
+from .errors import DomainError, SamplingError
 from .symbolic import evaluate, free_coords, mix_seed, normalize
 
 _MAX_REJECT = 2000
@@ -44,8 +44,13 @@ class Region:
                 raise ValueError("constraint uses coordinates outside the chart: %s" % sorted(extra))
 
     def contains(self, point):
-        """Strict membership: every constraint evaluates positive."""
-        return all(evaluate(g, point) > 0.0 for g in self.constraints)
+        """Strict membership: every constraint evaluates positive.  A point
+        where a constraint is undefined lies outside; an overflow still
+        raises, since an overflowed value has a sign."""
+        try:
+            return all(evaluate(g, point) > 0.0 for g in self.constraints)
+        except DomainError:
+            return False
 
     def sample_point(self, seed, index):
         """Rejection-sample the region; deterministic per (seed, index)."""

@@ -6,8 +6,9 @@ What a check computes is its directive's ``run``, from
 run, writes the outcome and each of its ``(name, Outcome)`` entries into
 a report row, and renders the rows.  Each check runs under its own
 sub-seeded configuration, so reports do not depend on check order or on
-which other checks appear in the document.  Engine errors never escape:
-a check whose preconditions are refuted becomes a FAIL outcome carrying
+which other checks appear in the document.  Engine errors never escape;
+:func:`error_outcome`, which the ``gv`` verb shares, makes their row: a
+check whose preconditions are refuted becomes a FAIL outcome carrying
 the witness; one whose region cannot be sampled becomes UNDECIDED;
 anything unexpected becomes a FAIL outcome flagged as an internal error.
 The JSON rendering is byte-deterministic for a fixed document and seed
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 from .errors import GvError, SamplingError, WitnessedError
 from .specdoc import CheckDirective, SpecDocument
 from .symbolic import ZeroTestConfig, mix_seed
-from .verdicts import EXIT_STATUS, Outcome, Verdict, worst
+from .verdicts import EXIT_STATUS, Outcome, Verdict, point_str, worst
 
 SCHEMA_VERSION = 1
 
@@ -85,22 +86,27 @@ class RunReport:
         return cls(checks=checks, **raw)
 
 
+def error_outcome(e: Exception) -> Outcome:
+    """The outcome of a check that raised ``e``: the one error policy of
+    both the report rows and the ``gv`` verb."""
+    # an error is a FAIL: a refuting outcome with the error's witness, if any
+    if isinstance(e, WitnessedError):
+        message = str(e) + (("; " + e.detail) if e.detail else "")
+        return Outcome(Verdict.FAIL, witness=e.witness, detail=message)
+    # but a region that yields no sample refutes nothing
+    if isinstance(e, SamplingError):
+        return Outcome(Verdict.UNDECIDED, detail="SamplingError: %s" % e)
+    if isinstance(e, (GvError, ValueError, KeyError, ZeroDivisionError)):
+        return Outcome(Verdict.FAIL, detail="%s: %s" % (type(e).__name__, e))
+    return Outcome(Verdict.FAIL, detail="internal error (%s: %s)" % (type(e).__name__, e))
+
+
 def _execute(directive: CheckDirective, cfg: ZeroTestConfig) -> CheckResult:
     start = time.perf_counter()
-    latex = ""
     try:
         outcome, latex = directive.run(cfg)
-    # an error becomes a FAIL row: a refuting outcome with the error's witness, if any
-    except WitnessedError as e:
-        message = str(e) + (("; " + e.detail) if e.detail else "")
-        outcome = Outcome(Verdict.FAIL, witness=e.witness, detail=message)
-    # but a region that yields no sample refutes nothing
-    except SamplingError as e:
-        outcome = Outcome(Verdict.UNDECIDED, detail="SamplingError: %s" % e)
-    except (GvError, ValueError, KeyError, ZeroDivisionError) as e:
-        outcome = Outcome(Verdict.FAIL, detail="%s: %s" % (type(e).__name__, e))
     except Exception as e:  # never let a run crash on one bad check
-        outcome = Outcome(Verdict.FAIL, detail="internal error (%s: %s)" % (type(e).__name__, e))
+        outcome, latex = error_outcome(e), ""
     elapsed = (time.perf_counter() - start) * 1000.0
     return CheckResult(
         name=directive.label,
@@ -165,13 +171,13 @@ def render_text(report: RunReport) -> str:
             head += " -- %s" % c.detail
         lines.append(head)
         if c.witness:
-            lines.append("    witness: %s" % _point_str(c.witness))
+            lines.append("    witness: %s" % point_str(c.witness))
         for e in c.entries:
             row = "    - %-28s %s" % (e["name"], e["verdict"])
             if e.get("detail"):
                 row += "  %s" % e["detail"]
             if e.get("witness_point"):
-                row += "  at %s" % _point_str(e["witness_point"])
+                row += "  at %s" % point_str(e["witness_point"])
             if e.get("witness_form"):
                 row += "  residual %s" % e["witness_form"]
             lines.append(row)
@@ -183,10 +189,6 @@ def render_text(report: RunReport) -> str:
         % (s["total"], s["pass"], s["fail"], s["undecided"])
     )
     return "\n".join(lines) + "\n"
-
-
-def _point_str(point: dict) -> str:
-    return "{" + ", ".join("%s: %.6g" % (k, v) for k, v in sorted(point.items())) + "}"
 
 
 def render_json(report: RunReport) -> str:
@@ -243,6 +245,8 @@ def render_latex(report: RunReport) -> str:
         )
         if c.detail:
             item += r" --- %s" % _latex_escape(c.detail)
+        if c.witness:
+            item += r" \\ witness: %s" % _latex_escape(point_str(c.witness))
         if c.latex:
             item += "\n" + r"\begin{equation*}" + "\n" + c.latex + "\n" + r"\end{equation*}"
         if c.entries:
@@ -251,6 +255,10 @@ def render_latex(report: RunReport) -> str:
                 row = r"\texttt{%s}: %s" % (_latex_escape(e["name"]), verdict_cmd[e["verdict"]])
                 if e.get("detail"):
                     row += " (%s)" % _latex_escape(e["detail"])
+                if e.get("witness_point"):
+                    row += " at %s" % _latex_escape(point_str(e["witness_point"]))
+                if e.get("witness_form"):
+                    row += ", residual %s" % _latex_escape(e["witness_form"])
                 rows.append(row)
             item += "\n" + r"\begin{itemize}" + "\n"
             item += "\n".join(r"\item " + r for r in rows)

@@ -739,15 +739,9 @@ def _check_gv_min(p: _StatementParser):
         p.reject(problem)
 
     def run(cfg):
-        report = gv_min(fam, mus, rank, cfg)
-        detail = "degree %d form, glued with zero on %d region(s)" % (
-            report.degree,
-            len(report.piecewise.pieces) - 1,
-        )
-        if not report.glued:
-            detail += "; gluing not established"
-        rows = Outcome.of(report.vanishing.entries + report.closedness.entries, report.notes, detail)
-        return rows, report.piecewise.pieces[0][1].to_latex()
+        pw, out = gv_min(fam, mus, rank, cfg)
+        entries = out.entry("vanishing").entries + out.entry("closedness").entries
+        return Outcome.of(entries, out.notes, out.detail), pw.pieces[0][1].to_latex()
     return run
 
 

@@ -89,6 +89,11 @@ def combine_outcomes(outcomes):
     return next((o for o in outcomes if o.nonzero), Outcome(status))
 
 
+def point_str(point: dict) -> str:
+    """A witness point as every report and verb writes it: ``{x: 0.5, y: -1}``."""
+    return "{" + ", ".join("%s: %.6g" % (k, v) for k, v in sorted(point.items())) + "}"
+
+
 def verdict_of(outcome: Outcome) -> Verdict:
     """The outcome's status, under the name the benchmark workloads import."""
     return outcome.status

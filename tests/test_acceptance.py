@@ -179,12 +179,12 @@ def test_criterion_05_minimal_stratum_invariant_glues(cfg):
     # the gauge curvature vanishes to the order the open-set member needs
     assert forms_equal(form_power_of_dmu(mu0, 1), zero_form(XYZ, 2), shell, cfg).proved
     assert check_minimal_vanishing(fam, mus, cfg).proved
-    report = gv_min(fam, mus, 2, cfg)
-    assert report.glued
-    assert report.degree == 3
-    assert report.piecewise.piece_on("core") == gv_form(mu0, 1)
-    assert report.piecewise.piece_on("shell").is_zero
-    assert report.status.value == "PASS"
+    pw, out = gv_min(fam, mus, 2, cfg)
+    assert out.entry("vanishing").proved
+    assert pw.degree == 3
+    assert pw.piece_on("core") == gv_form(mu0, 1)
+    assert pw.piece_on("shell").is_zero
+    assert out.status.value == "PASS"
     bad = {"Leaves": mu0 + d3("y") * z, "Whole": zero_form(XYZ, 1)}
     with pytest.raises(GluingError) as err:
         gv_min(fam, bad, 2, cfg)

@@ -13,9 +13,10 @@ import gvcheck.cli
 import gvcheck.runner
 from gvcheck.cli import ENV_SEED, build_parser, main
 from gvcheck.gv import gv_min
-from gvcheck.runner import CheckResult, RunReport, render_json, render_report, render_text, run_checks
+from gvcheck.runner import CheckResult, RunReport, render_json, render_latex, render_report, render_text, run_checks
 from gvcheck.specdoc import parse_spec
 from gvcheck.symbolic import ZeroTestConfig
+from gvcheck.verdicts import point_str
 
 
 GALLERY = os.path.join(os.path.dirname(__file__), os.pardir, "gallery")
@@ -325,15 +326,17 @@ class TestGvVerb:
         spec = tmp_path / "refuted.fol"
         spec.write_text(self.FAMILY + "mu L = z*dy\n")
         assert run_cli(["gv", str(spec)]) == 1
-        head, witness, advice = capsys.readouterr().out.splitlines()
-        assert head == "FAIL: overlap vanishing refuted: power-vanishing[W]"
+        head, witness = capsys.readouterr().out.splitlines()
+        assert head == (
+            "FAIL: overlap vanishing refuted: power-vanishing[W]; "
+            "consider a different Frobenius witness (gauge change mu -> mu + f*nu)"
+        )
         # the witness is a sampled point of the overlap, inside Core's ball,
         # written as reports write a point
         assert witness.startswith("witness: {") and witness.endswith("}")
         pairs = (item.split(": ") for item in witness[len("witness: {"):-1].split(", "))
         point = {name: float(value) for name, value in pairs}
         assert set(point) == {"x", "y", "z"} and sum(v * v for v in point.values()) < 1
-        assert advice == "consider a different Frobenius witness (gauge change mu -> mu + f*nu)"
 
     def test_undecided_vanishing_is_not_glued(self, tmp_path, capsys):
         # flatexp(x)*flatexp(-x) is zero, but no normalization proves it
@@ -361,7 +364,7 @@ class TestGvVerb:
         spec = tmp_path / "empty.fol"
         spec.write_text(self.EMPTY_CORE)
         assert run_cli(["gv", str(spec)]) == 2
-        assert capsys.readouterr() == ("UNDECIDED: %s\n" % self.NO_SAMPLE, "")
+        assert capsys.readouterr() == ("UNDECIDED: SamplingError: %s\n" % self.NO_SAMPLE, "")
 
     def test_unsampleable_region_rows_are_undecided(self):
         doc = parse_doc(self.EMPTY_CORE + "check gv-min fam rank 2\ncheck zero x on Core\n")
@@ -369,6 +372,50 @@ class TestGvVerb:
         rows = [(c.verdict, c.detail, c.witness) for c in report.checks]
         assert rows == [("UNDECIDED", "SamplingError: " + self.NO_SAMPLE, None)] * 2
         assert report.exit_code() == 2
+
+    OVERFLOW = (
+        "chart x y z\nregion R = all\nfoliation F on R leafdim 2 nu dz transverse z\n"
+        "mu F = y^20000*dx + y^20000*dz\nfamily fam = F\n"
+    )
+    # sampling the overlap of H and W meets points where log(x) is undefined
+    LOG_REGION = (
+        "chart x y\nregion R = log(x) > 0\nregion Whole = all\n"
+        "foliation H on R leafdim 1 nu dy transverse y\nfoliation W on Whole leafdim 2\n"
+        "mu H = 0*dx\nfamily fam = H W\n"
+    )
+
+    @pytest.mark.parametrize("source, status", [
+        ("glued_family.fol", 0),
+        ("nested_adapted.fol", 0),
+        ("nonzero_gv.fol", 0),
+        (FAMILY + "mu L = z*dy\n", 1),
+        (FAMILY + "mu L = flatexp(x)*flatexp(-x)*z*dx\n", 2),
+        (EMPTY_CORE, 2),
+        (OVERFLOW, 1),
+        (LOG_REGION, 0),
+    ], ids=["glued", "nested", "nonzero", "refuted", "undecided", "unsampleable", "overflow", "log-region"])
+    def test_the_verb_agrees_with_the_gv_min_row(self, source, status, tmp_path, capsys):
+        if source.endswith(".fol"):
+            with open(gallery_path(source), encoding="utf-8") as fh:
+                source = fh.read()
+        spec = tmp_path / "family.fol"
+        spec.write_text(source)
+        assert run_cli(["gv", str(spec)]) == status
+        captured = capsys.readouterr()
+        assert captured.err == ""  # no traceback, and no engine error read as a usage error
+        out = captured.out.splitlines()
+        # the same family alone in a report: the row runs under the verb's sub-seed
+        (name, fam), = parse_doc(source).families.items()
+        body = "".join(line for line in source.splitlines(True) if not line.startswith("check "))
+        report = run_checks(parse_doc(body + "check gv-min %s rank %d\n" % (name, min(fam.ranks()))))
+        (row,) = report.checks
+        assert report.exit_code() == status
+        if row.entries:
+            assert ("glued: yes" in out) == (not row.detail.endswith("; gluing not established"))
+            assert [line[len("note: "):] for line in out if line.startswith("note: ")] == row.notes
+        else:  # an engine error: the verb prints the row
+            witness = ["witness: " + point_str(row.witness)] if row.witness else []
+            assert out == ["%s: %s" % (row.verdict, row.detail)] + witness
 
     def test_missing_mu_is_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "nomu.fol"
@@ -511,6 +558,27 @@ class TestRunnerApi:
         entry = json.loads(render_json(report))["checks"][0]["entries"][-1]
         assert entry["name"] == "integrability[0]" and entry["verdict"] == "FAIL"
         assert entry["witness_form"] == "dx^dy^dz"
+
+    def test_integrability_residual_in_latex(self):
+        doc = parse_doc(
+            "chart x y z\nregion R = all\nfoliation C on R leafdim 2 nu dz - y*dx\ncheck foliation C\n"
+        )
+        report = run_checks(doc)
+        (row,) = [line for line in render_latex(report).splitlines() if "integrability[0]" in line]
+        witness = point_str(report.checks[0].entries[-1]["witness_point"]).replace("{", r"\{").replace("}", r"\}")
+        assert row == (
+            r"\item \texttt{integrability[0]}: \verdictfail (coefficient of dx\textasciicircum{}dy"
+            r"\textasciicircum{}dz differs) at " + witness
+            + r", residual dx\textasciicircum{}dy\textasciicircum{}dz"
+        )
+
+    def test_a_point_where_the_region_is_undefined_lies_outside_it(self, tmp_path, capsys):
+        # flatexp(x)*flatexp(-x) is zero, but no normalization proves it;
+        # the sampler skips x <= 0, where log(x) is undefined
+        spec = tmp_path / "log_region.fol"
+        spec.write_text("chart x y\nregion R = log(x) > 0\ncheck zero flatexp(x)*flatexp(-x) on R\n")
+        assert run_cli(["check", str(spec)]) == 2
+        assert "[UNDECIDED] check-1-zero (zero)" in capsys.readouterr().out
 
     def test_render_report_rejects_unknown_format(self):
         doc = parse_doc(TINY_DOC)

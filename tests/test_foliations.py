@@ -24,6 +24,7 @@ from gvcheck import (
     validate_foliation,
     zero_form,
 )
+from gvcheck.verdicts import point_str
 from conftest import XY, XYZ, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")
@@ -295,6 +296,16 @@ def test_invariance_precondition_region_preservation(cfg):
         check_invariance(flip, h, cfg)
     assert err.value.witness is not None
     assert "image" in err.value.detail
+
+
+def test_invariance_precondition_writes_the_image_as_a_point(cfg):
+    right = half(XY, x, "right")
+    flip = CoordinateMap(XY, XY, {"x": -x, "y": y})
+    with pytest.raises(PreconditionError) as err:
+        check_invariance(flip, horizontal(right), cfg)
+    w = err.value.witness
+    assert err.value.detail == "image " + point_str({"x": -w["x"], "y": w["y"]})
+    assert err.value.detail.startswith("image {x: -") and "'" not in err.value.detail
 
 
 # ---------------------------------------------------------------------------

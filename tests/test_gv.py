@@ -7,7 +7,8 @@ from gvcheck import (
     Foliation,
     FoliationFamily,
     GluingError,
-    GVReport,
+    Outcome,
+    PiecewiseForm,
     PreconditionError,
     Region,
     UnsupportedShapeError,
@@ -294,15 +295,17 @@ def test_check_minimal_vanishing_passes_glued_fixture(cfg):
 
 def test_gv_min_glues_with_zero(cfg):
     fam, mu, mu0 = glued_family()
-    report = gv_min(fam, mu, 2, cfg)
-    assert isinstance(report, GVReport)
-    assert report.rank == 2
-    assert report.degree == 3
-    assert report.glued
-    assert report.status is Verdict.PASS
-    assert report.piecewise.piece_on("core") == gv_form(mu0, 1)
-    assert report.piecewise.piece_on("shell").is_zero
-    assert all(o.status is Verdict.PASS for _, o in report.closedness.entries)
+    pw, out = gv_min(fam, mu, 2, cfg)
+    assert isinstance(pw, PiecewiseForm) and isinstance(out, Outcome)
+    assert [name for name, _ in out.entries] == ["vanishing", "closedness"]
+    assert pw.degree == 3
+    assert out.entry("vanishing").proved
+    assert out.status is Verdict.PASS
+    assert out.detail == "degree 3 form, glued with zero on 1 region(s)"
+    assert out.notes == ()
+    assert pw.piece_on("core") == gv_form(mu0, 1)
+    assert pw.piece_on("shell").is_zero
+    assert all(o.status is Verdict.PASS for _, o in out.entry("closedness").entries)
 
 
 def test_gv_min_builds_the_gv_form_once(cfg, monkeypatch):
@@ -312,9 +315,9 @@ def test_gv_min_builds_the_gv_form_once(cfg, monkeypatch):
     built = []
     monkeypatch.setattr(gv, "gv_form", lambda mu, q: built.append(q) or gv_form(mu, q))
     fam, mu, mu0 = glued_family()
-    report = gv_min(fam, mu, 2, cfg)
+    pw, _ = gv_min(fam, mu, 2, cfg)
     assert built == [1]
-    assert report.piecewise.piece_on("core") == gv_form(mu0, 1)
+    assert pw.piece_on("core") == gv_form(mu0, 1)
 
 
 def test_gv_min_rank_must_exist(cfg):
@@ -325,10 +328,10 @@ def test_gv_min_rank_must_exist(cfg):
 
 def test_gv_min_restricts_to_requested_rank(cfg):
     fam, mu, _ = glued_family()
-    report = gv_min(fam, mu, 3, cfg)
-    assert report.degree == 1  # codim 0 stratum
-    assert len(report.piecewise.pieces) == 1
-    assert report.glued
+    pw, out = gv_min(fam, mu, 3, cfg)
+    assert pw.degree == 1  # codim 0 stratum
+    assert len(pw.pieces) == 1
+    assert out.entry("vanishing").proved
 
 
 def test_gv_min_rejects_corrupted_gauge(cfg):
@@ -347,10 +350,10 @@ def test_gv_min_rejects_corrupted_gauge(cfg):
 def test_gv_min_single_member_family_is_vacuously_glued(space, cfg):
     fol = spiral(space)
     fam = FoliationFamily((fol,), box=square_box(XYZ))
-    report = gv_min(fam, {"F": spiral_mu()}, 2, cfg)
-    assert report.glued
-    assert report.piecewise.pieces[0][1] == basis_form(XYZ, ("x", "y", "z"))
-    assert report.status is Verdict.PASS
+    pw, out = gv_min(fam, {"F": spiral_mu()}, 2, cfg)
+    assert out.entry("vanishing").proved
+    assert pw.pieces[0][1] == basis_form(XYZ, ("x", "y", "z"))
+    assert out.status is Verdict.PASS
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,18 @@ def test_zero_test_respects_region_constraints(cfg):
     assert out_full.status is Verdict.FAIL
 
 
+def test_a_point_where_a_constraint_is_undefined_lies_outside():
+    box = square_box(XY)
+    logs = Region(XY, (log(x),), box, name="logs")
+    assert not logs.contains({"x": -1.0, "y": 0.0})
+    assert logs.contains({"x": 1.5, "y": 0.0})
+    assert logs.sample_point(3, 0)["x"] > 1.0
+    # an overflowed exp has a sign, so it is an error, not a point outside
+    huge = Region(XY, (exp(1000 * x),), box, name="huge")
+    with pytest.raises(EvaluationError):
+        huge.contains({"x": 1.0, "y": 0.0})
+
+
 def test_combined_outcome_is_the_worst_status_with_the_first_refutation():
     proved = Outcome(Verdict.PASS)
     undecided = Outcome(Verdict.UNDECIDED, detail="max |value| 0 over 32 samples")
