@@ -10,8 +10,6 @@ the constant 0-form 1 as their defining form and have no generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .errors import PreconditionError, SamplingError
 from .forms import (
     CoordinateMap,
@@ -30,7 +28,6 @@ from .symbolic import ONE, ZeroTestConfig
 from .verdicts import Outcome, Verdict, combine_outcomes, point_str
 
 
-@dataclass(frozen=True)
 class Foliation:
     """A regular foliation of an open region, presented by forms.
 
@@ -40,32 +37,34 @@ class Foliation:
     adapted-shape solvers require it.
     """
 
-    name: str
-    region: Region
-    leaf_dim: int
-    nu: DiffForm
-    decomposition: tuple = ()
-    transverse: tuple | None = None
+    __slots__ = ("name", "region", "leaf_dim", "nu", "decomposition", "transverse")
 
-    def __post_init__(self):
-        m = len(self.region.coords)
-        q = m - self.leaf_dim
-        if not (0 <= self.leaf_dim <= m):
-            raise ValueError("leaf dimension %d outside 0..%d" % (self.leaf_dim, m))
-        if self.nu.degree != q:
-            raise ValueError("defining form has degree %d, expected codimension %d" % (self.nu.degree, q))
-        object.__setattr__(self, "decomposition", tuple(self.decomposition))
-        if len(self.decomposition) != q:
+    def __init__(self, name: str, region: Region, leaf_dim: int, nu: DiffForm, decomposition: tuple = (),
+                 transverse: tuple | None = None):
+        m = len(region.coords)
+        q = m - leaf_dim
+        if not (0 <= leaf_dim <= m):
+            raise ValueError("leaf dimension %d outside 0..%d" % (leaf_dim, m))
+        if nu.degree != q:
+            raise ValueError("defining form has degree %d, expected codimension %d" % (nu.degree, q))
+        decomposition = tuple(decomposition)
+        if len(decomposition) != q:
             raise ValueError("decomposition must have exactly %d transverse 1-forms" % q)
-        for w in self.decomposition:
+        for w in decomposition:
             if w.degree != 1:
                 raise ValueError("decomposition entries must be 1-forms")
-        if q == 0 and self.nu.coefficient(()) != ONE:
+        if q == 0 and nu.coefficient(()) != ONE:
             raise ValueError("a one-leaf foliation must use the constant 0-form 1")
-        if self.transverse is not None:
-            object.__setattr__(self, "transverse", tuple(self.transverse))
-            if len(self.transverse) != q:
+        if transverse is not None:
+            transverse = tuple(transverse)
+            if len(transverse) != q:
                 raise ValueError("transverse coordinate list must have length %d" % q)
+        self.name = name
+        self.region = region
+        self.leaf_dim = leaf_dim
+        self.nu = nu
+        self.decomposition = decomposition
+        self.transverse = transverse
 
     @property
     def coords(self):
@@ -100,21 +99,19 @@ def validate_foliation(fol: Foliation, cfg: ZeroTestConfig) -> Outcome:
         residual = wedge(ext_d(w), fol.nu)
         outcome = vanishes_on(residual, fol.region, cfg)
         if not outcome.proved:
-            outcome = replace(outcome, witness_form=str(residual))
+            outcome = Outcome(outcome.status, outcome.witness, outcome.value, outcome.detail,
+                              witness_form=str(residual))
         entries.append(("integrability[%d]" % k, outcome))
     return Outcome.of(entries)
 
 
-@dataclass(frozen=True)
 class FoliationFamily:
     """Foliations with pairwise distinct leaf dimensions covering a box."""
 
-    members: tuple
-    box: dict = field(default_factory=dict)
-    saturated: bool = False
+    __slots__ = ("members", "box", "saturated")
 
-    def __post_init__(self):
-        members = tuple(self.members)
+    def __init__(self, members: tuple, box: dict | None = None, saturated: bool = False):
+        members = tuple(members)
         if not members:
             raise ValueError("a family needs at least one member")
         coords = members[0].coords
@@ -124,9 +121,9 @@ class FoliationFamily:
         names = [f.name for f in members]
         if len(set(names)) != len(names):
             raise ValueError("family members must have distinct names")
-        object.__setattr__(self, "members", members)
-        if not self.box:
-            object.__setattr__(self, "box", hull_box([f.region for f in members]))
+        self.members = members
+        self.box = box or hull_box([f.region for f in members])
+        self.saturated = saturated
 
     @property
     def coords(self):
@@ -208,12 +205,13 @@ def check_family(fam: FoliationFamily, cfg: ZeroTestConfig) -> Outcome:
             if ov is None:
                 entries.append((label, Outcome.from_witness(None, passed="no overlap detected")))
                 continue
-            outcome = combine_outcomes(
-                vanishes_on(wedge_all(fam.coords, (w,) + fi.decomposition), ov, cfg)
-                for w in fj.decomposition
-            )
-            if not fj.decomposition:
-                outcome = replace(outcome, detail="larger-leaved member has no generators")
+            if fj.decomposition:
+                outcome = combine_outcomes(
+                    vanishes_on(wedge_all(fam.coords, (w,) + fi.decomposition), ov, cfg)
+                    for w in fj.decomposition
+                )
+            else:
+                outcome = Outcome(Verdict.PASS, detail="larger-leaved member has no generators")
             entries.append((label, outcome))
     notes.append("saturation asserted by user: %s" % ("yes" if fam.saturated else "no"))
     return Outcome.of(entries, notes)
@@ -227,7 +225,6 @@ def rank_at(fam: FoliationFamily, point):
     return max(dims)
 
 
-@dataclass(frozen=True)
 class Stratum:
     """A rank stratum of a family.
 
@@ -236,10 +233,13 @@ class Stratum:
     membership predicate is available.
     """
 
-    family: FoliationFamily
-    mode: str
-    rank: int
-    regions: tuple | None
+    __slots__ = ("family", "mode", "rank", "regions")
+
+    def __init__(self, family: FoliationFamily, mode: str, rank: int, regions: tuple | None):
+        self.family = family
+        self.mode = mode
+        self.rank = rank
+        self.regions = regions
 
     def contains(self, point):
         try:
@@ -296,7 +296,6 @@ def check_invariance(m: CoordinateMap, fol: Foliation, cfg: ZeroTestConfig):
     )
 
 
-@dataclass(frozen=True)
 class PiecewiseForm:
     """A form given by pieces on regions, all of one degree.
 
@@ -305,13 +304,14 @@ class PiecewiseForm:
     tests that the pieces agree there.
     """
 
-    pieces: tuple  # of (Region, DiffForm)
-    degree: int
+    __slots__ = ("pieces", "degree")
 
-    def __post_init__(self):
-        for _, f in self.pieces:
-            if f.degree != self.degree and not f.is_zero:
-                raise ValueError("piece degree %d differs from declared %d" % (f.degree, self.degree))
+    def __init__(self, pieces: tuple, degree: int):
+        for _, f in pieces:
+            if f.degree != degree and not f.is_zero:
+                raise ValueError("piece degree %d differs from declared %d" % (f.degree, degree))
+        self.pieces = pieces  # of (Region, DiffForm)
+        self.degree = degree
 
     def piece_on(self, region_name):
         for r, f in self.pieces:

@@ -11,7 +11,6 @@ both in pure Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ChartError, DegreeError, PreconditionError
 from .symbolic import (
@@ -272,7 +271,6 @@ def form_power(a: DiffForm, k: int) -> DiffForm:
 # coordinate maps and pullback
 
 
-@dataclass(frozen=True)
 class CoordinateMap:
     """A smooth map between charts, given by target components.
 
@@ -280,15 +278,12 @@ class CoordinateMap:
     the source coordinates.
     """
 
-    source: tuple
-    target: tuple
-    components: dict
+    __slots__ = ("source", "target", "components")
 
-    def __post_init__(self):
-        object.__setattr__(self, "source", tuple(self.source))
-        object.__setattr__(self, "target", tuple(self.target))
-        comps = {k: normalize(v) for k, v in self.components.items()}
-        object.__setattr__(self, "components", comps)
+    def __init__(self, source: tuple, target: tuple, components: dict):
+        self.source = tuple(source)
+        self.target = tuple(target)
+        self.components = comps = {k: normalize(v) for k, v in components.items()}
         for t in self.target:
             if t not in comps:
                 raise ValueError("missing component for target coordinate %r" % t)

@@ -9,8 +9,6 @@ mu by a basic function before building the GV form.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .errors import GluingError, GvError, PreconditionError, UnsupportedShapeError
 from .foliations import Foliation, FoliationFamily, PiecewiseForm, _overlap_or_none
 from .forms import (
@@ -230,7 +228,9 @@ def _minimal_vanishing(fam, mu, cfg):
         out_pow = vanishes_on(form_power(d_mu, 1 + f.codim), ov, cfg)
         out_gv = vanishes_on(gv, ov, cfg)
         for label, out in ((label_pow, out_pow), (label_gv, out_gv)):
-            entries.append((label, replace(out, detail=_GAUGE_ADVICE) if out.nonzero else out))
+            if out.nonzero:  # a refuting forms_equal outcome has no other fields
+                out = Outcome(out.status, out.witness, out.value, _GAUGE_ADVICE)
+            entries.append((label, out))
     return Outcome.of(entries), f_min, gv
 
 

@@ -10,7 +10,6 @@ same point, independent of evaluation order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import DomainError, SamplingError
 from .symbolic import evaluate, free_coords, mix_seed, normalize
@@ -18,7 +17,6 @@ from .symbolic import evaluate, free_coords, mix_seed, normalize
 _MAX_REJECT = 2000
 
 
-@dataclass(frozen=True)
 class Region:
     """Conjunction of strict inequalities over a boxed chart.
 
@@ -27,19 +25,19 @@ class Region:
     (lo, hi) bounds.
     """
 
-    coords: tuple
-    constraints: tuple = ()
-    box: dict = field(default_factory=dict)
-    name: str = ""
+    __slots__ = ("coords", "constraints", "box", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(normalize(g) for g in self.constraints))
-        for c in self.coords:
+    def __init__(self, coords: tuple, constraints: tuple = (), box: dict | None = None, name: str = ""):
+        self.coords = coords
+        self.constraints = tuple(normalize(g) for g in constraints)
+        self.box = {} if box is None else box
+        self.name = name
+        for c in coords:
             lo, hi = self.box[c]
             if not (lo < hi):
                 raise ValueError("empty box bound for %r" % c)
         for g in self.constraints:
-            extra = free_coords(g) - set(self.coords)
+            extra = free_coords(g) - set(coords)
             if extra:
                 raise ValueError("constraint uses coordinates outside the chart: %s" % sorted(extra))
 

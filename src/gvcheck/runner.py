@@ -18,7 +18,6 @@ timings).
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
 
 from .errors import GvError, SamplingError, WitnessedError
 from .specdoc import CheckDirective, SpecDocument
@@ -28,33 +27,46 @@ from .verdicts import EXIT_STATUS, Outcome, Verdict, point_str, worst
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class CheckResult:
     """Plain-data outcome of one check, safe for exact JSON round-trips."""
 
-    name: str
-    kind: str
-    verdict: str
-    detail: str = ""
-    witness: dict | None = None
-    entries: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    latex: str = ""
-    timing_ms: float | None = None
+    __slots__ = ("name", "kind", "verdict", "detail", "witness", "entries", "notes", "latex", "timing_ms")
+
+    def __init__(self, name: str, kind: str, verdict: str, detail: str = "", witness: dict | None = None,
+                 entries: list | None = None, notes: list | None = None, latex: str = "",
+                 timing_ms: float | None = None):
+        self.name = name
+        self.kind = kind
+        self.verdict = verdict
+        self.detail = detail
+        self.witness = witness
+        self.entries = [] if entries is None else entries
+        self.notes = [] if notes is None else notes
+        self.latex = latex
+        self.timing_ms = timing_ms
+
+    def to_json(self) -> dict:
+        """The row as the JSON report writes it: its timing is null there."""
+        return {"name": self.name, "kind": self.kind, "verdict": self.verdict, "detail": self.detail,
+                "witness": self.witness, "entries": self.entries, "notes": self.notes, "latex": self.latex,
+                "timing_ms": None}
 
 
-@dataclass
 class RunReport:
     """Everything one run produced, in renderer-independent form."""
 
-    seed: int
-    seed_source: str
-    samples: int
-    abs_tol: float
-    rel_tol: float
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
+    __slots__ = ("seed", "seed_source", "samples", "abs_tol", "rel_tol", "checks", "notes", "schema_version")
+
+    def __init__(self, seed: int, seed_source: str, samples: int, abs_tol: float, rel_tol: float,
+                 checks: list | None = None, notes: list | None = None, schema_version: int = SCHEMA_VERSION):
+        self.seed = seed
+        self.seed_source = seed_source
+        self.samples = samples
+        self.abs_tol = abs_tol
+        self.rel_tol = rel_tol
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
+        self.schema_version = schema_version
 
     @property
     def summary(self) -> dict:
@@ -75,6 +87,13 @@ class RunReport:
             rel_tol=self.rel_tol,
             rng_seed=mix_seed(self.seed, index),
         )
+
+    def to_json(self) -> dict:
+        """The JSON report's object, which :meth:`from_json` reads back."""
+        return {"seed": self.seed, "seed_source": self.seed_source, "samples": self.samples,
+                "abs_tol": self.abs_tol, "rel_tol": self.rel_tol,
+                "checks": [c.to_json() for c in self.checks], "notes": self.notes,
+                "schema_version": self.schema_version, "summary": self.summary}
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -194,11 +213,7 @@ def render_text(report: RunReport) -> str:
 def render_json(report: RunReport) -> str:
     import json  # only JSON reports need it: kept off the import path
 
-    data = asdict(report)
-    for c in data["checks"]:
-        c["timing_ms"] = None
-    data["summary"] = report.summary
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 _LATEX_HEADER = "\n".join(

@@ -11,7 +11,6 @@ decompositions; nothing here computes cohomology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
@@ -45,7 +44,6 @@ from .verdicts import Outcome
 REGULAR_VALUE_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
 class TubularData:
     """A collar around the slice S = {t = 0} of the chart.
 
@@ -56,31 +54,25 @@ class TubularData:
     and keeps the remaining coordinates.
     """
 
-    region: Region
-    f: ScalarExpr
-    t: str
-    eps: Fraction
-    eps_outer: Fraction
-    rho: ScalarExpr = field(init=False)
-    projection: CoordinateMap = field(init=False)
+    __slots__ = ("region", "f", "t", "eps", "eps_outer", "rho", "projection")
 
-    def __post_init__(self):
-        if self.t not in self.region.coords:
-            raise ValueError("transverse coordinate %r is not in the chart" % self.t)
-        eps = Fraction(self.eps)
-        outer = Fraction(self.eps_outer)
+    def __init__(self, region: Region, f: ScalarExpr, t: str, eps: Fraction, eps_outer: Fraction):
+        if t not in region.coords:
+            raise ValueError("transverse coordinate %r is not in the chart" % t)
+        eps = Fraction(eps)
+        outer = Fraction(eps_outer)
         if not (outer > eps > 0):
             raise ValueError("need eps_outer > eps > 0")
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "eps_outer", outer)
-        object.__setattr__(self, "f", normalize(self.f))
-        tv = sym(self.t)
+        self.region = region
+        self.f = normalize(f)
+        self.t = t
+        self.eps = eps
+        self.eps_outer = outer
+        tv = sym(t)
         u = (rat(outer * outer) - tv * tv) / rat(outer * outer - eps * eps)
-        object.__setattr__(self, "rho", smooth_step(u))
-        comps = {n: (rat(0) if n == self.t else sym(n)) for n in self.region.coords}
-        object.__setattr__(
-            self, "projection", CoordinateMap(self.region.coords, self.region.coords, comps)
-        )
+        self.rho = smooth_step(u)
+        comps = {n: (rat(0) if n == t else sym(n)) for n in region.coords}
+        self.projection = CoordinateMap(region.coords, region.coords, comps)
 
     def validate(self, cfg: ZeroTestConfig) -> Outcome:
         """Sampled cutoff invariants: 1 on the inner band, 0 outside the outer."""

@@ -32,7 +32,6 @@ Statement reference (one per line, ``#`` starts a comment):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GvError
@@ -77,11 +76,13 @@ _SAMPLING = ZeroTestConfig()  # the sampling defaults of a document
 _NOT_A_WITNESS = "a Frobenius witness must be a 1-form"
 
 
-@dataclass(frozen=True)
 class Diagnostic:
-    line: int
-    col: int | None
-    message: str
+    __slots__ = ("line", "col", "message")
+
+    def __init__(self, line: int, col: int | None, message: str):
+        self.line = line
+        self.col = col
+        self.message = message
 
     def __str__(self):
         where = "line %d" % self.line
@@ -90,42 +91,47 @@ class Diagnostic:
         return "%s: %s" % (where, self.message)
 
 
-@dataclass(frozen=True)
-class TestFnDecl:
-    balls: tuple
-    closedset: ClosedSetSpec
-    phi: ScalarExpr  # bump_sum(balls), built once at parse time
-
-
-@dataclass(frozen=True)
 class CheckDirective:
-    index: int
-    kind: str
-    label: str
-    run: object  # made by CHECKS[kind]: ZeroTestConfig -> (Outcome, LaTeX)
+    __slots__ = ("index", "kind", "label", "run")
+
+    def __init__(self, index: int, kind: str, label: str, run):
+        self.index = index
+        self.kind = kind
+        self.label = label
+        self.run = run  # made by CHECKS[kind]: ZeroTestConfig -> (Outcome, LaTeX)
 
 
-@dataclass
 class SpecDocument:
-    coords: tuple = ()
-    box: dict = field(default_factory=dict)
-    seed: int = _SAMPLING.rng_seed
-    seed_declared: bool = False
-    samples: int = _SAMPLING.sample_count
-    abs_tol: float = _SAMPLING.abs_tol
-    rel_tol: float = _SAMPLING.rel_tol
-    scalars: dict = field(default_factory=dict)
-    forms: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    regions: dict = field(default_factory=dict)
-    foliations: dict = field(default_factory=dict)
-    families: dict = field(default_factory=dict)
-    mus: dict = field(default_factory=dict)
-    closedsets: dict = field(default_factory=dict)
-    bumps: dict = field(default_factory=dict)
-    testfns: dict = field(default_factory=dict)
-    tubulars: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
+    """What a document declares, filled in statement by statement.
+
+    ``testfns`` maps a test function's name to ``(balls, closed set,
+    phi)``, where phi is ``bump_sum(balls)``, built once at parse time.
+    """
+
+    __slots__ = ("coords", "box", "seed", "seed_declared", "samples", "abs_tol", "rel_tol", "scalars",
+                 "forms", "maps", "regions", "foliations", "families", "mus", "closedsets", "bumps",
+                 "testfns", "tubulars", "checks")
+
+    def __init__(self):
+        self.coords = ()
+        self.box = {}
+        self.seed = _SAMPLING.rng_seed
+        self.seed_declared = False
+        self.samples = _SAMPLING.sample_count
+        self.abs_tol = _SAMPLING.abs_tol
+        self.rel_tol = _SAMPLING.rel_tol
+        self.scalars = {}
+        self.forms = {}
+        self.maps = {}
+        self.regions = {}
+        self.foliations = {}
+        self.families = {}
+        self.mus = {}
+        self.closedsets = {}
+        self.bumps = {}
+        self.testfns = {}
+        self.tubulars = {}
+        self.checks = []
 
     def env(self) -> Environment:
         return Environment(self.coords, self.scalars, self.forms)
@@ -232,7 +238,10 @@ class _StatementParser(ExprParser):
 
     def expression(self):
         self.start = self.peek().col
-        return self.parse()
+        try:
+            return self.parse()
+        except OverflowError as e:  # an exponent beyond what a monomial holds
+            self.reject(str(e))
 
     def scalar_expression(self) -> ScalarExpr:
         v = self.expression()
@@ -587,7 +596,7 @@ def _stmt_testfn(p: _StatementParser):
     m0 = p.lookup(p.doc.closedsets, "closed set")
     p.expect_end()
     phi = p.doc.scalars[name] = bump_sum(balls)
-    p.doc.testfns[name] = TestFnDecl(tuple(balls), m0, phi)
+    p.doc.testfns[name] = (tuple(balls), m0, phi)
 
 
 def _stmt_tubular(p: _StatementParser):
@@ -800,10 +809,8 @@ def _check_theta(p: _StatementParser):
 
 
 def _check_cover(p: _StatementParser):
-    decl = p.lookup(p.doc.testfns, "test function")
-    return lambda cfg: (
-        check_cover(decl.phi, decl.balls, decl.closedset, cfg), r"\varphi = %s" % to_latex(decl.phi)
-    )
+    balls, m0, phi = p.lookup(p.doc.testfns, "test function")
+    return lambda cfg: (check_cover(phi, balls, m0, cfg), r"\varphi = %s" % to_latex(phi))
 
 
 def _check_flatness(p: _StatementParser):
@@ -912,6 +919,10 @@ def _stmt_check(p: _StatementParser):
     if p.accept("as"):
         label = p.hyphenated(p.ident("a label"), lambda w: True)
     p.expect_end()
+    # only a given label can repeat: a generated one holds the check's
+    # number, and a given one is names joined by '-'
+    if any(c.label == label for c in checks):
+        p.reject("duplicate check label %r" % label)
     checks.append(CheckDirective(len(checks), kind, label, run))
 
 

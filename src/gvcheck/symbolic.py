@@ -67,7 +67,6 @@ UNDECIDED.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, EvaluationError
@@ -1160,20 +1159,21 @@ def _scale_at(e, point, cache):
 # zero testing
 
 
-@dataclass(frozen=True)
 class ZeroTestConfig:
     """Sampling budget and tolerances for the numeric zero-test fallback."""
 
-    sample_count: int = 32
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    rng_seed: int = 20140917
+    __slots__ = ("sample_count", "abs_tol", "rel_tol", "rng_seed")
 
-    def __post_init__(self):
-        if self.sample_count < 1:
+    def __init__(self, sample_count: int = 32, abs_tol: float = 1e-9, rel_tol: float = 1e-9,
+                 rng_seed: int = 20140917):
+        if sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+        if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
+        self.sample_count = sample_count
+        self.abs_tol = abs_tol
+        self.rel_tol = rel_tol
+        self.rng_seed = rng_seed
 
     def points(self, region):
         """The seeded sample points of ``region``, ``region.sample_point(rng_seed, i)``

@@ -12,7 +12,6 @@ literals are exact: ``1/3`` stays a rational, ``0.3`` means 3/10.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -38,11 +37,13 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # NUM IDENT OP END
-    text: str
-    col: int
+    __slots__ = ("kind", "text", "col")
+
+    def __init__(self, kind: str, text: str, col: int):
+        self.kind = kind  # NUM IDENT OP END
+        self.text = text
+        self.col = col
 
 
 _OPS = ("==", "->", "+", "-", "*", "/", "^", "(", ")", ",", ">", "<", "=", ";", ":")
@@ -105,13 +106,15 @@ def parse_number(text: str) -> Fraction:
         raise ParseError("bad number literal %r" % text) from None
 
 
-@dataclass
 class Environment:
     """Name resolution for expressions."""
 
-    coords: tuple
-    scalars: dict
-    forms: dict
+    __slots__ = ("coords", "scalars", "forms")
+
+    def __init__(self, coords: tuple, scalars: dict, forms: dict):
+        self.coords = coords
+        self.scalars = scalars
+        self.forms = forms
 
     def resolve(self, name: str, col: int):
         if name in self.coords:

@@ -12,7 +12,6 @@ every term of the expression carries a flat atom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 
 from .errors import CoverageError, PreconditionError
@@ -50,29 +49,28 @@ def strengthen(f) -> ScalarExpr:
     return psi0(normalize(f))
 
 
-@dataclass(frozen=True)
 class BumpSpec:
     """A radial bump: 1 on the closed ball B(center, radius), 0 outside
     B(center, 2*radius).  When a chart box is supplied, the support ball
     must fit inside it."""
 
-    center: dict
-    radius: object
-    box: dict | None = None
+    __slots__ = ("center", "radius", "box")
 
-    def __post_init__(self):
-        r = rat(self.radius) if not isinstance(self.radius, ScalarExpr) else self.radius
+    def __init__(self, center: dict, radius, box: dict | None = None):
+        r = rat(radius) if not isinstance(radius, ScalarExpr) else radius
         rv = r.as_fraction()
         if rv is None or rv <= 0:
             raise ValueError("bump radius must be a positive rational constant")
-        object.__setattr__(self, "radius", r)
-        if self.box is not None:
-            for name, c in self.center.items():
-                lo, hi = self.box[name]
+        self.center = center
+        self.radius = r
+        self.box = box
+        if box is not None:
+            for name, c in center.items():
+                lo, hi = box[name]
                 if not (lo < float(c) - 2 * float(rv) and float(c) + 2 * float(rv) < hi):
                     raise ValueError(
                         "support ball of bump at (%s) leaves the chart box along %r"
-                        % (", ".join(str(v) for v in self.center.values()), name)
+                        % (", ".join(str(v) for v in center.values()), name)
                     )
 
     def dist2(self, point) -> float:
@@ -101,7 +99,6 @@ def bump_sum(balls) -> ScalarExpr:
     return phi
 
 
-@dataclass(frozen=True)
 class ClosedSetSpec:
     """A closed reference set inside a sampling window.
 
@@ -117,28 +114,28 @@ class ClosedSetSpec:
     adjacent to) the set, used by the flatness check.
     """
 
-    coords: tuple
-    box: dict
-    kind: str
-    expr: ScalarExpr | None = None
-    balls: tuple = ()
-    anchors: tuple = ()
+    __slots__ = ("coords", "box", "kind", "expr", "balls", "anchors")
 
     _KINDS = ("zeroset", "balls", "complement-of-balls")
 
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError("unknown closed-set kind %r" % self.kind)
-        if self.kind == "zeroset" and self.expr is None:
+    def __init__(self, coords: tuple, box: dict, kind: str, expr: ScalarExpr | None = None,
+                 balls: tuple = (), anchors: tuple = ()):
+        if kind not in self._KINDS:
+            raise ValueError("unknown closed-set kind %r" % kind)
+        if kind == "zeroset" and expr is None:
             raise ValueError("zeroset description needs an expression")
-        if self.kind != "zeroset" and self.expr is not None:
+        if kind != "zeroset" and expr is not None:
             raise ValueError("only the zeroset description takes an expression")
-        object.__setattr__(self, "balls", tuple((dict(c), float(r)) for c, r in self.balls))
+        self.balls = tuple((dict(c), float(r)) for c, r in balls)
         if any(r <= 0 for _, r in self.balls):
             raise ValueError("ball radius must be positive")
-        if any(not lo < hi for lo, hi in self.box.values()):
+        if any(not lo < hi for lo, hi in box.values()):
             raise ValueError("window bounds must satisfy lo < hi")
-        object.__setattr__(self, "anchors", tuple(dict(a) for a in self.anchors))
+        self.coords = coords
+        self.box = box
+        self.kind = kind
+        self.expr = expr
+        self.anchors = tuple(dict(a) for a in anchors)
 
     def _rejection(self, out: list, seed: int, count: int, keep) -> list:
         """Extend ``out`` with the window draws that ``keep`` accepts, one

@@ -10,7 +10,6 @@ statuses; a sampled search answers through :meth:`Outcome.from_witness`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -33,7 +32,6 @@ def worst(verdicts) -> Verdict:
 EXIT_STATUS = {Verdict.PASS: 0, Verdict.FAIL: 1, Verdict.UNDECIDED: 2}
 
 
-@dataclass(frozen=True)
 class Outcome:
     """Result of a check: PASS when proved, FAIL when refuted (with a
     witness point, if any), UNDECIDED otherwise; ``witness_form`` is the
@@ -41,13 +39,22 @@ class Outcome:
     holds named entries, ``(name, Outcome)`` pairs in report order, and
     notes."""
 
-    status: Verdict
-    witness: dict | None = None
-    value: float | None = None
-    detail: str = ""
-    entries: tuple = ()
-    notes: tuple = ()
-    witness_form: str | None = None
+    __slots__ = ("status", "witness", "value", "detail", "entries", "notes", "witness_form")
+
+    def __init__(self, status: Verdict, witness: dict | None = None, value: float | None = None,
+                 detail: str = "", entries: tuple = (), notes: tuple = (), witness_form: str | None = None):
+        self.status = status
+        self.witness = witness
+        self.value = value
+        self.detail = detail
+        self.entries = entries
+        self.notes = notes
+        self.witness_form = witness_form
+
+    def __eq__(self, other):
+        if not isinstance(other, Outcome):
+            return NotImplemented
+        return [getattr(self, n) for n in Outcome.__slots__] == [getattr(other, n) for n in Outcome.__slots__]
 
     @classmethod
     def of(cls, entries, notes=(), detail=""):

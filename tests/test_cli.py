@@ -1,11 +1,11 @@
 """End-to-end tests for the command line and the check runner."""
 
+import copy
 import json
 import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 
 import pytest
 
@@ -14,7 +14,7 @@ import gvcheck.runner
 from gvcheck.cli import ENV_SEED, build_parser, main
 from gvcheck.gv import gv_min
 from gvcheck.runner import CheckResult, RunReport, render_json, render_latex, render_report, render_text, run_checks
-from gvcheck.specdoc import parse_spec
+from gvcheck.specdoc import CheckDirective, parse_spec
 from gvcheck.symbolic import ZeroTestConfig
 from gvcheck.verdicts import point_str
 
@@ -26,6 +26,13 @@ TINY_DOC = "chart x\nregion R = all\ncheck zero x - x on R as tautology\n"
 
 def gallery_path(name):
     return os.path.join(GALLERY, name)
+
+
+def with_checks(obj, checks):
+    """A copy of a document or report that holds ``checks`` instead of its own."""
+    out = copy.copy(obj)
+    out.checks = checks
+    return out
 
 
 def run_cli(argv):
@@ -143,6 +150,8 @@ class TestInvalidSettings:
         assert run_cli(["check", str(spec)]) == 5
         assert capsys.readouterr().err == "%s: line 2, col %d: zero denominator\n" % (spec, col)
 
+    TOO_LARGE = "exponent 32768 of x exceeds 32767, the largest a monomial field holds"
+
     @pytest.mark.parametrize("statement, token, message", [
         ("foliation L on R leafdim 0 nu dx transverse q", "q", "unknown coordinate 'q'"),
         ("family fam = K\ncheck gv-min fam rank 7", "7",
@@ -158,6 +167,16 @@ class TestInvalidSettings:
         ("bump b = center (0) radius 1e400", "1e400", "number is too large for a float"),
         ("tubular td on R f x t x eps 1e400 outer 1e401", "1e400", "number is too large for a float"),
         ("tubular td on R f x t x eps 1/4 outer -1e400", "-1e400", "number is too large for a float"),
+        # the kernel's exponent limit, at the expression
+        ("check zero x^32768 on R", "x^32768", TOO_LARGE),
+        ("check zero x^40000 - x^40000 + x on R", "x^40000 -", TOO_LARGE),
+        ("scalar s = x^32768", "x^32768", TOO_LARGE),
+        ("form w = dx*x^32768", "dx", TOO_LARGE),
+        # a label names one report row; a generated label holds the
+        # check's number, which no given label can
+        ("check zero x - x on R as dup\ncheck zero x on R as dup", "dup", "duplicate check label 'dup'"),
+        ("check zero x - x on R as a-b\ncheck zero x on R\ncheck zero x on R as a-b", "a-b",
+         "duplicate check label 'a-b'"),
     ])
     def test_document_errors_exit_five(self, statement, token, message, tmp_path, capsys):
         # errors a parser can see are diagnostics, never a refuted check
@@ -436,13 +455,13 @@ class TestRunnerApi:
             doc = parse_doc(fh.read())
         assert len(doc.checks) > 1
         full = run_checks(doc, seed=doc.seed, seed_source="document")
-        backwards = run_checks(replace(doc, checks=doc.checks[::-1]), seed=doc.seed, seed_source="document")
+        backwards = run_checks(with_checks(doc, doc.checks[::-1]), seed=doc.seed, seed_source="document")
         alone = [
-            run_checks(replace(doc, checks=[d]), seed=doc.seed, seed_source="document").checks[0]
+            run_checks(with_checks(doc, [d]), seed=doc.seed, seed_source="document").checks[0]
             for d in doc.checks
         ]
-        assert render_json(replace(backwards, checks=backwards.checks[::-1])) == render_json(full)
-        assert render_json(replace(full, checks=alone)) == render_json(full)
+        assert render_json(with_checks(backwards, backwards.checks[::-1])) == render_json(full)
+        assert render_json(with_checks(full, alone)) == render_json(full)
 
     def test_from_json_round_trip(self):
         doc = parse_doc(TINY_DOC)
@@ -489,7 +508,8 @@ class TestRunnerApi:
             "check gv-min fam rank 1 as wrong-rank\n"
         )
         fam, mus = doc.families["fam"], dict(doc.mus)
-        doc.checks[0] = replace(doc.checks[0], run=lambda cfg: (gv_min(fam, mus, 2, cfg), ""))
+        d = doc.checks[0]
+        doc.checks[0] = CheckDirective(d.index, d.kind, d.label, lambda cfg: (gv_min(fam, mus, 2, cfg), ""))
         row = run_checks(doc, seed=5, seed_source="flag").checks[0]
         assert (row.verdict, row.witness, row.entries, row.latex) == ("FAIL", None, [], "")
         assert row.detail == "ValueError: rank 2 is not the leaf dimension of any member"
@@ -499,7 +519,8 @@ class TestRunnerApi:
 
         def run(cfg):
             raise TypeError("unsupported operand")
-        doc.checks[0] = replace(doc.checks[0], run=run)
+        d = doc.checks[0]
+        doc.checks[0] = CheckDirective(d.index, d.kind, d.label, run)
         report = run_checks(doc, seed=5, seed_source="flag")
         (row,) = report.checks
         assert (row.verdict, row.witness, row.entries, row.latex) == ("FAIL", None, [], "")
@@ -588,10 +609,14 @@ class TestRunnerApi:
 
 
 def test_cli_never_loads_numpy():
-    # numpy backs only the pointwise ideal-membership oracle; a fresh
-    # interpreter running every verb on every gallery document must not import it
+    # numpy backs only the pointwise ideal-membership oracle, and the
+    # package has no dataclass: a fresh interpreter running every verb on
+    # every gallery document must import neither, nor inspect, which
+    # dataclasses pulls in (what the interpreter loads before gvcheck
+    # does not count)
     script = textwrap.dedent("""
         import contextlib, io, sys
+        before = set(sys.modules)
         import gvcheck
         from gvcheck import cli
         with contextlib.redirect_stdout(io.StringIO()):
@@ -600,7 +625,8 @@ def test_cli_never_loads_numpy():
                     cli.main(["report", doc, "--format", fmt])
                 cli.main(["check", doc])
             cli.main(["gv", %r])
-        assert "numpy" not in sys.modules
+        loaded = {"dataclasses", "inspect", "numpy"} & (set(sys.modules) - before)
+        assert not loaded, sorted(loaded)
     """ % gallery_path("glued_family.fol"))
     docs = sorted(os.path.join(GALLERY, n) for n in os.listdir(GALLERY) if n.endswith(".fol"))
     src = os.path.dirname(os.path.dirname(os.path.abspath(gvcheck.__file__)))

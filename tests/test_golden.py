@@ -72,6 +72,13 @@ def test_json_report_matches_golden(doc, seed):
     assert out == _read(golden_name(doc, seed))
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("doc", DOCS)
+def test_json_golden_reads_back_byte_for_byte(doc, seed):
+    text = _read(golden_name(doc, seed))
+    assert runner.render_json(runner.RunReport.from_json(text)) == text
+
+
 @pytest.mark.parametrize("suffix", sorted(VIEWS))
 @pytest.mark.parametrize("doc", DOCS)
 def test_view_matches_golden(doc, suffix):
