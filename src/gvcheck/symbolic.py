@@ -2,8 +2,8 @@
 
 A :class:`ScalarExpr` is kept in a canonical fraction ``num / den`` where
 both sides are sparse polynomials over an extended generator set:
-coordinate symbols plus interned transcendental atoms ``exp``, ``log``,
-``psi0`` and ``flatexp``.  Every expression is built reduced, so
+coordinate symbols plus interned transcendental atoms ``exp``, ``log``
+and ``flatexp``.  Every expression is built reduced, so
 structural equality decides semantic equality on the rational fragment.
 
 Representation (packed monomials as in Monagan & Pearce, "Sparse
@@ -49,15 +49,13 @@ polynomial multiplication and division in Maple 14", 2009):
   first render, and an argument tree is rendered once however many
   terms, powers or enclosing atoms repeat the atom.
 
-The two flat atoms are first class and are never expanded into
-exp-of-quotient trees, so their flatness at the boundary is exact by
+The flat atom is first class and is never expanded into an
+exp-of-quotient tree, so its flatness at the boundary is exact by
 construction:
 
 * ``flatexp(u)`` is exp(-1/u) for u > 0 and 0 for u <= 0, with the
   derivative rewrite d flatexp(u) = flatexp(u)/u^2 * du.
-* ``psi0(t)`` is exp(-1/t^2) / (1 + exp(-1/t^2)) for t != 0 and 0 at
-  t = 0, with d psi0(t) = 2 psi0(t) (1 - psi0(t)) / t^3 * dt.  Its values
-  lie in [0, 1/2].
+* ``psi0(t)`` is no atom but the quotient flatexp(t^2) / (1 + flatexp(t^2)).
 
 Zero testing is a semi-decision: PASS comes only from exact
 normalization, FAIL only from a numeric witness that clears the
@@ -74,7 +72,7 @@ from .verdicts import Outcome, Verdict
 
 _MASK64 = (1 << 64) - 1
 
-ATOM_KINDS = ("exp", "log", "psi0", "flatexp")
+ATOM_KINDS = ("exp", "log", "flatexp")
 _KIND_INDEX = {k: i for i, k in enumerate(ATOM_KINDS)}
 
 
@@ -303,6 +301,15 @@ class Poly:
         return Poly(out)
 
     def pow(self, k):
+        if k > 1:
+            # check the written power before repeated squaring reaches an
+            # intermediate one; top is each generator's largest exponent
+            top = 0
+            for m in self.terms:
+                top += m - _mono_min(top, m)
+            for g, e in _mono_items(top):
+                if e * k > MAX_EXPONENT:
+                    raise _too_large(e * k, g)
         result = _P_ONE
         base = self
         while k:
@@ -851,15 +858,14 @@ def log(u):
 
 
 def psi0(u):
-    """Flat sigmoid atom: exp(-1/u^2)/(1+exp(-1/u^2)) for u != 0, else 0.
+    """Flat sigmoid: exp(-1/u^2)/(1+exp(-1/u^2)) for u != 0, else 0.
 
-    Smooth on all of R, flat at u = 0, with values in [0, 1/2].
-    psi0(0) folds to the zero expression.
+    Smooth on all of R, flat at u = 0, with values in [0, 1/2].  It is
+    the quotient f / (1 + f) with f = flatexp(u^2), so psi0(0) folds to
+    the zero expression.
     """
-    u = normalize(u)
-    if u.is_zero:
-        return ZERO
-    return _atom_expr("psi0", u)
+    f = flatexp(normalize(u) ** 2)
+    return f / (ONE + f)
 
 
 def flatexp(u):
@@ -899,9 +905,6 @@ def _atom_derivative(gen):
         return a
     if gen.kind == "log":
         return ONE / u
-    if gen.kind == "psi0":
-        # 2 psi0(u) (1 - psi0(u)) / u^3, extended by 0 across u = 0
-        return rat(2) * a * (ONE - a) / (u * u * u)
     if gen.kind == "flatexp":
         # flatexp(u)/u^2 for u > 0, extended by 0; exact flatness preserved
         return a / (u * u)
@@ -1033,15 +1036,6 @@ def _eval_gen(gen, point, cache):
                 if u <= 0.0:
                     raise DomainError("log of non-positive value %r" % u, offender=str(gen), point=dict(point))
                 v = math.log(u)
-            elif kind == "psi0":
-                # u * u underflows to 0.0 for |u| below about 1e-162, where
-                # exp(-1/u^2) rounds to 0.0 anyway
-                uu = u * u
-                if uu == 0.0:
-                    v = 0.0
-                else:
-                    g = math.exp(-1.0 / uu)
-                    v = g / (1.0 + g)
             else:  # flatexp
                 v = 0.0 if u <= 0.0 else math.exp(-1.0 / u)
         except OverflowError:
@@ -1277,7 +1271,6 @@ def _frac_latex(c):
 _ATOM_LATEX = {
     "exp": r"\exp",
     "log": r"\log",
-    "psi0": r"\psi_0",
     "flatexp": r"\operatorname{flatexp}",
 }
 

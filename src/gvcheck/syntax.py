@@ -3,7 +3,8 @@
 One grammar covers scalars and differential forms.  Identifiers resolve
 against an environment of coordinates, named scalars, and named forms;
 ``dx`` is the differential of the coordinate x; ``d(...)`` is the
-exterior derivative; ``exp/log/psi0/flatexp`` build scalar atoms.
+exterior derivative; ``exp/log/flatexp`` build scalar atoms, and
+``psi0(u)`` is the quotient flatexp(u^2) / (1 + flatexp(u^2)).
 Operator meaning depends on operand types: ``^`` is the integer power
 on scalars, the wedge when a form is involved, and the form power when
 a form meets an integer constant.  ``^`` binds tightest and associates
@@ -19,7 +20,8 @@ from .errors import GvError
 from .forms import DiffForm, differential, ext_d, form_power, scalar_form, wedge
 from .symbolic import ONE, const, exp, flatexp, log, psi0, sym
 
-FUNCTIONS = ("exp", "log", "psi0", "flatexp", "d")
+_SCALAR_FUNCTIONS = {"exp": exp, "log": log, "psi0": psi0, "flatexp": flatexp}
+FUNCTIONS = (*_SCALAR_FUNCTIONS, "d")
 RESERVED = set(FUNCTIONS) | {
     "on", "in", "at", "of", "for", "with", "expect", "anchors", "window",
     "zeroset", "balls", "complement", "center", "radius", "primitive",
@@ -212,7 +214,7 @@ class ExprParser:
             return ext_d(scalar_form(self.env.coords, arg))
         if isinstance(arg, DiffForm):
             raise ParseError("%s() needs a scalar argument" % t.text, col=t.col)
-        return {"exp": exp, "log": log, "psi0": psi0, "flatexp": flatexp}[t.text](arg)
+        return _SCALAR_FUNCTIONS[t.text](arg)
 
     def _apply(self, t: Token, a, b):
         fa, fb = isinstance(a, DiffForm), isinstance(b, DiffForm)

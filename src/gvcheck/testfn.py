@@ -3,11 +3,11 @@
 A weak test function of a closed set vanishes exactly on it and is
 positive elsewhere; a strong one additionally has all derivatives
 vanishing on the set.  The constructions here are the classical ones
-over the flat atoms: the sigmoid psi0, the quotient smooth step, radial
-bumps with a fixed 2:1 support ratio, and finite sums of bumps covering
-the complement of the set.  Flatness is decided numerically by
-finite-difference decay near the set, with a structural shortcut when
-every term of the expression carries a flat atom.
+over flatexp: the sigmoid psi0(u) = flatexp(u^2)/(1 + flatexp(u^2)), the
+quotient smooth step, radial bumps with a fixed 2:1 support ratio, and
+finite sums of bumps covering the complement of the set.  Flatness is
+decided numerically by finite-difference decay near the set, with a
+structural shortcut when every numerator term carries a flatexp factor.
 """
 from __future__ import annotations
 
@@ -234,11 +234,11 @@ def check_cover(phi, balls, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
 
 
 def _has_flat_atom(e: ScalarExpr) -> bool:
-    """True when every numerator term carries a psi0/flatexp factor."""
+    """True when every numerator term carries a flatexp factor."""
     if e.is_zero:
         return True
     for mono in e.num.terms:
-        if not any(getattr(g, "kind", None) in ("psi0", "flatexp") for g, _ in _mono_items(mono)):
+        if not any(getattr(g, "kind", None) == "flatexp" for g, _ in _mono_items(mono)):
             return False
     return True
 

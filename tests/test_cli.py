@@ -71,6 +71,20 @@ class TestExitStatus:
         out = capsys.readouterr().out
         assert "[UNDECIDED]" in out
 
+    @pytest.mark.parametrize("doc", [
+        # psi0(t) is the quotient flatexp(t^2) / (1 + flatexp(t^2)), so this is exact
+        "chart x\nregion R = all\nscalar t = 1 + (x - 1)^12\n"
+        "check zero psi0(t) - flatexp(t*t)/(1 + flatexp(t*t)) on R\n",
+        # and its derivative rule follows from the quotient
+        "chart x y\nregion R = all\nscalar u = x*y + (x - 1)^3\n"
+        "check forms-equal d(psi0(u)) == 2*psi0(u)*(1 - psi0(u))/u^3 * d(u) on R\n",
+    ])
+    def test_psi0_identities_are_proved(self, doc, tmp_path, capsys):
+        spec = tmp_path / "psi0.fol"
+        spec.write_text(doc)
+        assert run_cli(["check", str(spec)]) == 0
+        assert "1 check(s): 1 passed, 0 failed, 0 undecided" in capsys.readouterr().out
+
     def test_missing_file_exits_four(self, capsys):
         assert run_cli(["check", gallery_path("no_such_file.fol")]) == 4
         assert "cannot read" in capsys.readouterr().err
@@ -150,7 +164,7 @@ class TestInvalidSettings:
         assert run_cli(["check", str(spec)]) == 5
         assert capsys.readouterr().err == "%s: line 2, col %d: zero denominator\n" % (spec, col)
 
-    TOO_LARGE = "exponent 32768 of x exceeds 32767, the largest a monomial field holds"
+    TOO_LARGE = "exponent %d of x exceeds 32767, the largest a monomial field holds"
 
     @pytest.mark.parametrize("statement, token, message", [
         ("foliation L on R leafdim 0 nu dx transverse q", "q", "unknown coordinate 'q'"),
@@ -167,11 +181,13 @@ class TestInvalidSettings:
         ("bump b = center (0) radius 1e400", "1e400", "number is too large for a float"),
         ("tubular td on R f x t x eps 1e400 outer 1e401", "1e400", "number is too large for a float"),
         ("tubular td on R f x t x eps 1/4 outer -1e400", "-1e400", "number is too large for a float"),
-        # the kernel's exponent limit, at the expression
-        ("check zero x^32768 on R", "x^32768", TOO_LARGE),
-        ("check zero x^40000 - x^40000 + x on R", "x^40000 -", TOO_LARGE),
-        ("scalar s = x^32768", "x^32768", TOO_LARGE),
-        ("form w = dx*x^32768", "dx", TOO_LARGE),
+        # the kernel's exponent limit, at the expression, naming the
+        # exponent written (psi0 squares its argument)
+        ("check zero x^32768 on R", "x^32768", TOO_LARGE % 32768),
+        ("check zero x^40000 - x^40000 + x on R", "x^40000 -", TOO_LARGE % 40000),
+        ("check zero psi0(x^20000) - psi0(x^20000) on R", "psi0(x^20000) -", TOO_LARGE % 40000),
+        ("scalar s = x^32768", "x^32768", TOO_LARGE % 32768),
+        ("form w = dx*x^32768", "dx", TOO_LARGE % 32768),
         # a label names one report row; a generated label holds the
         # check's number, which no given label can
         ("check zero x - x on R as dup\ncheck zero x on R as dup", "dup", "duplicate check label 'dup'"),

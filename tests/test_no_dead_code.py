@@ -6,12 +6,15 @@ as a name, an attribute or an import alias.  A definition does not count
 as a reference to itself, so code that nothing calls shows up here.
 Likewise every module-level import in a module of ``src/gvcheck`` other
 than ``__init__.py``, whose imports are the package's exports, must be
-used by that module.  And each row of the README's "Library layout"
-table names only what its module defines.
+used by that module.  Each row of the README's "Library layout" table
+names only what its module defines, and the README's list of document
+functions is the grammar's.
 """
 import ast
 import os
 import re
+
+from gvcheck.syntax import FUNCTIONS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "gvcheck")
@@ -127,3 +130,12 @@ def test_library_layout_names_only_what_each_module_defines():
         defined = _defined_names(os.path.join(PACKAGE, module + ".py"))
         missing += ["gvcheck.%s: %s" % (module, n) for n in names if n not in defined]
     assert missing == []
+
+
+def test_readme_lists_the_document_functions():
+    # the clause runs from "the functions are" to the end of its sentence;
+    # a code span such as `psi0(u)` is an example, not a name
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    clause = re.search(r"the functions are (.*?)\.(?: |$)", text).group(1)
+    assert sorted(re.findall(r"`([A-Za-z_]\w*)`", clause)) == sorted(FUNCTIONS)

@@ -33,7 +33,7 @@ from gvcheck import (
 )
 import gvcheck
 from gvcheck import symbolic
-from gvcheck.symbolic import MAX_EXPONENT, CoordGen, ScalarExpr, _eval_expr, _mono_items, _scale_at
+from gvcheck.symbolic import ATOM_KINDS, MAX_EXPONENT, CoordGen, ScalarExpr, _eval_expr, _mono_items, _scale_at
 from gvcheck.verdicts import Outcome, combine_outcomes, worst
 from conftest import XY, CountingRegion, random_polynomial, random_scalar, square_box
 
@@ -242,10 +242,19 @@ def test_partial_on_polynomials():
 def test_chain_rule_closed_forms():
     assert (partial(exp(x * y), "x") - y * exp(x * y)).is_zero
     assert (partial(log(1 + x * x), "x") - 2 * x / (1 + x * x)).is_zero
-    p = psi0(x)
-    assert (partial(p, "x") - 2 * p * (1 - p) / (x ** 3)).is_zero
     f = flatexp(x)
     assert (partial(f, "x") - f / (x * x)).is_zero
+
+
+def test_psi0_is_the_flatexp_quotient():
+    assert ATOM_KINDS == ("exp", "log", "flatexp")
+    for u in (x, x * x + 1, x * y + (x - 1) ** 3, 1 + (x - 1) ** 12):
+        f = flatexp(u * u)
+        p = psi0(u)
+        assert (p - f / (1 + f)).is_zero
+        # d psi0(u) = 2 psi0(u) (1 - psi0(u)) / u^3 du follows from the quotient
+        for name in ("x", "y"):
+            assert (partial(p, name) - 2 * p * (1 - p) / u ** 3 * partial(u, name)).is_zero
 
 
 def test_quotient_rule():
@@ -680,17 +689,21 @@ def test_keys_strings_and_values_are_pinned():
         (((((0, "x"), 1),), (2, 3)), (((ey, 1),), (-1, 5))),
         (((), (-1, 1)), ((((0, "x"), 1), ((0, "y"), 1)), (-4, 7)), (((ey, 1),), (1, 1))),
     )
-    # float sums run over the terms in the order arithmetic produced them
+    # float sums run over the terms in the order arithmetic produced them,
+    # as the reference walk below does
     e3 = ((x + y) ** 7 - (x - rat(1, 3) * y) ** 7 + psi0(z) * x ** 3) / (1 + x * x) ** 2
     pts = [{"x": 0.3, "y": -1.7, "z": 0.45}, {"x": -2.9, "y": 0.11, "z": -0.8}]
-    assert [evaluate(e3, p) for p in pts] == [-9.181391025394026, 6.362952878821419]
-    assert [_scale_at(e3, p, {}) for p in pts] == [107.73528156135797, 7.507588288181796]
+    assert [evaluate(e3, p) for p in pts] == [-9.181391025394024, 6.362952878821418]
+    assert [_scale_at(e3, p, {}) for p in pts] == [107.73528156135794, 7.507588288181796]
+    assert [_term_by_term(e3, p) for p in pts] == [
+        (-9.181391025394024, 107.73528156135794),
+        (6.362952878821418, 7.507588288181796),
+    ]
 
 
 _ATOM_VALUES = {
     "exp": math.exp,
     "log": math.log,
-    "psi0": lambda u: 0.0 if u == 0.0 else math.exp(-1.0 / (u * u)) / (1.0 + math.exp(-1.0 / (u * u))),
     "flatexp": lambda u: 0.0 if u <= 0.0 else math.exp(-1.0 / u),
 }
 
