@@ -69,7 +69,6 @@ from .foliations import (
     Foliation,
     FoliationFamily,
     PiecewiseForm,
-    Stratum,
     check_family,
     check_invariance,
     check_piecewise,

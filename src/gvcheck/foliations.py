@@ -225,54 +225,13 @@ def rank_at(fam: FoliationFamily, point):
     return max(dims)
 
 
-class Stratum:
-    """A rank stratum of a family.
-
-    For '>=' and '>' the stratum is an explicit finite union of open
-    regions (strict inequalities only); for '=', '<' and '<=' only the
-    membership predicate is available.
-    """
-
-    __slots__ = ("family", "mode", "rank", "regions")
-
-    def __init__(self, family: FoliationFamily, mode: str, rank: int, regions: tuple | None):
-        self.family = family
-        self.mode = mode
-        self.rank = rank
-        self.regions = regions
-
-    def contains(self, point):
-        try:
-            r = rank_at(self.family, point)
-        except PreconditionError:
-            return False
-        return {
-            ">=": r >= self.rank,
-            ">": r > self.rank,
-            "=": r == self.rank,
-            "<": r < self.rank,
-            "<=": r <= self.rank,
-        }[self.mode]
-
-    def describe(self):
-        if self.regions is not None:
-            return "union of %d open region(s)" % len(self.regions)
-        return "membership predicate only (not open as a union of regions)"
-
-
-def stratum(fam: FoliationFamily, rank, mode=">=") -> Stratum:
-    """The locus where the family rank compares to ``rank`` as requested."""
-    if mode not in (">=", ">", "=", "<", "<="):
-        raise ValueError("unknown stratum mode %r" % mode)
-    regions = None
-    if mode in (">=", ">"):
-        keep = [
-            f.region
-            for f in fam.members
-            if (f.leaf_dim >= rank if mode == ">=" else f.leaf_dim > rank)
-        ]
-        regions = tuple(keep)
-    return Stratum(fam, mode, rank, regions)
+def stratum(fam: FoliationFamily, rank: int) -> FoliationFamily:
+    """The open rank stratum: the members with leaf dimension >= ``rank``,
+    as a family on the same box and with the same saturation flag."""
+    if rank not in fam.ranks():
+        raise ValueError("rank %d is not the leaf dimension of any member" % rank)
+    members = tuple(f for f in fam.members if f.leaf_dim >= rank)
+    return FoliationFamily(members, box=fam.box, saturated=fam.saturated)
 
 
 def check_invariance(m: CoordinateMap, fol: Foliation, cfg: ZeroTestConfig):

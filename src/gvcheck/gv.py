@@ -10,7 +10,7 @@ mu by a basic function before building the GV form.
 from __future__ import annotations
 
 from .errors import GluingError, GvError, PreconditionError, UnsupportedShapeError
-from .foliations import Foliation, FoliationFamily, PiecewiseForm, _overlap_or_none
+from .foliations import Foliation, FoliationFamily, PiecewiseForm, _overlap_or_none, stratum
 from .forms import (
     DiffForm,
     differential,
@@ -110,17 +110,14 @@ def solve_theta(
 
     Both foliations must be adapted with the sup's transverse
     coordinates a subset of the sub's.  The candidate is
-    theta = (h_sub/h_sup) * d(tilde coordinates); the identity
-    nu_sub = nu_sup ^ theta is then verified on the overlap, retrying
-    with -theta on a sign mismatch.  Returns (theta, sign) for the
-    proved factorization: sign is +1 when the raw quotient form held as
-    written and -1 when the wedge-ordering correction was needed.
-    Raises when neither sign is proved.
+    theta = (h_sub/h_sup) * d(tilde coordinates), and the sign is read
+    by exact comparison of normalized forms: nu_sub == nu_sup ^ theta
+    gives (theta, +1) and nu_sub == -(nu_sup ^ theta) gives (-theta, -1),
+    the wedge-ordering correction.  Raises when neither holds.  The only
+    sampling is the sup gauge's nonvanishing check on the overlap.
     """
     h1 = adapted_gauge(f_sub)
     h2 = adapted_gauge(f_sup)
-    if f_sup.transverse is None or f_sub.transverse is None:
-        raise UnsupportedShapeError("both foliations must name transverse coordinates")
     if not set(f_sup.transverse) <= set(f_sub.transverse):
         raise UnsupportedShapeError(
             "transverse coordinates of %r are not a subset of those of %r"
@@ -133,15 +130,13 @@ def solve_theta(
     coords = f_sub.coords
     base = wedge_all(coords, tuple(differential(coords, c) for c in tilde))
     theta0 = base * (h1 / h2)
-    plus = forms_equal(f_sub.nu, wedge(f_sup.nu, theta0), overlap, cfg)
-    if plus.proved:
+    product = wedge(f_sup.nu, theta0)
+    if f_sub.nu == product:
         return theta0, 1
-    minus = forms_equal(f_sub.nu, wedge(f_sup.nu, -theta0), overlap, cfg)
-    if minus.proved:
+    if f_sub.nu == -product:
         return -theta0, -1
     raise GvError(
-        "factorization failed for both signs (statuses %s / %s)"
-        % (plus.status.value, minus.status.value)
+        "factorization failed for both signs: nu of %r is not +-(nu of %r) ^ theta" % (f_sub.name, f_sup.name)
     )
 
 
@@ -237,7 +232,8 @@ def _minimal_vanishing(fam, mu, cfg):
 def gv_min(fam: FoliationFamily, mu: dict, rank: int, cfg: ZeroTestConfig):
     """Glue the GV form of the rank stratum across the family.
 
-    Restricts the family to members with leaf dimension >= rank, takes
+    Restricts the family to its open stratum :func:`stratum` (fam, rank)
+    (a rank that is no member's leaf dimension raises ValueError), takes
     the member realizing the minimum (leaf dimension == rank, codim q),
     and extends gv_form(mu, q) from its region by explicit zero pieces
     on the other regions; the piecewise degree is always 2q+1.  Returns
@@ -248,17 +244,14 @@ def gv_min(fam: FoliationFamily, mu: dict, rank: int, cfg: ZeroTestConfig):
     it unestablished, with a note.  A refuted overlap vanishing raises a
     gluing error with its witness.
     """
-    if rank not in fam.ranks():
-        raise ValueError("rank %d is not the leaf dimension of any member" % rank)
-    members = tuple(f for f in fam.members if f.leaf_dim >= rank)
-    sub = FoliationFamily(members, box=fam.box, saturated=fam.saturated)
+    sub = stratum(fam, rank)
     vanishing, f_min, gv = _minimal_vanishing(sub, mu, cfg)
     for name, out in vanishing.entries:
         if out.nonzero:
             raise GluingError("overlap vanishing refuted: %s" % name, witness=out.witness, detail=out.detail)
     degree = 2 * f_min.codim + 1
     pieces = [(f_min.region, gv)]
-    for f in members:
+    for f in sub.members:
         if f is not f_min:
             pieces.append((f.region, zero_form(fam.coords, degree)))
     pw = PiecewiseForm(tuple(pieces), degree)

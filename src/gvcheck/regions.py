@@ -27,10 +27,10 @@ class Region:
 
     __slots__ = ("coords", "constraints", "box", "name")
 
-    def __init__(self, coords: tuple, constraints: tuple = (), box: dict | None = None, name: str = ""):
+    def __init__(self, coords: tuple, constraints: tuple, box: dict, name: str = ""):
         self.coords = coords
         self.constraints = tuple(normalize(g) for g in constraints)
-        self.box = {} if box is None else box
+        self.box = box
         self.name = name
         for c in coords:
             lo, hi = self.box[c]

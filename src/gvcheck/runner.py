@@ -278,6 +278,8 @@ def render_latex(report: RunReport) -> str:
             item += "\n" + r"\begin{itemize}" + "\n"
             item += "\n".join(r"\item " + r for r in rows)
             item += "\n" + r"\end{itemize}"
+        for n in c.notes:
+            item += "\n" + r"\par note: %s" % _latex_escape(n)
         lines.append(item)
     lines.append(r"\end{itemize}")
     s = report.summary

@@ -3,9 +3,10 @@
 For a reference function f whose zero set S is the coordinate slice
 {t = 0}, the twisted differential d_f w = f*dw - p*df^w acts on p-forms;
 f^p * w maps the ordinary complex into it.  Forms on S extend to the
-full chart through a collar: multiply the pullback along the projection
-(t -> 0) by a cutoff in t that is 1 near S and supported in a slightly
-larger band.  The exactness checks verify user-supplied primitives and
+full chart through a collar: a slice form involves neither t nor dt, so
+it is its own pullback along t -> 0, and it is extended by multiplying
+it by a cutoff in t that is 1 near S and supported in a slightly larger
+band.  The exactness checks verify user-supplied primitives and
 decompositions; nothing here computes cohomology.
 """
 from __future__ import annotations
@@ -17,11 +18,9 @@ from random import Random
 from .errors import DegreeError, DomainError, PreconditionError
 from .foliations import Foliation
 from .forms import (
-    CoordinateMap,
     DiffForm,
     ext_d,
     forms_equal,
-    pullback,
     scalar_form,
     vanishes_on,
     wedge,
@@ -50,11 +49,11 @@ class TubularData:
     ``f`` is the reference function cutting out S, ``t`` the transverse
     coordinate, and eps < eps_outer the half-widths of the inner and
     outer bands.  The cutoff ``rho`` (built on construction) is 1 for
-    |t| <= eps and 0 for |t| >= eps_outer; ``projection`` sends t to 0
-    and keeps the remaining coordinates.
+    |t| <= eps and 0 for |t| >= eps_outer; a slice form is extended to
+    the chart by multiplying it by ``rho``.
     """
 
-    __slots__ = ("region", "f", "t", "eps", "eps_outer", "rho", "projection")
+    __slots__ = ("region", "f", "t", "eps", "eps_outer", "rho")
 
     def __init__(self, region: Region, f: ScalarExpr, t: str, eps: Fraction, eps_outer: Fraction):
         if t not in region.coords:
@@ -71,8 +70,6 @@ class TubularData:
         tv = sym(t)
         u = (rat(outer * outer) - tv * tv) / rat(outer * outer - eps * eps)
         self.rho = smooth_step(u)
-        comps = {n: (rat(0) if n == t else sym(n)) for n in region.coords}
-        self.projection = CoordinateMap(region.coords, region.coords, comps)
 
     def validate(self, cfg: ZeroTestConfig) -> Outcome:
         """Sampled cutoff invariants: 1 on the inner band, 0 outside the outer."""
@@ -109,10 +106,12 @@ def phi_map(f: ScalarExpr, w: DiffForm) -> DiffForm:
 
 
 def tilde_extend(beta: DiffForm, td: TubularData) -> DiffForm:
-    """Extend a form living on the slice to the chart via the collar.
+    """Extend a form living on the slice to the chart via the collar:
+    beta * rho.
 
     The input must not involve the transverse coordinate at all — not
-    in its coefficients and not as a differential.
+    in its coefficients and not as a differential — so it is its own
+    pullback along t -> 0.
     """
     t_index = beta.coords.index(td.t)
     for idx, c in beta.coeffs.items():
@@ -125,7 +124,7 @@ def tilde_extend(beta: DiffForm, td: TubularData) -> DiffForm:
                 "coefficient depends on the transverse coordinate %r" % td.t,
                 offender=str(c),
             )
-    return pullback(td.projection, beta) * td.rho
+    return beta * td.rho
 
 
 def iso_decompose(

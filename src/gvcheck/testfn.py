@@ -181,7 +181,11 @@ class ClosedSetSpec:
 
     def boundary_anchors(self, seed: int) -> list:
         """Flatness base points: explicit anchors, plus sphere points
-        for the ball description."""
+        for the ball description; for the complement of balls, the
+        first max(4, #anchors) points of :meth:`sample_set`, which
+        start with the anchors."""
+        if self.kind == "complement-of-balls":
+            return self.sample_set(seed, max(4, len(self.anchors)))
         out = list(self.anchors)
         if self.kind == "balls":
             for k, (center, r) in enumerate(self.balls):
@@ -195,8 +199,6 @@ class ClosedSetSpec:
                             for n, d in zip(self.coords, direction)
                         }
                     )
-        elif self.kind == "complement-of-balls":
-            out.extend(self.sample_set(seed, max(0, 4 - len(out))))
         return out
 
 

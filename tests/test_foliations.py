@@ -248,24 +248,19 @@ def test_rank_at_outside_every_region():
     assert err.value.witness == probe
 
 
-def test_stratum_modes():
+def test_stratum_is_the_open_subfamily():
     fam = rank_family()
-    big = stratum(fam, 3, mode=">=")
-    assert big.regions is not None and len(big.regions) == 1
-    assert big.contains({"x": 1.5, "y": 0.0, "z": 0.0})
-    assert big.contains({"x": 0.7, "y": 0.0, "z": 0.0})
-    assert not big.contains({"x": 0.0, "y": 0.0, "z": 0.0})
-    assert "open region" in big.describe()
-
-    low = stratum(fam, 2, mode="=")
-    assert low.regions is None
-    assert low.contains({"x": 0.0, "y": 0.0, "z": 0.0})
-    assert not low.contains({"x": 0.7, "y": 0.0, "z": 0.0})
-    assert not low.contains({"x": 1.0, "y": 0.0, "z": 0.0})  # rank is 3 there
-    assert "predicate" in low.describe()
-
-    with pytest.raises(ValueError):
-        stratum(fam, 2, mode="!=")
+    for rank, names in ((2, ["L", "W"]), (3, ["W"])):
+        sub = stratum(fam, rank)
+        assert isinstance(sub, FoliationFamily)
+        assert [f.name for f in sub.members] == names
+        assert all(f is fam.member(f.name) for f in sub.members)
+        assert sub.box == fam.box
+        assert sub.saturated is fam.saturated
+    saturated = FoliationFamily(fam.members, box=fam.box, saturated=True)
+    assert stratum(saturated, 3).saturated is True
+    with pytest.raises(ValueError, match="rank 1 is not the leaf dimension of any member"):
+        stratum(fam, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,25 @@ def test_solve_theta_finds_the_sign(space, cfg):
     assert forms_equal(curves.nu, wedge(sheets.nu, theta), space, cfg).proved
 
 
+def test_solve_theta_reads_the_sign_without_sampling(space, cfg):
+    """Only the sup gauge's nonvanishing check draws points: the sign
+    comes from exact comparison, not from a sampled refutation."""
+
+    class CountingSpace(Region):
+        drawn = 0
+
+        def sample_point(self, seed, index):
+            CountingSpace.drawn += 1
+            return Region.sample_point(self, seed, index)
+
+    counting = CountingSpace(space.coords, space.constraints, space.box, name="counting")
+    curves, sheets = nested_pair(space)
+    theta, sign = solve_theta(curves, sheets, counting, cfg)
+    assert sign == -1
+    assert theta == d3("y") * (-exp(x))
+    assert CountingSpace.drawn == cfg.sample_count
+
+
 def test_solve_theta_plain_orientation(space, cfg):
     curves = Foliation(
         "C2",

@@ -79,13 +79,12 @@ def test_cutoff_is_exact_on_the_bands(space):
     assert 0.0 < between < 1.0
 
 
-def test_projection_flattens_the_transverse_coordinate(space):
+def test_tilde_extend_multiplies_by_the_cutoff(space):
     td = collar(space, y)
-    assert td.projection.apply({"x": 1.5, "y": 0.3, "z": -2.0}) == {
-        "x": 1.5,
-        "y": 0.0,
-        "z": -2.0,
-    }
+    beta = d3("x") * exp(x * z) + d3("z") * (x + 1)
+    extended = tilde_extend(beta, td)
+    assert extended == beta * td.rho
+    assert extended.coefficient((0,)) == exp(x * z) * td.rho
 
 
 def test_tubular_validate_passes(space, cfg):

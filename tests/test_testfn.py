@@ -164,6 +164,19 @@ def test_complement_of_balls_membership():
     assert m0.boundary_anchors(5)                  # sampled fill-in anchors
 
 
+@pytest.mark.parametrize("anchors", [(), ({"x": 0.9, "y": 0.9},), ({"x": 0.9, "y": 0.9}, {"x": -1.5, "y": 1.5})])
+def test_complement_of_balls_anchors_are_distinct_and_lead(anchors):
+    m0 = ClosedSetSpec(
+        XY, square_box(XY), "complement-of-balls", balls=(({"x": 0.0, "y": 0.0}, 1.0),), anchors=anchors
+    )
+    points = m0.boundary_anchors(5)
+    assert len(points) == 4
+    assert points[: len(anchors)] == list(anchors)
+    keys = {tuple(sorted(p.items())) for p in points}
+    assert len(keys) == len(points)
+    assert all(m0.contains(p) for p in points)
+
+
 def test_thin_complement_returns_short_list():
     # one ball swallows the whole window: no complement samples exist
     m0 = ClosedSetSpec(
