@@ -25,17 +25,19 @@ class Region:
     (lo, hi) bounds.
     """
 
-    __slots__ = ("coords", "constraints", "box", "name")
+    __slots__ = ("coords", "constraints", "box", "name", "_draws")
 
     def __init__(self, coords: tuple, constraints: tuple, box: dict, name: str = ""):
         self.coords = coords
         self.constraints = tuple(normalize(g) for g in constraints)
         self.box = box
         self.name = name
+        self._draws = []  # (coordinate, lo, hi - lo): random.uniform's arithmetic
         for c in coords:
             lo, hi = self.box[c]
             if not (lo < hi):
                 raise ValueError("empty box bound for %r" % c)
+            self._draws.append((c, lo, hi - lo))
         for g in self.constraints:
             extra = free_coords(g) - set(coords)
             if extra:
@@ -46,16 +48,21 @@ class Region:
         where a constraint is undefined lies outside; an overflow still
         raises, since an overflowed value has a sign."""
         try:
-            return all(evaluate(g, point) > 0.0 for g in self.constraints)
+            for g in self.constraints:
+                if not evaluate(g, point) > 0.0:
+                    return False
         except DomainError:
             return False
+        return True
 
     def sample_point(self, seed, index):
         """Rejection-sample the region; deterministic per (seed, index)."""
-        rng = random.Random(mix_seed(seed, index))
+        rnd = random.Random(mix_seed(seed, index)).random
+        draws = self._draws
+        contains = self.contains
         for _ in range(_MAX_REJECT):
-            point = {c: rng.uniform(*self.box[c]) for c in self.coords}
-            if self.contains(point):
+            point = {c: lo + w * rnd() for c, lo, w in draws}
+            if contains(point):
                 return point
         raise SamplingError(
             "no sample found in region %s after %d attempts (region may be empty or thin)"

@@ -38,12 +38,14 @@ polynomial multiplication and division in Maple 14", 2009):
 * ``key`` (sorted ``(_mono_key, (p, q))`` pairs of those rational
   coefficients) is computed on first use and cached; equality compares
   the integer term dicts, which is equivalent for canonical fractions.
-* Evaluation runs a plan built on first use and cached on the
-  expression: float coefficients, generator powers and terms in the
-  order the term dicts hold them.  One pass over a plan gives both the
-  value and the sum of absolute term values (the magnitude that scales
-  relative tolerances); the pair is kept in the sample point's cache, so
-  each polynomial is evaluated at most once per point.
+* Evaluation runs a program built on first use and cached on the
+  expression: one flat list of steps that reads each coordinate, forms
+  each power and applies each atom the expression reaches (atom
+  arguments inlined), then sums the numerator and the denominator terms
+  left to right in the order the term dicts hold them.  One run gives
+  both the value and the sum of absolute term values (the magnitude that
+  scales relative tolerances); the pair is kept in the sample point's
+  cache, so each expression is evaluated at most once per point.
 * Rendering prints terms in monomial key order.  An interned atom is
   immutable, so it keeps its text ``kind(arg)`` and its LaTeX after the
   first render, and an argument tree is rendered once however many
@@ -1009,121 +1011,157 @@ def substitute(e, mapping):
 # evaluation
 
 
-def _ipow(base, k):
-    # repeated multiplication keeps results reproducible across platforms
-    out = 1.0
-    for _ in range(k):
-        out *= base
+def _float_terms(poly, lead):
+    """[(coefficient / lead as a float, monomial)] of ``poly`` in dict order.
+
+    A coefficient beyond the float range raises :class:`EvaluationError`,
+    as any evaluation overflow does.
+    """
+    out = []
+    for mono, c in poly.terms.items():
+        try:
+            out.append((c / lead, mono))
+        except OverflowError:
+            term = _poly_str(Poly({mono: 1}))
+            raise EvaluationError(
+                "coefficient of %s (about 1e%d) is beyond the float range"
+                % (term, len(str(abs(c) // abs(lead))) - 1),
+                offender=term,
+            )
     return out
 
 
-def _eval_gen(gen, point, cache):
-    v = cache.get(gen)
-    if v is not None:
-        return v
-    if isinstance(gen, CoordGen):
-        try:
-            v = float(point[gen.name])
-        except KeyError:
-            raise EvaluationError("unbound coordinate %r" % gen.name, offender=gen.name, point=dict(point))
-    else:
-        u = _eval_expr(gen.arg, point, cache)
-        kind = gen.kind
-        try:
-            if kind == "exp":
-                v = math.exp(u)
-            elif kind == "log":
-                if u <= 0.0:
-                    raise DomainError("log of non-positive value %r" % u, offender=str(gen), point=dict(point))
-                v = math.log(u)
-            else:  # flatexp
-                v = 0.0 if u <= 0.0 else math.exp(-1.0 / u)
-        except OverflowError:
-            raise EvaluationError("overflow evaluating %s" % gen, offender=str(gen), point=dict(point))
-    cache[gen] = v
-    return v
+_LOAD, _MUL, _ATOM, _FAIL = range(4)
 
 
-class _PolyPlan:
-    """A polynomial laid out for repeated float evaluation.
+class _Program:
+    """An expression laid out for repeated float evaluation.
 
-    ``gens`` lists the generators in order of first use, so evaluation
-    errors surface in the same order as a term-by-term walk.  ``powers``
-    lists the distinct (generator index, exponent) pairs, and each term
-    is (coefficient / lead as a float, indices into ``powers``) with its
-    factors in generator order and the terms in dict order.  A
-    coefficient beyond the float range raises :class:`EvaluationError`,
-    as any evaluation overflow does.
+    A run fills a list with one value per step: a coordinate read from
+    the point, the product of two earlier values (gen^k = gen^(k - 1) *
+    gen, k - 1 repeated multiplications, reproducible across platforms),
+    or an atom of its argument.  Atom arguments are inlined, and the
+    steps come in the order a term-by-term walk first evaluates them, so
+    evaluation errors surface in that order.  ``terms`` is the numerator
+    and the denominator (None for a polynomial), each a list of
+    (coefficient / lead, value indices), each term's factors in generator
+    order and the terms in dict order.
+    A coefficient beyond the float range becomes a last step that raises
+    it where the walk reaches its expression, before any of its steps.
     """
 
-    __slots__ = ("gens", "powers", "terms")
+    __slots__ = ("steps", "terms")
 
-    def __init__(self, poly, lead):
-        gen_index = {}
-        power_index = {}
-        terms = []
-        for mono, c in poly.terms.items():
-            factors = []
-            for g, e in _mono_items(mono):
-                i = gen_index.get(g)
-                if i is None:
-                    i = gen_index[g] = len(gen_index)
-                j = power_index.get((i, e))
-                if j is None:
-                    j = power_index[(i, e)] = len(power_index)
-                factors.append(j)
-            try:
-                coeff = c / lead
-            except OverflowError:
-                term = _poly_str(Poly({mono: 1}))
-                raise EvaluationError(
-                    "coefficient of %s (about 1e%d) is beyond the float range"
-                    % (term, len(str(abs(c) // abs(lead))) - 1),
-                    offender=term,
-                )
-            terms.append((coeff, tuple(factors)))
-        self.gens = tuple(gen_index)
-        self.powers = tuple(power_index)
-        self.terms = terms
+    def __init__(self, e):
+        self.steps = []
+        try:
+            self.terms = self._walk(e, {})
+        except EvaluationError:  # the last step raises it
+            self.terms = None
 
-    def evaluate(self, point, cache):
-        """(value, sum of the absolute term values), computed once per ``cache``."""
-        pair = cache.get(self)
-        if pair is None:
-            vals = [_eval_gen(g, point, cache) for g in self.gens]
-            pw = [vals[i] if e == 1 else _ipow(vals[i], e) for i, e in self.powers]
-            total = magnitude = 0.0
-            for v, factors in self.terms:
-                for j in factors:
-                    v *= pw[j]
-                total += v
-                magnitude += abs(v)
-            pair = cache[self] = (total, magnitude)
-        return pair
+    def _walk(self, e, index):
+        """(numerator, denominator or None) terms of ``e`` over the steps."""
+        try:
+            den = None if e.is_polynomial else _float_terms(e.den, e.lead)
+            num = _float_terms(e.num, e.lead)
+        except EvaluationError as err:
+            self.steps.append((_FAIL, str(err), err.offender))
+            raise
+        return self._terms(num, index), den and self._terms(den, index)
+
+    def _terms(self, terms, index):
+        return [(c, [self._power(g, k, index) for g, k in _mono_items(mono)]) for c, mono in terms]
+
+    def _power(self, g, k, index):
+        """The step of gen^k, made on first use with the powers below it;
+        ``index`` maps (generator, exponent) to its step."""
+        j = index.get((g, k))
+        if j is None:
+            j = base = index.get((g, 1))
+            if base is None:
+                step = (_LOAD, g.name, None) if isinstance(g, CoordGen) else (_ATOM, g, self._walk(g.arg, index))
+                j = base = index[(g, 1)] = len(self.steps)
+                self.steps.append(step)
+            for i in range(2, k + 1):
+                up = index.get((g, i))
+                if up is None:
+                    up = index[(g, i)] = len(self.steps)
+                    self.steps.append((_MUL, j, base))
+                j = up
+        return j
+
+    def run(self, point):
+        """The list of step values at ``point``."""
+        v = []
+        push = v.append
+        for op, a, b in self.steps:
+            if op == _LOAD:
+                try:
+                    push(float(point[a]))
+                except KeyError:
+                    raise EvaluationError("unbound coordinate %r" % a, offender=a, point=dict(point))
+            elif op == _MUL:
+                push(v[a] * v[b])
+            elif op == _ATOM:
+                push(_atom_value(a, _value(a.arg, b, v, point)[0], point))
+            else:
+                raise EvaluationError(a, offender=b)
+        return v
 
 
-def _plan(e):
-    """(numerator plan, denominator plan or None), built once per expression."""
-    plan = e._plan
-    if plan is None:
-        den = None if e.is_polynomial else _PolyPlan(e.den, e.lead)
-        plan = e._plan = (_PolyPlan(e.num, e.lead), den)
-    return plan
+def _value(e, terms, v, point):
+    """(value, magnitude scale) of ``e`` from its (numerator, denominator or
+    None) terms at the step values ``v``: each side summed left to right,
+    the scale the numerator's sum of absolute terms over |denominator|."""
+    num, den = terms
+    total = magnitude = 0.0
+    for c, factors in num:
+        for j in factors:
+            c *= v[j]
+        total += c
+        magnitude += abs(c)
+    if den is None:
+        return total, magnitude
+    d = 0.0
+    for c, factors in den:
+        for j in factors:
+            c *= v[j]
+        d += c
+    if d == 0.0:
+        raise EvaluationError(
+            "division by zero evaluating %s" % e, offender=_poly_str(e.den, e.lead), point=dict(point)
+        )
+    return total / d, magnitude / abs(d)
+
+
+def _atom_value(gen, u, point):
+    kind = gen.kind
+    try:
+        if kind == "exp":
+            return math.exp(u)
+        if kind == "log":
+            if u <= 0.0:
+                raise DomainError("log of non-positive value %r" % u, offender=str(gen), point=dict(point))
+            return math.log(u)
+        return 0.0 if u <= 0.0 else math.exp(-1.0 / u)  # flatexp
+    except OverflowError:
+        raise EvaluationError("overflow evaluating %s" % gen, offender=str(gen), point=dict(point))
+
+
+def _run(e, point, cache):
+    """(value, magnitude scale) of ``e`` at ``point``: one run of its
+    program, built on first use, per ``cache``."""
+    prog = e._plan
+    if prog is None:
+        prog = e._plan = _Program(e)
+    pair = cache.get(prog)
+    if pair is None:
+        pair = cache[prog] = _value(e, prog.terms, prog.run(point), point)
+    return pair
 
 
 def _eval_expr(e, point, cache):
-    num_plan, den_plan = _plan(e)
-    num = num_plan.evaluate(point, cache)[0]
-    if den_plan is None:
-        return num
-    den = den_plan.evaluate(point, cache)[0]
-    if den == 0.0:
-        raise EvaluationError(
-            "division by zero evaluating %s" % e,
-            offender=_poly_str(e.den, e.lead),
-            point=dict(point),
-        )
-    return num / den
+    return _run(e, point, cache)[0]
 
 
 def evaluate(e, point):
@@ -1133,20 +1171,13 @@ def evaluate(e, point):
     :class:`DomainError` for log outside its domain.  Hardware underflow
     of the flat atoms to exact 0.0 is accepted.
     """
-    return _eval_expr(normalize(e), point, {})
+    return _eval_expr(e if isinstance(e, ScalarExpr) else normalize(e), point, {})
 
 
 def _scale_at(e, point, cache):
     """Magnitude scale of e at a point: term-wise absolute sum of the numerator
     over the absolute denominator.  Used for relative tolerances."""
-    num_plan, den_plan = _plan(e)
-    total = num_plan.evaluate(point, cache)[1]
-    if den_plan is None:
-        return total
-    den = den_plan.evaluate(point, cache)[0]
-    if den == 0.0:
-        raise EvaluationError("division by zero in scale", offender=str(e), point=dict(point))
-    return total / abs(den)
+    return _run(e, point, cache)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvcheck import (
+    DomainError,
     EvaluationError,
     Region,
     Verdict,
@@ -470,6 +472,25 @@ def test_zero_test_default_config(plane):
     assert out.proved
 
 
+def test_zero_test_refutes_exactly_above_the_mixed_tolerance():
+    # at x = 1 the residual of x - 1 + d is d, over the scale 1 + (1 - d);
+    # the threshold abs_tol + rel_tol * scale is about 0.0019990010
+    cfg = ZeroTestConfig(sample_count=1, abs_tol=1e-6, rel_tol=1e-3)
+    region = CountingRegion([1.0])
+    p = {"x": 1.0}
+    above = x - 1 + rat(1999002, 10 ** 9)
+    below = x - 1 + rat(1999000, 10 ** 9)
+    for e, sign in ((above, 1), (below, -1)):
+        margin = abs(evaluate(e, p)) - (cfg.abs_tol + cfg.rel_tol * _scale_at(e, p, {}))
+        assert sign * margin > 0.9e-9
+    out = is_zero_on(above, region, cfg)
+    assert out.status is Verdict.FAIL
+    assert out.witness == {"x": 1.0, "y": 0.0} and out.value.hex() == "0x1.0603606de5200p-9"
+    out = is_zero_on(below, region, cfg)
+    assert out.status is Verdict.UNDECIDED
+    assert out.detail == "max |value| 1.999e-03 over 1 samples"
+
+
 # ---------------------------------------------------------------------------
 # canonical form, seeds, rendering
 
@@ -771,3 +792,73 @@ def test_evaluation_matches_a_term_by_term_reference_bit_for_bit():
                 assert _scale_at(e, p, {}).hex() == expect[1].hex()
                 compared += 1
     assert compared >= 900
+
+
+def test_sample_streams_are_pinned():
+    # the first points of two regions under seed 11, as float.hex: a box
+    # with Fraction bounds, and a thin band that rejects most draws
+    box = box_region(XY, {"x": (Fraction(-1, 3), 2.0), "y": (Fraction(1, 7), Fraction(5, 2))}, name="fbox")
+
+    def first(region, n=3):
+        return [[p[c].hex() for c in XY] for p in map(region.sample_point, [11] * n, range(n))]
+
+    assert first(box) == [
+        ["0x1.d291336bff9f2p-3", "0x1.8b72714e78c9cp+0"],
+        ["0x1.c9a22d3fb889dp+0", "0x1.11e95785c3f98p+1"],
+        ["0x1.3ef73021bacafp-2", "0x1.21a89cfa30333p+1"],
+    ]
+
+    class Band(Region):
+        tried = 0
+
+        def contains(self, point):
+            self.tried += 1
+            return Region.contains(self, point)
+
+    thin = Band(XY, (rat(1, 100) - (x - rat(1, 2) * y) ** 2,), square_box(XY), name="thin")
+    assert first(thin) == [
+        ["0x1.d19ffa0dfc0a0p-4", "0x1.3a8ef8e094e18p-2"],
+        ["0x1.b940f507f4cf0p-3", "0x1.30b021cf96b18p-1"],
+        ["0x1.21132328b6220p-2", "0x1.2fb99e1768938p-1"],
+    ]
+    assert thin.tried == 60  # 57 rejections
+
+
+_BIG = rat(10 ** 400)
+
+
+@pytest.mark.parametrize(
+    "e, point, error, message, offender",
+    [
+        # the first fault in the term walk is the one reported
+        (z + exp(1 / x), {"x": 0.0}, EvaluationError, "unbound coordinate 'z'", "z"),
+        (exp(1 / x) + z, {"x": 0.0}, EvaluationError, "division by zero evaluating 1 / (x)", "x"),
+        (z * log(x), {"x": -1.0}, EvaluationError, "unbound coordinate 'z'", "z"),
+        (log(x) + z, {"x": -1.0}, DomainError, "log of non-positive value -1.0", "log(x)"),
+        # an atom argument's coefficient fails where the walk reaches the atom
+        (z + exp(_BIG * x), {"x": 1.0}, EvaluationError, "unbound coordinate 'z'", "z"),
+        (z + exp(exp(_BIG * x)), {"x": 1.0}, EvaluationError, "unbound coordinate 'z'", "z"),
+        (exp(_BIG * x) + z, {"x": 1.0}, EvaluationError, "coefficient of x (about 1e400) is beyond the float range", "x"),
+        (log(x) + exp(_BIG * x), {"x": -1.0}, DomainError, "log of non-positive value -1.0", "log(x)"),
+        (exp(_BIG * x) + log(x), {"x": -1.0}, EvaluationError,
+         "coefficient of x (about 1e400) is beyond the float range", "x"),
+        # the expression's own coefficients fail before anything is evaluated,
+        # the denominator's first
+        (_BIG * x + z, {}, EvaluationError, "coefficient of x (about 1e400) is beyond the float range", "x"),
+        ((10 * _BIG + x) / (_BIG + y), {"x": 1.0, "y": 1.0}, EvaluationError,
+         "coefficient of 1 (about 1e400) is beyond the float range", "1"),
+    ],
+)
+def test_evaluation_reports_the_first_fault_of_the_term_walk(e, point, error, message, offender):
+    for _ in range(2):  # the second evaluation reuses what the first built
+        with pytest.raises(EvaluationError) as info:
+            evaluate(e, point)
+        assert type(info.value) is error
+        assert (str(info.value), info.value.offender) == (message, offender)
+    # an undefined constraint puts a point outside; any other fault is an error
+    region = Region(("x", "y", "z"), (e,), square_box(("x", "y", "z")))
+    if error is DomainError:
+        assert not region.contains(point)
+    else:
+        with pytest.raises(EvaluationError):
+            region.contains(point)
