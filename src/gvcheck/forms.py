@@ -5,8 +5,8 @@ coefficients keyed by strictly increasing index tuples into the chart's
 coordinate list.  Degree-0 forms wrap a single scalar at the empty
 tuple.  All operations (wedge, exterior derivative, pullback) are exact;
 numeric evaluation is only used by the sampled equality fallback and
-the Gram-determinant independence precondition of :func:`ideal_member`,
-both in pure Python.
+the independence precondition of :func:`ideal_member`, both in pure
+Python; that precondition is first tried by interval enclosures.
 """
 from __future__ import annotations
 
@@ -18,10 +18,12 @@ from .symbolic import (
     ZERO,
     ZeroTestConfig,
     add_all,
+    enclose,
     evaluate,
     free_coords,
     is_zero_on,
     join_signed,
+    left_sum,
     normalize,
     partial,
     substitute,
@@ -374,11 +376,11 @@ def gram_independent(gens, point):
         row = [0.0] * m
         for (i,), c in g.coeffs.items():
             row[i] = evaluate(c, point)
-        norm = math.sqrt(sum(v * v for v in row))
+        norm = math.sqrt(left_sum(v * v for v in row))
         if norm == 0.0:
             return False
         rows.append([v / norm for v in row])
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+    gram = [[left_sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
     return abs(_det(gram)) > GRAM_TOL
 
 
@@ -389,12 +391,25 @@ def dependent_sample(gens, region, cfg):
     return next((point for point in probes if not gram_independent(gens, point)), None)
 
 
+def certified_independent(gens, region):
+    """True when interval enclosures over the region's sampling box prove the
+    1-forms' normalized Gram determinant above 1e3 * GRAM_TOL (a margin for
+    the probes' rounding).  By Cauchy-Binet it is sum(M^2) / prod(|g_i|^2)
+    over the minors M, the coefficients of the wedge of the 1-forms."""
+    box, bound = region.box, 1e3 * GRAM_TOL
+    for g in gens:  # a coefficient without an enclosure makes the bound infinite
+        ivs = (enclose(c, box) or (math.inf, math.inf) for c in g.coeffs.values())
+        bound *= left_sum(max(lo * lo, hi * hi) for lo, hi in ivs)
+    ivs = (enclose(m, box) or (0.0, 0.0) for m in wedge_all(gens[0].coords, gens).coeffs.values())
+    return any((lo > 0.0 or hi < 0.0) and min(lo * lo, hi * hi) > bound for lo, hi in ivs)
+
+
 def ideal_member(b: DiffForm, gens, region, cfg=None):
     """Tri-state test of membership in the ideal generated by 1-forms.
 
     Uses the wedge criterion: b lies in the ideal generated by pointwise
-    independent 1-forms g_1..g_q iff b ^ g_1 ^ ... ^ g_q == 0.  The
-    independence precondition is verified at the sampled points first.
+    independent 1-forms g_1..g_q iff b ^ g_1 ^ ... ^ g_q == 0.  Their independence
+    is proved by :func:`certified_independent`, else probed by :func:`dependent_sample`.
     """
     if cfg is None:
         cfg = ZeroTestConfig()
@@ -402,7 +417,7 @@ def ideal_member(b: DiffForm, gens, region, cfg=None):
         b._check_chart(g)
         if g.degree != 1:
             raise DegreeError("ideal generators must be 1-forms")
-    dependent = dependent_sample(gens, region, cfg) if gens else None
+    dependent = dependent_sample(gens, region, cfg) if gens and not certified_independent(gens, region) else None
     if dependent is not None:
         raise PreconditionError(
             "ideal generators are linearly dependent at a sample", witness=dict(dependent)

@@ -32,6 +32,7 @@ from .symbolic import (
     ZeroTestConfig,
     evaluate,
     free_coords,
+    left_sum,
     mix_seed,
     normalize,
     rat,
@@ -179,7 +180,7 @@ def _regular_value_check(dphi: DiffForm, td: TubularData, cfg: ZeroTestConfig):
     for point in cfg.points(td.region):
         point = dict(point)
         point[td.t] = 0.0
-        norm2 = sum(evaluate(g, point) ** 2 for g in dphi.coeffs.values())
+        norm2 = left_sum(evaluate(g, point) ** 2 for g in dphi.coeffs.values())
         norm = math.sqrt(norm2)
         if norm < worst_norm:
             worst_norm = norm

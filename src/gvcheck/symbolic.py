@@ -1180,6 +1180,105 @@ def _scale_at(e, point, cache):
     return _run(e, point, cache)[1]
 
 
+def left_sum(values):
+    """Float sum left to right; ``sum`` compensates from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+_DOWN, _UP = -math.inf, math.inf
+
+
+def _finite(lo, hi):
+    """The interval (lo, hi); an infinite or NaN end raises, as an overflow."""
+    if not (_DOWN < lo <= hi < _UP):
+        raise OverflowError("interval bound overflows")
+    return lo, hi
+
+
+def _iv_mul(a, b):
+    """Interval product, each end product widened by an ulp unless a factor is 0."""
+    ps = [x * y for x in a for y in b if x and y]
+    lo, hi = (math.nextafter(min(ps), _DOWN), math.nextafter(max(ps), _UP)) if ps else (0.0, 0.0)
+    return (min(lo, 0.0), max(hi, 0.0)) if len(ps) < 4 else (lo, hi)
+
+
+def _iv_pow(a, k):
+    """The k-th power of an interval; an even one of an interval holding 0 starts at 0."""
+    lo, hi = a
+    if k % 2 == 0 and lo < 0.0:
+        lo, hi = (0.0, max(-lo, hi)) if hi > 0.0 else (-hi, -lo)
+    ends = []
+    for x, toward in ((lo, _DOWN), (hi, _UP)):
+        r = m = abs(x)
+        for _ in range(k - 1 if m else 0):  # each product rounded outward
+            r = math.nextafter(r * m, toward if x >= 0.0 else -toward)
+        ends.append(math.copysign(r, x))
+    return ends[0], ends[1]
+
+
+def _iv_atom(kind, a):
+    """An atom of an interval: each kind increases, so map the ends and widen by 2 ulps."""
+    lo, hi = a
+    if kind == "flatexp":  # exp(-1/u) for u > 0, else exp(-inf) = 0
+        lo, hi = (math.nextafter(-1.0 / u, w) if u > 0.0 else _DOWN for u, w in ((lo, _DOWN), (hi, _UP)))
+    f = math.log if kind == "log" else math.exp  # log raises ValueError when lo <= 0
+    return math.nextafter(math.nextafter(f(lo), _DOWN), _DOWN), math.nextafter(math.nextafter(f(hi), _UP), _UP)
+
+
+def _iv_poly(poly, terms, lead, iv):
+    """A side of a program, zipped with ``poly``: a coefficient c / lead that is
+    no float widens by 1 ulp, and a sum's end is exact when an addend is 0."""
+    lo = hi = 0.0
+    for c, (f, factors) in zip(poly.terms.values(), terms):
+        p, q = f.as_integer_ratio()
+        t = (f, f) if p * lead == c * q else (math.nextafter(f, _DOWN), math.nextafter(f, _UP))
+        for j in factors:
+            t = _iv_mul(t, iv[j])
+        lo = math.nextafter(lo + t[0], _DOWN) if lo and t[0] else lo + t[0]
+        hi = math.nextafter(hi + t[1], _UP) if hi and t[1] else hi + t[1]
+    return _finite(lo, hi)
+
+
+def _iv_value(e, terms, iv):
+    n = _iv_poly(e.num, terms[0], e.lead, iv)
+    if terms[1] is None:
+        return n
+    d = _iv_poly(e.den, terms[1], e.lead, iv)
+    if d[0] <= 0.0 <= d[1]:
+        raise ZeroDivisionError("denominator interval holds 0")
+    return _finite(*_iv_mul(n, (math.nextafter(1.0 / d[1], _DOWN), math.nextafter(1.0 / d[0], _UP))))
+
+
+def enclose(e, box):
+    """A float interval (lo, hi) that holds ``e`` on ``box`` (coordinate ->
+    rational (lo, hi)), and what :func:`evaluate` returns at its float points:
+    one outward-rounded pass over the program (Moore, "Interval Analysis",
+    1966) that assumes libm's exp and log monotone and within 1 ulp.  None
+    when a denominator's interval holds 0, log's argument may be <= 0, a
+    bound overflows or a coefficient is beyond the float range."""
+    prog = e._plan = e._plan or _Program(e)
+    iv, powers = [], []
+    try:
+        for op, a, b in prog.steps:
+            if op == _LOAD:
+                lo, hi = box[a]
+                lo, hi = math.nextafter(float(lo), _DOWN), math.nextafter(float(hi), _UP)
+                iv.append(_finite(math.nextafter(lo, _DOWN), math.nextafter(hi, _UP)))
+            elif op == _MUL:
+                iv.append(_finite(*_iv_pow(iv[b], powers[a] + 1)))
+            elif op == _ATOM:
+                iv.append(_finite(*_iv_atom(a.kind, _iv_value(a.arg, b, iv))))
+            else:
+                return None
+            powers.append(powers[a] + 1 if op == _MUL else 1)
+        return _iv_value(e, prog.terms, iv)
+    except (KeyError, ArithmeticError, ValueError):
+        return None
+
+
 # ---------------------------------------------------------------------------
 # zero testing
 

@@ -23,6 +23,7 @@ from .symbolic import (
     const,
     evaluate,
     flatexp,
+    left_sum,
     mix_seed,
     normalize,
     psi0,
@@ -74,7 +75,7 @@ class BumpSpec:
                     )
 
     def dist2(self, point) -> float:
-        return sum((point[n] - float(c)) ** 2 for n, c in self.center.items())
+        return left_sum((point[n] - float(c)) ** 2 for n, c in self.center.items())
 
     def in_inner(self, point) -> bool:
         return self.dist2(point) <= float(self.radius.as_fraction()) ** 2
@@ -152,7 +153,7 @@ class ClosedSetSpec:
 
     def _in_ball(self, point, strict: bool) -> bool:
         for center, r in self.balls:
-            d2 = sum((point[n] - center[n]) ** 2 for n in self.coords)
+            d2 = left_sum((point[n] - center[n]) ** 2 for n in self.coords)
             if d2 < r * r or (not strict and d2 == r * r):
                 return True
         return False
@@ -192,7 +193,7 @@ class ClosedSetSpec:
                 rng = Random(mix_seed(seed ^ 0xB0A7, k))
                 for _ in range(ANCHORS_PER_BALL):
                     direction = [rng.gauss(0.0, 1.0) for _ in self.coords]
-                    norm = math.sqrt(sum(d * d for d in direction)) or 1.0
+                    norm = math.sqrt(left_sum(d * d for d in direction)) or 1.0
                     out.append(
                         {
                             n: center[n] + r * d / norm
@@ -297,7 +298,7 @@ def flatness_check(phi, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
         rng = Random(mix_seed(cfg.rng_seed ^ 0xF1A7, k))
         for _ in range(2):
             v = [rng.gauss(0.0, 1.0) for _ in names]
-            norm = math.sqrt(sum(x * x for x in v)) or 1.0
+            norm = math.sqrt(left_sum(x * x for x in v)) or 1.0
             probes.append((a, [x / norm for x in v]))
     memo = {}  # (distance, probe index) -> values at that base point
     for order in (1, 2, 3):

@@ -13,10 +13,13 @@ from gvcheck import (
     DegreeError,
     DiffForm,
     PreconditionError,
+    Region,
+    SamplingError,
     Verdict,
     basis_form,
     box_region,
     differential,
+    exp,
     ext_d,
     flatexp,
     form_power,
@@ -30,7 +33,7 @@ from gvcheck import (
     wedge_all,
     zero_form,
 )
-from gvcheck.forms import _det, dependent_sample, gram_independent
+from gvcheck.forms import _det, certified_independent, dependent_sample, gram_independent
 from pointwise import ideal_member_pointwise
 from conftest import XY, XYZ, CountingRegion, random_form, random_map, square_box
 
@@ -280,6 +283,48 @@ def test_ideal_member_rejects_dependent_generators(space, cfg):
     with pytest.raises(PreconditionError) as err:
         ideal_member(dd("x", "y"), (dd("x"), dd("x") * rat(2)), space, cfg)
     assert err.value.witness is not None
+
+
+@pytest.fixture
+def probe_count(monkeypatch):
+    """The number of ``Region.sample_point`` calls so far, as a list of one."""
+    count = [0]
+    plain = Region.sample_point
+
+    def counting(self, seed, index):
+        count[0] += 1
+        return plain(self, seed, index)
+
+    monkeypatch.setattr(Region, "sample_point", counting)
+    return count
+
+
+# the generator shapes of the sampling benchmark
+G1 = dd("x") * (1 + rat(3, 2) * x ** 2) + dd("z") * x
+G2 = dd("y") + dd("z") * (rat(-5, 3) * exp(x))
+
+
+@pytest.mark.parametrize("gens", [(G1,), (G2,), (G1, G2), (G2, G1)])
+def test_certified_generators_draw_no_probe(space, cfg, probe_count, gens):
+    assert certified_independent(gens, space)
+    assert ideal_member(wedge(*gens, dd("y") * y), gens, space, cfg).proved
+    assert probe_count[0] == 0
+
+
+def test_generators_that_vanish_in_the_box_are_still_probed(space, cfg, probe_count):
+    radial = dd("x") * (2 * x) + dd("y") * (2 * y) + dd("z") * (2 * z)
+    assert not certified_independent((radial,), space)
+    assert ideal_member(wedge(radial, dd("x")) * z, (radial,), space, cfg).proved
+    assert probe_count[0] == 8
+
+
+def test_an_exact_member_on_a_region_without_samples_is_proved(cfg):
+    empty = Region(XYZ, (-1 - x ** 2,), square_box(XYZ), name="empty")
+    gens = (G1, G2)
+    assert ideal_member(wedge(G1, dd("x")) * y, gens, empty, cfg).status is Verdict.PASS
+    # generators the enclosures cannot certify still need a sample
+    with pytest.raises(SamplingError):
+        ideal_member(wedge(G1, dd("x")), (G1, dd("x") * x), empty, cfg)
 
 
 def test_ideal_member_requires_one_form_generators(space, cfg):

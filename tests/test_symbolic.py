@@ -862,3 +862,90 @@ def test_evaluation_reports_the_first_fault_of_the_term_walk(e, point, error, me
     else:
         with pytest.raises(EvaluationError):
             region.contains(point)
+
+
+# ---------------------------------------------------------------------------
+# interval enclosure
+
+
+@st.composite
+def atom_recipes(draw, depth=3):
+    """A random expression tree with exp, log and flatexp nodes, built by :func:`build_atoms`."""
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            return ("const", draw(st.integers(-6, 6)), draw(st.integers(1, 5)))
+        return ("leaf", draw(st.sampled_from(("x", "y"))))
+    op = draw(st.sampled_from(("+", "-", "*", "/", "^", "exp", "log", "flatexp")))
+    left = draw(atom_recipes(depth - 1))
+    if op in ATOM_KINDS:
+        return (op, left)
+    if op == "^":
+        return (op, left, draw(st.integers(0, 5)))
+    return (op, left, draw(atom_recipes(depth - 1)))
+
+
+def build_atoms(recipe):
+    kind = recipe[0]
+    if kind == "const":
+        return rat(recipe[1], recipe[2])
+    if kind == "leaf":
+        return sym(recipe[1])
+    a = build_atoms(recipe[1])
+    if kind in ATOM_KINDS:
+        return {"exp": exp, "log": log, "flatexp": flatexp}[kind](a)
+    if kind == "^":
+        return a ** recipe[2]
+    b = build_atoms(recipe[2])
+    if kind == "/":
+        return a if b.is_zero else a / b
+    return {"+": a + b, "-": a - b, "*": a * b}[kind]
+
+
+_BOUND = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 7))
+_WIDTH = st.builds(Fraction, st.integers(1, 8), st.integers(1, 4))
+
+
+@_HYP
+@given(atom_recipes(), _BOUND, _WIDTH, _BOUND, _WIDTH, st.integers(0, 2 ** 32))
+def test_enclosure_holds_every_evaluation_in_the_box(recipe, x_lo, x_w, y_lo, y_w, seed):
+    e = build_atoms(recipe)
+    box = {"x": (x_lo, x_lo + x_w), "y": (y_lo, y_lo + y_w)}
+    iv = symbolic.enclose(e, box)
+    if iv is None:
+        return
+    lo, hi = iv
+    assert lo <= hi
+    rng = random.Random(seed)
+    corners = [dict(zip("xy", map(float, c))) for c in itertools.product(box["x"], box["y"])]
+    inner = [{c: min(max(float(a) + float(b - a) * rng.random(), float(a)), float(b)) for c, (a, b) in box.items()}
+             for _ in range(8)]
+    for point in corners + inner:
+        # a bounded enclosure also rules out every evaluation error in the box
+        assert lo <= evaluate(e, point) <= hi, (str(e), point, iv)
+
+
+def test_enclosure_widens_a_coefficient_that_is_no_float():
+    lo, hi = symbolic.enclose(rat(1, 3), {})
+    assert Fraction(lo) <= Fraction(1, 3) <= Fraction(hi)
+    assert symbolic.enclose(rat(3, 2), {}) == (1.5, 1.5)
+
+
+def test_enclosure_of_an_even_power_is_not_an_interval_product():
+    lo, hi = symbolic.enclose(1 + rat(3, 2) * x ** 2, {"x": (-1, 1)})
+    assert lo >= 1 and 2.5 <= hi < 2.5 + 1e-12
+    lo, hi = symbolic.enclose(x ** 3, {"x": (-2, -1)})
+    assert lo <= -8 < -1 <= hi < -1 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "e, box",
+    [
+        (1 / x, {"x": (-1, 1)}),  # a denominator interval that holds 0
+        (log(x), {"x": (0, 1)}),  # log of an argument that may be <= 0
+        (exp(x ** 2), {"x": (-100, 100)}),  # overflow
+        (rat(10 ** 400) * x, {"x": (1, 2)}),  # a coefficient beyond the float range
+        (x + y, {"x": (0, 1)}),  # a coordinate without bounds
+    ],
+)
+def test_enclosure_is_none_where_it_cannot_bound(e, box):
+    assert symbolic.enclose(e, box) is None

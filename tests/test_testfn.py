@@ -153,6 +153,23 @@ def test_ball_union_membership():
         assert a["x"] ** 2 + a["y"] ** 2 == pytest.approx(0.25)
 
 
+def test_ball_anchors_are_the_same_on_every_python():
+    # sum() compensates from Python 3.12 on, and moves these anchors by an ulp
+    xyz = ("x", "y", "z")
+    m0 = ClosedSetSpec(xyz, square_box(xyz), "balls", balls=(({"x": 0.0, "y": 0.0, "z": 0.0}, 1.0),))
+    assert [a[c].hex() for a in m0.boundary_anchors(6) for c in xyz] == [
+        "0x1.973114b08478bp-1", "0x1.16d6d8bf49a82p-1", "-0x1.10ac2aeafb4cbp-2",
+        "0x1.249b5dcaa8578p-3", "0x1.9e68154410c8cp-6", "-0x1.fa94f0aa3f499p-1",
+    ]
+
+
+def test_left_sum_adds_left_to_right():
+    from gvcheck.symbolic import left_sum
+
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0  # sum() gives 1.0 from Python 3.12 on
+    assert left_sum(v for v in (0.5, 0.25)) == 0.75 and left_sum([]) == 0.0
+
+
 def test_complement_of_balls_membership():
     m0 = ClosedSetSpec(
         XY, square_box(XY), "complement-of-balls", balls=(({"x": 0.0, "y": 0.0}, 1.0),)
