@@ -18,7 +18,6 @@ are echoed in every report.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -53,16 +52,6 @@ def _positive_int(text):
     return value
 
 
-def _positive_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError("expected a positive finite number, got %r" % text)
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="gvcheck",
@@ -74,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("specfile", help="path to the document to run")
         p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
         p.add_argument("--samples", type=_positive_int, default=None, help="override the sample count")
-        p.add_argument("--abs-tol", type=_positive_float, default=None, help="override the absolute tolerance")
-        p.add_argument("--rel-tol", type=_positive_float, default=None, help="override the relative tolerance")
 
     p_check = sub.add_parser("check", help="run all checks, print a text report")
     common(p_check)
@@ -142,10 +129,7 @@ def _emit(text, out_path):
 def _cmd_report(args) -> int:
     doc = _load_document(args.specfile)
     seed, source = _resolve_seed(args)
-    report = run_checks(
-        doc, seed=seed, seed_source=source,
-        samples=args.samples, abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-    )
+    report = run_checks(doc, seed=seed, seed_source=source, samples=args.samples)
     _emit(render_report(report, args.format), args.out)
     return report.exit_code()
 
@@ -170,7 +154,7 @@ def _cmd_gv(args) -> int:
     if problem:
         sys.stderr.write("gvcheck: --%s\n" % problem)
         return EXIT_USAGE
-    settings = start_report(doc, seed, source, args.samples, args.abs_tol, args.rel_tol)
+    settings = start_report(doc, seed, source, args.samples)
     try:
         pw, out = gv_min(fam, mus, rank, settings.config(0))
     except Exception as e:  # an engine error reads as its report row does

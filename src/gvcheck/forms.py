@@ -391,16 +391,16 @@ def dependent_sample(gens, region, cfg):
     return next((point for point in probes if not gram_independent(gens, point)), None)
 
 
-def certified_independent(gens, region):
+def certified_independent(gens, minors, region):
     """True when interval enclosures over the region's sampling box prove the
     1-forms' normalized Gram determinant above 1e3 * GRAM_TOL (a margin for
     the probes' rounding).  By Cauchy-Binet it is sum(M^2) / prod(|g_i|^2)
-    over the minors M, the coefficients of the wedge of the 1-forms."""
+    over the minors M, the coefficients of ``minors``, the wedge of the 1-forms."""
     box, bound = region.box, 1e3 * GRAM_TOL
     for g in gens:  # a coefficient without an enclosure makes the bound infinite
         ivs = (enclose(c, box) or (math.inf, math.inf) for c in g.coeffs.values())
         bound *= left_sum(max(lo * lo, hi * hi) for lo, hi in ivs)
-    ivs = (enclose(m, box) or (0.0, 0.0) for m in wedge_all(gens[0].coords, gens).coeffs.values())
+    ivs = (enclose(m, box) or (0.0, 0.0) for m in minors.coeffs.values())
     return any((lo > 0.0 or hi < 0.0) and min(lo * lo, hi * hi) > bound for lo, hi in ivs)
 
 
@@ -417,9 +417,12 @@ def ideal_member(b: DiffForm, gens, region, cfg=None):
         b._check_chart(g)
         if g.degree != 1:
             raise DegreeError("ideal generators must be 1-forms")
-    dependent = dependent_sample(gens, region, cfg) if gens and not certified_independent(gens, region) else None
+    if not gens:
+        return vanishes_on(b, region, cfg)
+    minors = wedge_all(b.coords, gens)
+    dependent = None if certified_independent(gens, minors, region) else dependent_sample(gens, region, cfg)
     if dependent is not None:
         raise PreconditionError(
             "ideal generators are linearly dependent at a sample", witness=dict(dependent)
         )
-    return vanishes_on(wedge(b, *gens) if gens else b, region, cfg)
+    return vanishes_on(wedge(b, minors), region, cfg)

@@ -26,7 +26,7 @@ from .forms import (
     zero_form,
 )
 from .regions import Region
-from .symbolic import ONE, ScalarExpr, ZeroTestConfig, evaluate, normalize, rat
+from .symbolic import ONE, ScalarExpr, ZeroTestConfig, certified_nonzero, evaluate, normalize, rat
 from .verdicts import Outcome
 
 _GAUGE_ADVICE = "consider a different Frobenius witness (gauge change mu -> mu + f*nu)"
@@ -64,9 +64,11 @@ def adapted_gauge(fol: Foliation) -> ScalarExpr:
 
 
 def _require_nonvanishing(h, region, cfg, message):
-    """Raise ``message`` with the first sampled point where |h| <= abs_tol."""
+    """Raise ``message`` with the first sampled point where h is not
+    :func:`certified_nonzero`, or the evaluation error h raises there."""
     for point in cfg.points(region):
-        if abs(evaluate(h, point)) <= cfg.abs_tol:
+        if not certified_nonzero(h, point):
+            evaluate(h, point)
             raise PreconditionError(message, witness=point)
 
 

@@ -24,7 +24,7 @@ from .specdoc import CheckDirective, SpecDocument
 from .symbolic import ZeroTestConfig, mix_seed
 from .verdicts import EXIT_STATUS, Outcome, Verdict, point_str, worst
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CheckResult:
@@ -55,15 +55,13 @@ class CheckResult:
 class RunReport:
     """Everything one run produced, in renderer-independent form."""
 
-    __slots__ = ("seed", "seed_source", "samples", "abs_tol", "rel_tol", "checks", "notes", "schema_version")
+    __slots__ = ("seed", "seed_source", "samples", "checks", "notes", "schema_version")
 
-    def __init__(self, seed: int, seed_source: str, samples: int, abs_tol: float, rel_tol: float,
-                 checks: list | None = None, notes: list | None = None, schema_version: int = SCHEMA_VERSION):
+    def __init__(self, seed: int, seed_source: str, samples: int, checks: list | None = None,
+                 notes: list | None = None, schema_version: int = SCHEMA_VERSION):
         self.seed = seed
         self.seed_source = seed_source
         self.samples = samples
-        self.abs_tol = abs_tol
-        self.rel_tol = rel_tol
         self.checks = [] if checks is None else checks
         self.notes = [] if notes is None else notes
         self.schema_version = schema_version
@@ -81,17 +79,11 @@ class RunReport:
 
     def config(self, index: int) -> ZeroTestConfig:
         """The zero-test configuration of the check at ``index``: its own sub-seed."""
-        return ZeroTestConfig(
-            sample_count=self.samples,
-            abs_tol=self.abs_tol,
-            rel_tol=self.rel_tol,
-            rng_seed=mix_seed(self.seed, index),
-        )
+        return ZeroTestConfig(sample_count=self.samples, rng_seed=mix_seed(self.seed, index))
 
     def to_json(self) -> dict:
         """The JSON report's object, which :meth:`from_json` reads back."""
         return {"seed": self.seed, "seed_source": self.seed_source, "samples": self.samples,
-                "abs_tol": self.abs_tol, "rel_tol": self.rel_tol,
                 "checks": [c.to_json() for c in self.checks], "notes": self.notes,
                 "schema_version": self.schema_version, "summary": self.summary}
 
@@ -144,20 +136,14 @@ def _execute(directive: CheckDirective, cfg: ZeroTestConfig) -> CheckResult:
     )
 
 
-def start_report(doc: SpecDocument, seed, seed_source, samples, abs_tol, rel_tol) -> RunReport:
+def start_report(doc: SpecDocument, seed, seed_source, samples) -> RunReport:
     """An empty report holding the run's settings: each override, else the document's."""
     if seed is None:
         seed = doc.seed
         seed_source = seed_source or ("document" if doc.seed_declared else "default")
     else:
         seed_source = seed_source or "caller"
-    return RunReport(
-        seed=seed,
-        seed_source=seed_source,
-        samples=doc.samples if samples is None else samples,
-        abs_tol=doc.abs_tol if abs_tol is None else abs_tol,
-        rel_tol=doc.rel_tol if rel_tol is None else rel_tol,
-    )
+    return RunReport(seed=seed, seed_source=seed_source, samples=doc.samples if samples is None else samples)
 
 
 def run_checks(
@@ -165,11 +151,9 @@ def run_checks(
     seed: int | None = None,
     seed_source: str | None = None,
     samples: int | None = None,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
 ) -> RunReport:
     """Run every check in the document under derived sub-seeds."""
-    report = start_report(doc, seed, seed_source, samples, abs_tol, rel_tol)
+    report = start_report(doc, seed, seed_source, samples)
     report.checks = [_execute(d, report.config(d.index)) for d in doc.checks]
     return report
 
@@ -179,10 +163,7 @@ def run_checks(
 
 
 def render_text(report: RunReport) -> str:
-    lines = [
-        "seed %d (%s)  samples %d  abs_tol %g  rel_tol %g"
-        % (report.seed, report.seed_source, report.samples, report.abs_tol, report.rel_tol)
-    ]
+    lines = ["seed %d (%s)  samples %d" % (report.seed, report.seed_source, report.samples)]
     for c in report.checks:
         timing = "" if c.timing_ms is None else "  (%.1f ms)" % c.timing_ms
         head = "[%s] %s (%s)%s" % (c.verdict, c.name, c.kind, timing)
@@ -248,8 +229,8 @@ def render_latex(report: RunReport) -> str:
     }
     lines = [_LATEX_HEADER]
     lines.append(
-        r"\noindent seed %d (%s), samples %d, tolerances $%g$ / $%g$.\par\medskip"
-        % (report.seed, _latex_escape(report.seed_source), report.samples, report.abs_tol, report.rel_tol)
+        r"\noindent seed %d (%s), samples %d.\par\medskip"
+        % (report.seed, _latex_escape(report.seed_source), report.samples)
     )
     lines.append(r"\begin{itemize}")
     for c in report.checks:

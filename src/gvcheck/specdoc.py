@@ -11,7 +11,7 @@ Statement reference (one per line, ``#`` starts a comment):
 
     chart x y z
     box x -2 2
-    seed 20140917 | samples 32 | abs_tol 1e-9 | rel_tol 1e-9
+    seed 20140917 | samples 32
     scalar f = 1 + x^2
     form w1 = (1 + x^2)*dy
     map sigma = x -> -x, y -> -y
@@ -31,7 +31,6 @@ Statement reference (one per line, ``#`` starts a comment):
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import GvError
@@ -108,9 +107,9 @@ class SpecDocument:
     phi)``, where phi is ``bump_sum(balls)``, built once at parse time.
     """
 
-    __slots__ = ("coords", "box", "seed", "seed_declared", "samples", "abs_tol", "rel_tol", "scalars",
-                 "forms", "maps", "regions", "foliations", "families", "mus", "closedsets", "bumps",
-                 "testfns", "tubulars", "checks")
+    __slots__ = ("coords", "box", "seed", "seed_declared", "samples", "scalars", "forms", "maps",
+                 "regions", "foliations", "families", "mus", "closedsets", "bumps", "testfns", "tubulars",
+                 "checks")
 
     def __init__(self):
         self.coords = ()
@@ -118,8 +117,6 @@ class SpecDocument:
         self.seed = _SAMPLING.rng_seed
         self.seed_declared = False
         self.samples = _SAMPLING.sample_count
-        self.abs_tol = _SAMPLING.abs_tol
-        self.rel_tol = _SAMPLING.rel_tol
         self.scalars = {}
         self.forms = {}
         self.maps = {}
@@ -393,18 +390,6 @@ def _stmt_samples(p: _StatementParser):
     if value.denominator != 1 or value <= 0:
         p.reject("samples must be a positive integer")
     p.doc.samples = int(value)
-
-
-def _stmt_tolerance(p: _StatementParser, key):
-    value = p.number()
-    p.expect_end()
-    try:
-        tol = float(value)
-    except OverflowError:
-        tol = math.inf
-    if not 0 < tol < math.inf:
-        p.reject("%s must be a positive finite number" % key)
-    setattr(p.doc, key, tol)
 
 
 def _stmt_scalar(p: _StatementParser):
@@ -928,15 +913,13 @@ def _stmt_check(p: _StatementParser):
 
 # statements that need no chart; a check before the chart fails at its
 # first name, which nothing can have declared yet
-_CHART_FREE = ("chart", "seed", "samples", "abs_tol", "rel_tol", "check")
+_CHART_FREE = ("chart", "seed", "samples", "check")
 
 _HANDLERS = {
     "chart": _stmt_chart,
     "box": _stmt_box,
     "seed": _stmt_seed,
     "samples": _stmt_samples,
-    "abs_tol": lambda p: _stmt_tolerance(p, "abs_tol"),
-    "rel_tol": lambda p: _stmt_tolerance(p, "rel_tol"),
     "scalar": _stmt_scalar,
     "form": _stmt_form,
     "map": _stmt_map,

@@ -44,7 +44,7 @@ polynomial multiplication and division in Maple 14", 2009):
   arguments inlined), then sums the numerator and the denominator terms
   left to right in the order the term dicts hold them.  One run gives
   both the value and the sum of absolute term values (the magnitude that
-  scales relative tolerances); the pair is kept in the sample point's
+  scales the zero test's screen); the pair is kept in the sample point's
   cache, so each expression is evaluated at most once per point.
 * Rendering prints terms in monomial key order.  An interned atom is
   immutable, so it keeps its text ``kind(arg)`` and its LaTeX after the
@@ -60,9 +60,9 @@ construction:
 * ``psi0(t)`` is no atom but the quotient flatexp(t^2) / (1 + flatexp(t^2)).
 
 Zero testing is a semi-decision: PASS comes only from exact
-normalization, FAIL only from a numeric witness that clears the
-configured tolerances at a sampled point, and everything else stays
-UNDECIDED.
+normalization, FAIL only from a sampled point where an outward-rounded
+interval enclosure of the expression excludes 0, and everything else
+stays UNDECIDED.
 """
 from __future__ import annotations
 
@@ -1176,7 +1176,7 @@ def evaluate(e, point):
 
 def _scale_at(e, point, cache):
     """Magnitude scale of e at a point: term-wise absolute sum of the numerator
-    over the absolute denominator.  Used for relative tolerances."""
+    over the absolute denominator.  Scales the zero test's screen."""
     return _run(e, point, cache)[1]
 
 
@@ -1205,18 +1205,18 @@ def _iv_mul(a, b):
     return (min(lo, 0.0), max(hi, 0.0)) if len(ps) < 4 else (lo, hi)
 
 
-def _iv_pow(a, k):
-    """The k-th power of an interval; an even one of an interval holding 0 starts at 0."""
+def _iv_pow(a, r, k):
+    """(interval, end magnitudes) of gen^k, from gen's interval ``a`` and the
+    end magnitudes ``r`` of gen^(k - 1), (|lo|, |hi|) for k = 2: each end's
+    magnitude times |end|, rounded away from 0 for a negative lo or a
+    positive hi and toward 0 otherwise, as k - 1 such products from the
+    base would be.  An even power of an interval holding 0 starts at 0."""
     lo, hi = a
-    if k % 2 == 0 and lo < 0.0:
-        lo, hi = (0.0, max(-lo, hi)) if hi > 0.0 else (-hi, -lo)
-    ends = []
-    for x, toward in ((lo, _DOWN), (hi, _UP)):
-        r = m = abs(x)
-        for _ in range(k - 1 if m else 0):  # each product rounded outward
-            r = math.nextafter(r * m, toward if x >= 0.0 else -toward)
-        ends.append(math.copysign(r, x))
-    return ends[0], ends[1]
+    r = (math.nextafter(r[0] * -lo, _UP) if lo < 0.0 else math.nextafter(r[0] * lo, _DOWN) if lo else 0.0,
+         math.nextafter(r[1] * hi, _UP) if hi > 0.0 else math.nextafter(r[1] * -hi, _DOWN) if hi else 0.0)
+    if k % 2 or lo >= 0.0:
+        return (math.copysign(r[0], lo), math.copysign(r[1], hi)), r
+    return ((0.0, max(r)) if hi > 0.0 else (-math.copysign(r[1], hi), r[0])), r
 
 
 def _iv_atom(kind, a):
@@ -1260,7 +1260,7 @@ def enclose(e, box):
     when a denominator's interval holds 0, log's argument may be <= 0, a
     bound overflows or a coefficient is beyond the float range."""
     prog = e._plan = e._plan or _Program(e)
-    iv, powers = [], []
+    iv, powers = [], []  # per step: its interval, and (exponent, end magnitudes)
     try:
         for op, a, b in prog.steps:
             if op == _LOAD:
@@ -1268,12 +1268,16 @@ def enclose(e, box):
                 lo, hi = math.nextafter(float(lo), _DOWN), math.nextafter(float(hi), _UP)
                 iv.append(_finite(math.nextafter(lo, _DOWN), math.nextafter(hi, _UP)))
             elif op == _MUL:
-                iv.append(_finite(*_iv_pow(iv[b], powers[a] + 1)))
+                k, r = powers[a]
+                ends, r = _iv_pow(iv[b], r, k + 1)
+                iv.append(_finite(*ends))
+                powers.append((k + 1, r))
+                continue
             elif op == _ATOM:
                 iv.append(_finite(*_iv_atom(a.kind, _iv_value(a.arg, b, iv))))
             else:
                 return None
-            powers.append(powers[a] + 1 if op == _MUL else 1)
+            powers.append((1, (abs(iv[-1][0]), abs(iv[-1][1]))))
         return _iv_value(e, prog.terms, iv)
     except (KeyError, ArithmeticError, ValueError):
         return None
@@ -1284,19 +1288,14 @@ def enclose(e, box):
 
 
 class ZeroTestConfig:
-    """Sampling budget and tolerances for the numeric zero-test fallback."""
+    """Sampling budget and seed of the numeric zero-test fallback."""
 
-    __slots__ = ("sample_count", "abs_tol", "rel_tol", "rng_seed")
+    __slots__ = ("sample_count", "rng_seed")
 
-    def __init__(self, sample_count: int = 32, abs_tol: float = 1e-9, rel_tol: float = 1e-9,
-                 rng_seed: int = 20140917):
+    def __init__(self, sample_count: int = 32, rng_seed: int = 20140917):
         if sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if not (0 < abs_tol < math.inf and 0 < rel_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
         self.sample_count = sample_count
-        self.abs_tol = abs_tol
-        self.rel_tol = rel_tol
         self.rng_seed = rng_seed
 
     def points(self, region):
@@ -1307,13 +1306,21 @@ class ZeroTestConfig:
             yield region.sample_point(self.rng_seed, i)
 
 
+def certified_nonzero(e, point):
+    """True when ``e`` is proved nonzero at ``point``: its :func:`enclose`
+    on the degenerate box at the point excludes 0."""
+    iv = enclose(e, {c: (x, x) for c, x in point.items()})
+    return iv is not None and (iv[0] > 0.0 or iv[1] < 0.0)
+
+
 def is_zero_on(e, region, cfg=None):
     """Tri-state zero test of ``e`` on a sampleable region.
 
-    PASS when normalization reduces e to the zero expression; FAIL
-    with a witness point when a seeded sample clears the mixed
-    absolute/relative tolerance; UNDECIDED otherwise.  ``region`` only
-    needs a ``sample_point(seed, index)`` method.
+    PASS when normalization reduces e to the zero expression; FAIL with
+    a witness point when a seeded sample is :func:`certified_nonzero`;
+    UNDECIDED otherwise.  Only a sample whose residual clears a fixed
+    screen, 1e-9 plus 1e-9 times its term magnitude, is certified.
+    ``region`` only needs a ``sample_point(seed, index)`` method.
     """
     e = normalize(e)
     if e.is_zero:
@@ -1321,7 +1328,7 @@ def is_zero_on(e, region, cfg=None):
     if cfg is None:
         cfg = ZeroTestConfig()
     max_abs = 0.0
-    skipped = 0
+    skipped = uncertified = 0
     for point in cfg.points(region):
         try:
             cache = {}
@@ -1330,14 +1337,17 @@ def is_zero_on(e, region, cfg=None):
         except EvaluationError:
             skipped += 1
             continue
-        threshold = cfg.abs_tol + cfg.rel_tol * scale
-        if abs(v) > threshold:
-            return Outcome(Verdict.FAIL, witness=dict(point), value=v)
+        if abs(v) > 1e-9 + 1e-9 * scale:
+            if certified_nonzero(e, point):
+                return Outcome(Verdict.FAIL, witness=dict(point), value=v)
+            uncertified += 1
         if abs(v) > max_abs:
             max_abs = abs(v)
     detail = "max |value| %.3e over %d samples" % (max_abs, cfg.sample_count - skipped)
     if skipped:
         detail += " (%d samples skipped: evaluation error)" % skipped
+    if uncertified:
+        detail += " (%d samples not certified nonzero)" % uncertified
     return Outcome(Verdict.UNDECIDED, detail=detail)
 
 

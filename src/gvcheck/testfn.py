@@ -20,6 +20,7 @@ from .symbolic import (
     ZERO,
     ZeroTestConfig,
     _mono_items,
+    certified_nonzero,
     const,
     evaluate,
     flatexp,
@@ -158,19 +159,19 @@ class ClosedSetSpec:
                 return True
         return False
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        if self.kind == "zeroset":
-            return abs(evaluate(self.expr, point)) <= tol
+    def contains(self, point) -> bool:
+        if self.kind == "zeroset":  # on the set unless certified off it
+            return not certified_nonzero(self.expr, point)
         if self.kind == "balls":
             return self._in_ball(point, strict=False)
         return all(self.box[n][0] <= point[n] <= self.box[n][1] for n in self.coords) and not self._in_ball(
             point, strict=True
         )
 
-    def sample_complement(self, seed: int, count: int, tol: float = 1e-9) -> list:
+    def sample_complement(self, seed: int, count: int) -> list:
         """Window samples off the set; may return fewer when the
         complement is empty or thin."""
-        return self._rejection([], seed, count, lambda p: not self.contains(p, tol))
+        return self._rejection([], seed, count, lambda p: not self.contains(p))
 
     def sample_set(self, seed: int, count: int) -> list:
         """Points of the set itself: anchors, ball interiors, or
@@ -222,7 +223,7 @@ def check_cover(phi, balls, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
     at sampled set points and anchors and be positive at the covered
     complement samples.
     """
-    complement = m0.sample_complement(cfg.rng_seed, cfg.sample_count, cfg.abs_tol)
+    complement = m0.sample_complement(cfg.rng_seed, cfg.sample_count)
     gap = next((p for p in complement if not any(b.in_inner(p) for b in balls)), None)
     if gap:
         raise CoverageError("complement sample lies in no inner ball", witness=gap)

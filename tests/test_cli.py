@@ -125,11 +125,6 @@ class TestInvalidSettings:
         ("--samples", "0"),
         ("--samples", "-3"),
         ("--samples", "2.5"),
-        ("--abs-tol", "-1"),
-        ("--abs-tol", "0"),
-        ("--abs-tol", "nan"),
-        ("--rel-tol", "-1"),
-        ("--rel-tol", "inf"),
     ])
     def test_bad_flag_exits_three(self, verb, flag, value, capsys):
         assert run_cli([verb, gallery_path("glued_family.fol"), flag, value]) == 3
@@ -137,25 +132,24 @@ class TestInvalidSettings:
         assert "argument %s" % flag in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("statement", [
-        "abs_tol 0",
-        "abs_tol -1",
-        "rel_tol 0",
-        "rel_tol -1/2",
-        "rel_tol 1e999",
-        "abs_tol 1e-400",
-    ])
-    def test_bad_document_tolerance_exits_five(self, statement, tmp_path, capsys):
+    @pytest.mark.parametrize("verb", ["check", "report", "gv"])
+    @pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+    def test_tolerance_flags_are_unrecognized(self, verb, flag, capsys):
+        # a refutation is certified, not thresholded: there is no tolerance to set
+        assert run_cli([verb, gallery_path("glued_family.fol"), flag, "1e-9"]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith("error: unrecognized arguments: %s 1e-9\n" % flag)
+
+    @pytest.mark.parametrize("statement", ["abs_tol 1e-9", "rel_tol 1e-9"])
+    def test_tolerance_statements_are_unknown(self, statement, tmp_path, capsys):
         spec = tmp_path / "tol.fol"
         spec.write_text(TINY_DOC.replace("\n", "\n%s\n" % statement, 1))
         assert run_cli(["check", str(spec)]) == 5
-        err = capsys.readouterr().err
-        assert "line 2" in err
-        assert "must be a positive finite number" in err
+        name = statement.split()[0]
+        assert capsys.readouterr().err == "%s: line 2, col 1: unknown statement %r\n" % (spec, name)
 
     @pytest.mark.parametrize("statement, col", [
-        ("abs_tol 1/0", 11),
-        ("rel_tol -2/0.0", 12),
+        ("samples 1/0", 11),
         ("box x 0 1/0", 11),
     ])
     def test_zero_denominator_exits_five(self, statement, col, tmp_path, capsys):
@@ -232,10 +226,9 @@ class TestInvalidSettings:
         assert run_cli(["check", str(spec)]) == 0
 
     @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-    def test_config_rejects_bad_tolerance(self, field, value):
-        with pytest.raises(ValueError):
-            ZeroTestConfig(**{field: value})
+    def test_config_has_no_tolerance(self, field):
+        with pytest.raises(TypeError):
+            ZeroTestConfig(**{field: 1e-9})
 
 
 class TestSeedResolution:
@@ -278,7 +271,8 @@ class TestReportVerb:
         data = json.loads(capsys.readouterr().out)
         assert data["seed"] == 1001
         assert data["seed_source"] == "document"
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
+        assert "abs_tol" not in data and "rel_tol" not in data
         assert data["summary"]["fail"] == 0
         for check in data["checks"]:
             assert check["timing_ms"] is None
@@ -490,10 +484,9 @@ class TestRunnerApi:
 
     def test_overrides_reach_the_report(self):
         doc = parse_doc(TINY_DOC)
-        report = run_checks(doc, seed=5, seed_source="flag", samples=8, abs_tol=1e-6, rel_tol=1e-5)
+        report = run_checks(doc, seed=5, seed_source="flag", samples=8)
         assert report.samples == 8
-        assert report.abs_tol == 1e-6
-        assert report.rel_tol == 1e-5
+        assert report.config(0).sample_count == 8
 
     def test_check_names_use_labels(self):
         doc = parse_doc(TINY_DOC)
@@ -578,7 +571,7 @@ class TestRunnerApi:
         (("FAIL", "UNDECIDED"), 1),
     ])
     def test_failure_outranks_undecided_in_the_exit_status(self, verdicts, status):
-        report = RunReport(1, "flag", 4, 1e-9, 1e-9, checks=[
+        report = RunReport(1, "flag", 4, checks=[
             CheckResult("c%d" % i, "zero", v) for i, v in enumerate(verdicts)
         ])
         assert report.exit_code() == status

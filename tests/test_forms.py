@@ -306,14 +306,14 @@ G2 = dd("y") + dd("z") * (rat(-5, 3) * exp(x))
 
 @pytest.mark.parametrize("gens", [(G1,), (G2,), (G1, G2), (G2, G1)])
 def test_certified_generators_draw_no_probe(space, cfg, probe_count, gens):
-    assert certified_independent(gens, space)
+    assert certified_independent(gens, wedge_all(XYZ, gens), space)
     assert ideal_member(wedge(*gens, dd("y") * y), gens, space, cfg).proved
     assert probe_count[0] == 0
 
 
 def test_generators_that_vanish_in_the_box_are_still_probed(space, cfg, probe_count):
     radial = dd("x") * (2 * x) + dd("y") * (2 * y) + dd("z") * (2 * z)
-    assert not certified_independent((radial,), space)
+    assert not certified_independent((radial,), radial, space)
     assert ideal_member(wedge(radial, dd("x")) * z, (radial,), space, cfg).proved
     assert probe_count[0] == 8
 

@@ -16,8 +16,6 @@ chart x y z
 box x -1 1
 seed 42
 samples 16
-abs_tol 1e-12
-rel_tol 1e-7
 
 scalar h = 1 + x^2
 form w = h*dy
@@ -68,8 +66,6 @@ class TestHappyPath:
         assert doc.box["y"] == DEFAULT_BOX
         assert doc.seed == 42 and doc.seed_declared
         assert doc.samples == 16
-        assert doc.abs_tol == 1e-12
-        assert doc.rel_tol == 1e-7
         assert set(doc.scalars) == {"h", "phi"}  # testfn registers its sum
         assert set(doc.forms) == {"w"}
         assert set(doc.maps) == {"shift"}
@@ -116,7 +112,6 @@ class TestHappyPath:
         defaults = ZeroTestConfig()
         assert doc.seed == defaults.rng_seed and not doc.seed_declared
         assert doc.samples == defaults.sample_count
-        assert doc.abs_tol == defaults.abs_tol and doc.rel_tol == defaults.rel_tol
         assert doc.box == {"x": DEFAULT_BOX, "y": DEFAULT_BOX}
 
     def test_comments_and_blank_lines_are_skipped(self):
@@ -251,11 +246,6 @@ class TestConfigStatements:
         assert "samples must be a positive integer" in diagnostics[0].message
         _, diagnostics = parse_spec("chart x\nsamples 3/2\n")
         assert "samples must be a positive integer" in diagnostics[0].message
-
-    def test_scientific_notation_tolerances(self):
-        doc = parse_ok("chart x\nabs_tol 2.5e-11\nrel_tol 1e-6\n")
-        assert doc.abs_tol == 2.5e-11
-        assert doc.rel_tol == 1e-6
 
     def test_box_requires_known_coordinate_and_order(self):
         _, diagnostics = parse_spec("chart x\nbox q -1 1\n")
@@ -434,9 +424,9 @@ class TestDiagnosticColumns:
         ("check zero x on R", 12, "unresolved reference 'x'"),
     ])
     def test_chart_precondition_at_first_argument(self, line, col, message):
-        """Only chart, seed, samples, abs_tol, rel_tol and check need no chart."""
-        _, diagnostics = parse_spec("seed 3\nsamples 4\nabs_tol 1e-8\nrel_tol 1e-8\n" + line + "\nchart x y\n")
-        assert [(d.line, d.col, d.message) for d in diagnostics] == [(5, col, message)]
+        """Only chart, seed, samples and check need no chart."""
+        _, diagnostics = parse_spec("seed 3\nsamples 4\n" + line + "\nchart x y\n")
+        assert [(d.line, d.col, d.message) for d in diagnostics] == [(3, col, message)]
 
     FAMILY = "chart x y\nregion R = all\nfoliation H on R leafdim 1 nu dy transverse y\nfamily fam = H\n"
 
@@ -458,8 +448,6 @@ class TestDiagnosticColumns:
         ("samples 3/2", "3/2", "samples must be a positive integer"),
         ("samples 0", "0", "samples must be a positive integer"),
         ("samples -1", "-1", "samples must be a positive integer"),
-        ("abs_tol 0", "0", "abs_tol must be a positive finite number"),
-        ("rel_tol -1/2", "-1/2", "rel_tol must be a positive finite number"),
         ("box x 1 -1", "-1", "box bounds must satisfy lo < hi"),
         ("mu K = dx^dy", "dx^dy", "a Frobenius witness must be a 1-form"),
         ("closedset C = balls (0, 0)", "(", "ball needs 2 center coordinates and a radius"),

@@ -369,7 +369,7 @@ def test_zero_test_refutes_with_witness(plane, cfg):
     assert out.status is Verdict.FAIL
     assert out.witness is not None
     assert set(out.witness) == {"x", "y"}
-    assert abs(out.value) > cfg.abs_tol
+    assert symbolic.certified_nonzero(x * y - 1, out.witness)
     # the witness actually witnesses: re-evaluate at the reported point
     assert evaluate(x * y - 1, out.witness) == pytest.approx(out.value)
 
@@ -382,7 +382,7 @@ def test_zero_test_undecided_on_flat_product(plane, cfg):
 
 
 def test_zero_test_undecided_reports_the_largest_residual(plane):
-    # every residual is below the tolerance, so nothing is refuted; the
+    # every residual is below the screen, so nothing is refuted; the
     # detail names the largest one rather than claiming zero
     out = is_zero_on(x * rat(1, 10**12), plane, ZeroTestConfig(rng_seed=1))
     assert (out.status, out.witness) == (Verdict.UNDECIDED, None)
@@ -466,29 +466,40 @@ def test_zero_test_draws_no_point_after_its_witness():
 def test_zero_test_default_config(plane):
     cfg = ZeroTestConfig()
     assert cfg.sample_count == 32
-    assert cfg.abs_tol == 1e-9
-    assert cfg.rel_tol == 1e-9
     out = is_zero_on(x - x, plane)
     assert out.proved
 
 
-def test_zero_test_refutes_exactly_above_the_mixed_tolerance():
-    # at x = 1 the residual of x - 1 + d is d, over the scale 1 + (1 - d);
-    # the threshold abs_tol + rel_tol * scale is about 0.0019990010
-    cfg = ZeroTestConfig(sample_count=1, abs_tol=1e-6, rel_tol=1e-3)
-    region = CountingRegion([1.0])
-    p = {"x": 1.0}
-    above = x - 1 + rat(1999002, 10 ** 9)
-    below = x - 1 + rat(1999000, 10 ** 9)
+def test_zero_test_certifies_a_residual_above_the_screen():
+    # at x = 1 the residual of x - 1 + d is d, over the scale 1 + (1 - d):
+    # the screen 1e-9 + 1e-9 * scale is about 3e-9
+    cfg = ZeroTestConfig(sample_count=1)
+    p = {"x": 1.0, "y": 0.0}
+    above = x - 1 + rat(4, 10 ** 9)
+    below = x - 1 + rat(2, 10 ** 9)
     for e, sign in ((above, 1), (below, -1)):
-        margin = abs(evaluate(e, p)) - (cfg.abs_tol + cfg.rel_tol * _scale_at(e, p, {}))
+        margin = abs(evaluate(e, p)) - (1e-9 + 1e-9 * _scale_at(e, p, {}))
         assert sign * margin > 0.9e-9
-    out = is_zero_on(above, region, cfg)
-    assert out.status is Verdict.FAIL
-    assert out.witness == {"x": 1.0, "y": 0.0} and out.value.hex() == "0x1.0603606de5200p-9"
-    out = is_zero_on(below, region, cfg)
+        assert symbolic.certified_nonzero(e, p)
+    out = is_zero_on(above, CountingRegion([1.0]), cfg)
+    assert (out.status, out.witness) == (Verdict.FAIL, p)
+    assert out.value.hex() == "0x1.12e0be8000000p-28"
+    out = is_zero_on(below, CountingRegion([1.0]), cfg)
+    assert (out.status, out.detail) == (Verdict.UNDECIDED, "max |value| 2.000e-09 over 1 samples")
+
+
+def test_zero_test_refutes_no_rounding_residual():
+    # t >= 1, so the identity is true; the expanded t^2 rounds, and at this
+    # point its float residual clears the screen by far, but the enclosure
+    # of the residual holds 0
+    t = 1 + (x - 1) ** 12
+    e = log(t ** 2) - 2 * log(t)
+    p = {"x": 1.93893, "y": 0.0}
+    assert abs(evaluate(e, p)) > 1e-8
+    assert not symbolic.certified_nonzero(e, p)
+    out = is_zero_on(e, CountingRegion([1.93893]), ZeroTestConfig(sample_count=1))
     assert out.status is Verdict.UNDECIDED
-    assert out.detail == "max |value| 1.999e-03 over 1 samples"
+    assert out.detail.endswith(" over 1 samples (1 samples not certified nonzero)")
 
 
 # ---------------------------------------------------------------------------
@@ -949,3 +960,90 @@ def test_enclosure_of_an_even_power_is_not_an_interval_product():
 )
 def test_enclosure_is_none_where_it_cannot_bound(e, box):
     assert symbolic.enclose(e, box) is None
+
+
+def _iv_pow_by_loop(a, k):
+    """The k-th power of an interval by a k-step loop from the base: the
+    reference that ``symbolic._iv_pow``'s carried magnitudes must match."""
+    lo, hi = a
+    if k % 2 == 0 and lo < 0.0:
+        lo, hi = (0.0, max(-lo, hi)) if hi > 0.0 else (-hi, -lo)
+    ends = []
+    for end, toward in ((lo, -math.inf), (hi, math.inf)):
+        r = m = abs(end)
+        for _ in range(k - 1 if m else 0):
+            r = math.nextafter(r * m, toward if end >= 0.0 else -toward)
+        ends.append(math.copysign(r, end))
+    return ends[0], ends[1]
+
+
+_ENDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-160, -1e-160, 1e160, -1e160]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_ENDS, _ENDS, st.integers(2, 80))
+def test_carried_interval_powers_match_the_loop_from_the_base(a, b, k):
+    a = (min(a, b), max(a, b))
+    r = (abs(a[0]), abs(a[1]))
+    for i in range(2, k + 1):
+        ends, r = symbolic._iv_pow(a, r, i)
+        assert [e.hex() for e in ends] == [e.hex() for e in _iv_pow_by_loop(a, i)], (a, i)
+
+
+_TRUE_IDENTITIES = (
+    lambda p, q, s: log((1 + p * p) ** 2) - 2 * log(1 + p * p),
+    lambda p, q, s: log((1 + p * p) * (2 + q * q)) - log(1 + p * p) - log(2 + q * q),
+    lambda p, q, s: exp(2 * p * s) - exp(p * s) ** 2,
+    lambda p, q, s: exp((p + q) * s) - exp(p * s) * exp(q * s),
+    lambda p, q, s: flatexp(p * s / 2) - flatexp(p * s) ** 2,
+)
+
+
+@_HYP
+@given(st.sampled_from(_TRUE_IDENTITIES), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+       st.integers(2, 12), st.integers(0, 2 ** 32))
+def test_no_true_identity_over_expanded_powers_is_refuted(identity, c, k, seed):
+    # (x - c)^k is expanded, so rounding in its terms reaches the residual;
+    # exp and flatexp get it scaled down by 3^k, so that they do not overflow
+    p, q = (x - rat(c)) ** k + y, (y + rat(c)) ** k
+    e = identity(p, q, rat(1, 3 ** k))
+    out = is_zero_on(e, box_region(XY, square_box(XY)), ZeroTestConfig(rng_seed=seed))
+    assert out.status is not Verdict.FAIL, (str(e), out.witness, out.value)
+
+
+def _mp_value(e, point, mp):
+    """``e`` at ``point`` in mpmath arithmetic at the current precision."""
+    def gen(g):
+        if isinstance(g, CoordGen):
+            return mp.mpf(point[g.name])
+        u = _mp_value(g.arg, point, mp)
+        if g.kind == "exp":
+            return mp.exp(u)
+        if g.kind == "log":
+            return mp.log(u)
+        return mp.mpf(0) if u <= 0 else mp.exp(-1 / u)
+
+    def poly(p):
+        return mp.fsum(mp.mpf(c) / e.lead * mp.fprod(gen(g) ** k for g, k in _mono_items(m))
+                       for m, c in p.terms.items())
+
+    return poly(e.num) / poly(e.den)
+
+
+@_HYP
+@given(atom_recipes(), st.integers(0, 2 ** 32))
+def test_every_refutation_has_the_sign_of_the_exact_value(recipe, seed):
+    pytest.importorskip("sympy")
+    from mpmath import mp
+
+    e = build_atoms(recipe)
+    out = is_zero_on(e, box_region(XY, square_box(XY)), ZeroTestConfig(sample_count=8, rng_seed=seed))
+    if out.status is not Verdict.FAIL:
+        return
+    with mp.workdps(50):
+        exact = _mp_value(e, out.witness, mp)
+    assert exact != 0 and (exact > 0) == (out.value > 0), (str(e), out.witness, out.value, exact)
