@@ -125,6 +125,9 @@ class TestInvalidSettings:
         ("--samples", "0"),
         ("--samples", "-3"),
         ("--samples", "2.5"),
+        ("--samples", "abc"),
+        ("--seed", "2.5"),
+        ("--seed", "abc"),
     ])
     def test_bad_flag_exits_three(self, verb, flag, value, capsys):
         assert run_cli([verb, gallery_path("glued_family.fol"), flag, value]) == 3
@@ -148,8 +151,23 @@ class TestInvalidSettings:
         name = statement.split()[0]
         assert capsys.readouterr().err == "%s: line 2, col 1: unknown statement %r\n" % (spec, name)
 
+    @pytest.mark.parametrize("statement", [
+        "samples 0",
+        "samples -1",
+        "samples 3/2",
+        "samples 2.5",
+        "samples -2/4",
+    ])
+    def test_bad_document_samples_exits_five(self, statement, tmp_path, capsys):
+        spec = tmp_path / "samples.fol"
+        spec.write_text(TINY_DOC.replace("\n", "\n%s\n" % statement, 1))
+        assert run_cli(["check", str(spec)]) == 5
+        assert capsys.readouterr().err == "%s: line 2, col 9: samples must be a positive integer\n" % spec
+
     @pytest.mark.parametrize("statement, col", [
         ("samples 1/0", 11),
+        ("samples -2/0.0", 12),
+        ("seed 1/0", 8),
         ("box x 0 1/0", 11),
     ])
     def test_zero_denominator_exits_five(self, statement, col, tmp_path, capsys):

@@ -247,6 +247,12 @@ class TestConfigStatements:
         _, diagnostics = parse_spec("chart x\nsamples 3/2\n")
         assert "samples must be a positive integer" in diagnostics[0].message
 
+    def test_scientific_notation_settings(self):
+        doc = parse_ok("chart x\nsamples 2.5e1\nseed 1e3\nbox x -2.5e-1 1e0\n")
+        assert doc.samples == 25
+        assert doc.seed == 1000
+        assert doc.box["x"] == (Fraction(-1, 4), Fraction(1))
+
     def test_box_requires_known_coordinate_and_order(self):
         _, diagnostics = parse_spec("chart x\nbox q -1 1\n")
         assert "unknown coordinate 'q'" in diagnostics[0].message
@@ -448,6 +454,8 @@ class TestDiagnosticColumns:
         ("samples 3/2", "3/2", "samples must be a positive integer"),
         ("samples 0", "0", "samples must be a positive integer"),
         ("samples -1", "-1", "samples must be a positive integer"),
+        ("samples 2.5", "2.5", "samples must be a positive integer"),
+        ("seed 1/2", "1/2", "expected an integer"),
         ("box x 1 -1", "-1", "box bounds must satisfy lo < hi"),
         ("mu K = dx^dy", "dx^dy", "a Frobenius witness must be a 1-form"),
         ("closedset C = balls (0, 0)", "(", "ball needs 2 center coordinates and a radius"),

@@ -962,6 +962,22 @@ def test_enclosure_is_none_where_it_cannot_bound(e, box):
     assert symbolic.enclose(e, box) is None
 
 
+@pytest.mark.parametrize(
+    "e, point, nonzero",
+    [
+        (x - 1, {"x": 1.0}, False),  # exact zeros are never certified
+        (exp(x) - 1, {"x": 0.0}, False),
+        (log(x), {"x": 1.0}, False),
+        (log((1 + x * x) ** 2) - 2 * log(1 + x * x), {"x": 1.93893}, False),
+        (x * y - 1, {"x": 2.0, "y": 3.0}, True),  # clear nonzeros are
+        (exp(x) - 1, {"x": 1.0}, True),
+        (log(x), {"x": 2.0}, True),
+    ],
+)
+def test_certified_nonzero_at_a_point(e, point, nonzero):
+    assert symbolic.certified_nonzero(e, point) is nonzero
+
+
 def _iv_pow_by_loop(a, k):
     """The k-th power of an interval by a k-step loop from the base: the
     reference that ``symbolic._iv_pow``'s carried magnitudes must match."""
