@@ -3,16 +3,14 @@
 A :class:`Region` is the set of points satisfying a conjunction of
 strict inequalities ``g > 0`` inside a finite bounding box.  The box is
 the sampling window (and the working volume for coverage arguments);
-membership is decided by the constraints alone.  All sampling is
-deterministic: sample ``index`` under a given seed always yields the
-same point, independent of evaluation order.
+membership is decided by the constraints alone.  Sampling draws from
+a stream the caller passes in, so a seeded stream yields the same
+points in the same order.
 """
 from __future__ import annotations
 
-import random
-
 from .errors import DomainError, SamplingError
-from .symbolic import evaluate, free_coords, mix_seed, normalize
+from .symbolic import evaluate, free_coords, normalize
 
 _MAX_REJECT = 2000
 
@@ -55,19 +53,17 @@ class Region:
             return False
         return True
 
-    def sample_point(self, seed, index):
-        """Rejection-sample the region; deterministic per (seed, index)."""
-        rnd = random.Random(mix_seed(seed, index)).random
+    def sample_point(self, rnd):
+        """Rejection-sample the region with ``rnd``, a function that returns
+        the next uniform float in [0, 1) of a stream."""
         draws = self._draws
         contains = self.contains
         for _ in range(_MAX_REJECT):
             point = {c: lo + w * rnd() for c, lo, w in draws}
             if contains(point):
                 return point
-        raise SamplingError(
-            "no sample found in region %s after %d attempts (region may be empty or thin)"
-            % (self.name or self.constraints, _MAX_REJECT)
-        )
+        raise SamplingError("no sample found in region %s after %d attempts (region may be empty or thin)"
+                            % (self.name or self.constraints, _MAX_REJECT))
 
 
 def box_region(coords, box, name="box"):
@@ -90,11 +86,8 @@ def intersect(a: Region, b: Region, name=""):
         if not (lo < hi):
             raise ValueError("sampling boxes do not overlap on %r" % c)
         box[c] = (lo, hi)
-    seen = []
-    for g in a.constraints + b.constraints:
-        if g not in seen:
-            seen.append(g)
-    return Region(a.coords, tuple(seen), box, name=name or "%s&%s" % (a.name, b.name))
+    constraints = tuple(dict.fromkeys(a.constraints + b.constraints))  # the first of equal ones
+    return Region(a.coords, constraints, box, name=name or "%s&%s" % (a.name, b.name))
 
 
 def hull_box(regions):

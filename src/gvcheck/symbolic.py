@@ -67,6 +67,7 @@ stays UNDECIDED.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 from .errors import DomainError, EvaluationError
@@ -79,11 +80,9 @@ _KIND_INDEX = {k: i for i, k in enumerate(ATOM_KINDS)}
 
 
 def mix_seed(seed, index):
-    """Derive a per-index sub-seed from a master seed (splitmix64 step).
-
-    Each sample point gets its own stream, so results do not depend on
-    the order in which samples are drawn.
-    """
+    """Derive a per-index sub-seed from a master seed (splitmix64 step):
+    each check's seed in the runner, the tubular cutoff's stream, and the
+    generators' screen values."""
     z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -1199,7 +1198,19 @@ def _finite(lo, hi):
 
 
 def _iv_mul(a, b):
-    """Interval product, each end product widened by an ulp unless a factor is 0."""
+    """Interval product, each end product widened by an ulp unless a factor is 0.
+    With no end 0, signs pick the min and max end products: rounding is monotone."""
+    (a0, a1), (b0, b1) = a, b
+    if a0 and a1 and b0 and b1:
+        if a0 < 0.0 < a1:
+            if b0 < 0.0 < b1:
+                return math.nextafter(min(a0 * b1, a1 * b0), _DOWN), math.nextafter(max(a0 * b0, a1 * b1), _UP)
+            (a0, a1), (b0, b1) = b, a
+        if a0 > 0.0:
+            lo, hi = (a0 if b0 > 0.0 else a1) * b0, (a1 if b1 > 0.0 else a0) * b1
+        else:
+            lo, hi = (a1 if b1 < 0.0 else a0) * b1, (a0 if b0 < 0.0 else a1) * b0
+        return math.nextafter(lo, _DOWN), math.nextafter(hi, _UP)
     ps = [x * y for x in a for y in b if x and y]
     lo, hi = (math.nextafter(min(ps), _DOWN), math.nextafter(max(ps), _UP)) if ps else (0.0, 0.0)
     return (min(lo, 0.0), max(hi, 0.0)) if len(ps) < 4 else (lo, hi)
@@ -1299,11 +1310,12 @@ class ZeroTestConfig:
         self.rng_seed = rng_seed
 
     def points(self, region):
-        """The seeded sample points of ``region``, ``region.sample_point(rng_seed, i)``
-        for i = 0 .. sample_count - 1, each drawn only when it is asked for,
+        """The ``sample_count`` points ``region.sample_point`` draws in order from
+        one ``random.Random(rng_seed)`` stream, each only when it is asked for,
         so a search that stops at its first witness draws no further point."""
-        for i in range(self.sample_count):
-            yield region.sample_point(self.rng_seed, i)
+        rnd = random.Random(self.rng_seed).random
+        for _ in range(self.sample_count):
+            yield region.sample_point(rnd)
 
 
 def certified_nonzero(e, point):
@@ -1320,7 +1332,7 @@ def is_zero_on(e, region, cfg=None):
     a witness point when a seeded sample is :func:`certified_nonzero`;
     UNDECIDED otherwise.  Only a sample whose residual clears a fixed
     screen, 1e-9 plus 1e-9 times its term magnitude, is certified.
-    ``region`` only needs a ``sample_point(seed, index)`` method.
+    ``region`` only needs a ``sample_point(rnd)`` method.
     """
     e = normalize(e)
     if e.is_zero:

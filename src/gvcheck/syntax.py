@@ -49,6 +49,7 @@ class Token:
 
 
 _OPS = ("==", "->", "+", "-", "*", "/", "^", "(", ")", ",", ">", "<", "=", ";", ":")
+_DIGITS = "0123456789"  # str.isdigit() also takes '²' and '٣'
 
 
 def tokenize(text: str) -> list:
@@ -64,10 +65,10 @@ def tokenize(text: str) -> list:
         if c == "#":
             break
         col = i + 1
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
@@ -75,8 +76,8 @@ def tokenize(text: str) -> list:
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
+                if k < n and text[k] in _DIGITS:
+                    while k < n and text[k] in _DIGITS:
                         k += 1
                     j = k
             out.append(Token("NUM", text[i:j], col))

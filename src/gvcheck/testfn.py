@@ -25,7 +25,6 @@ from .symbolic import (
     evaluate,
     flatexp,
     left_sum,
-    mix_seed,
     normalize,
     psi0,
     rat,
@@ -140,13 +139,13 @@ class ClosedSetSpec:
         self.anchors = tuple(dict(a) for a in anchors)
 
     def _rejection(self, out: list, seed: int, count: int, keep) -> list:
-        """Extend ``out`` with the window draws that ``keep`` accepts, one
-        seeded draw per index, until it holds ``count`` points or
-        50 * count draws are spent."""
-        for index in range(50 * max(count, 1)):
+        """Extend ``out`` with the window draws that ``keep`` accepts, drawn
+        in order from one ``Random(seed)`` stream, until it holds ``count``
+        points or 50 * count draws are spent."""
+        rng = Random(seed)
+        for _ in range(50 * max(count, 1)):
             if len(out) >= count:
                 break
-            rng = Random(mix_seed(seed, index))
             p = {n: rng.uniform(*self.box[n]) for n in self.coords}
             if keep(p):
                 out.append(p)
@@ -190,17 +189,12 @@ class ClosedSetSpec:
             return self.sample_set(seed, max(4, len(self.anchors)))
         out = list(self.anchors)
         if self.kind == "balls":
-            for k, (center, r) in enumerate(self.balls):
-                rng = Random(mix_seed(seed ^ 0xB0A7, k))
+            rng = Random(seed ^ 0xB0A7)
+            for center, r in self.balls:
                 for _ in range(ANCHORS_PER_BALL):
                     direction = [rng.gauss(0.0, 1.0) for _ in self.coords]
                     norm = math.sqrt(left_sum(d * d for d in direction)) or 1.0
-                    out.append(
-                        {
-                            n: center[n] + r * d / norm
-                            for n, d in zip(self.coords, direction)
-                        }
-                    )
+                    out.append({n: center[n] + r * d / norm for n, d in zip(self.coords, direction)})
         return out
 
 
@@ -295,8 +289,8 @@ def flatness_check(phi, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
         )
     names = sorted(m0.coords)
     probes = []
-    for k, a in enumerate(anchors):
-        rng = Random(mix_seed(cfg.rng_seed ^ 0xF1A7, k))
+    rng = Random(cfg.rng_seed ^ 0xF1A7)
+    for a in anchors:
         for _ in range(2):
             v = [rng.gauss(0.0, 1.0) for _ in names]
             norm = math.sqrt(left_sum(x * x for x in v)) or 1.0

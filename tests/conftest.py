@@ -35,16 +35,16 @@ def square_box(coords, half=2.0):
 
 
 class CountingRegion:
-    """A stub region on XY whose sample i is the point (xs[i], 0); it
-    logs every (seed, index) it is asked for."""
+    """A stub region on XY whose i-th draw is the point (xs[i], 0); it
+    logs the stream it is given at every draw."""
 
     def __init__(self, xs):
         self.xs = xs
         self.drawn = []
 
-    def sample_point(self, seed, index):
-        self.drawn.append((seed, index))
-        return {"x": self.xs[index], "y": 0.0}
+    def sample_point(self, rnd):
+        self.drawn.append(rnd)
+        return {"x": self.xs[len(self.drawn) - 1], "y": 0.0}
 
 
 @pytest.fixture

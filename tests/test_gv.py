@@ -199,9 +199,9 @@ def test_solve_theta_reads_the_sign_without_sampling(space, cfg):
     class CountingSpace(Region):
         drawn = 0
 
-        def sample_point(self, seed, index):
+        def sample_point(self, rnd):
             CountingSpace.drawn += 1
-            return Region.sample_point(self, seed, index)
+            return Region.sample_point(self, rnd)
 
     counting = CountingSpace(space.coords, space.constraints, space.box, name="counting")
     curves, sheets = nested_pair(space)

@@ -386,7 +386,7 @@ def test_zero_test_undecided_reports_the_largest_residual(plane):
     # detail names the largest one rather than claiming zero
     out = is_zero_on(x * rat(1, 10**12), plane, ZeroTestConfig(rng_seed=1))
     assert (out.status, out.witness) == (Verdict.UNDECIDED, None)
-    assert out.detail == "max |value| 1.974e-12 over 32 samples"
+    assert out.detail == "max |value| 1.970e-12 over 32 samples"
 
 
 def test_exact_division_refuses_an_inexact_quotient():
@@ -413,7 +413,7 @@ def test_a_point_where_a_constraint_is_undefined_lies_outside():
     logs = Region(XY, (log(x),), box, name="logs")
     assert not logs.contains({"x": -1.0, "y": 0.0})
     assert logs.contains({"x": 1.5, "y": 0.0})
-    assert logs.sample_point(3, 0)["x"] > 1.0
+    assert logs.sample_point(random.Random(3).random)["x"] > 1.0
     # an overflowed exp has a sign, so it is an error, not a point outside
     huge = Region(XY, (exp(1000 * x),), box, name="huge")
     with pytest.raises(EvaluationError):
@@ -451,16 +451,18 @@ def test_sample_points_are_drawn_lazily_in_index_order():
     points = cfg.points(region)
     assert region.drawn == []
     assert next(points) == {"x": 0.0, "y": 0.0}
-    assert region.drawn == [(77, 0)]
+    assert len(region.drawn) == 1
     assert [p["x"] for p in points] == [0.5, 1.0, 1.5]
-    assert region.drawn == [(77, i) for i in range(4)]
+    assert len(region.drawn) == 4
+    assert all(rnd is region.drawn[0] for rnd in region.drawn)
+    assert region.drawn[0]() == random.Random(77).random()
 
 
 def test_zero_test_draws_no_point_after_its_witness():
     region = CountingRegion([0.0, 0.0, 1.0] + [0.0] * 29)
     out = is_zero_on(x + x * y, region, ZeroTestConfig(rng_seed=5))
     assert out.nonzero and out.witness == {"x": 1.0, "y": 0.0}
-    assert region.drawn == [(5, 0), (5, 1), (5, 2)]
+    assert len(region.drawn) == 3
 
 
 def test_zero_test_default_config(plane):
@@ -811,12 +813,12 @@ def test_sample_streams_are_pinned():
     box = box_region(XY, {"x": (Fraction(-1, 3), 2.0), "y": (Fraction(1, 7), Fraction(5, 2))}, name="fbox")
 
     def first(region, n=3):
-        return [[p[c].hex() for c in XY] for p in map(region.sample_point, [11] * n, range(n))]
+        return [[p[c].hex() for c in XY] for p in ZeroTestConfig(sample_count=n, rng_seed=11).points(region)]
 
     assert first(box) == [
-        ["0x1.d291336bff9f2p-3", "0x1.8b72714e78c9cp+0"],
-        ["0x1.c9a22d3fb889dp+0", "0x1.11e95785c3f98p+1"],
-        ["0x1.3ef73021bacafp-2", "0x1.21a89cfa30333p+1"],
+        ["0x1.71c6aeebf36acp-1", "0x1.765aa4f9c659ep+0"],
+        ["0x1.d2ba7c0faa0e7p+0", "0x1.3d8ed81d82779p+0"],
+        ["0x1.b408ccbfafd32p-1", "0x1.870426c777867p+0"],
     ]
 
     class Band(Region):
@@ -828,11 +830,42 @@ def test_sample_streams_are_pinned():
 
     thin = Band(XY, (rat(1, 100) - (x - rat(1, 2) * y) ** 2,), square_box(XY), name="thin")
     assert first(thin) == [
-        ["0x1.d19ffa0dfc0a0p-4", "0x1.3a8ef8e094e18p-2"],
-        ["0x1.b940f507f4cf0p-3", "0x1.30b021cf96b18p-1"],
-        ["0x1.21132328b6220p-2", "0x1.2fb99e1768938p-1"],
+        ["0x1.09fff39d2c67cp-1", "0x1.2c022117d48a0p+0"],
+        ["-0x1.b00bd2f8622dcp-1", "-0x1.b81754b7eaf46p+0"],
+        ["-0x1.a1207b9d23f74p-1", "-0x1.b4d702767df5ep+0"],
     ]
-    assert thin.tried == 60  # 57 rejections
+    assert thin.tried == 48  # 45 rejections
+
+
+def _thin_band():
+    return Region(XY, (rat(1, 100) - (x - rat(1, 2) * y) ** 2,), square_box(XY), name="thin")
+
+
+def test_sample_points_are_one_stream_of_rejection_draws():
+    # the reference: every draw, rejected or kept, takes the next floats of
+    # one random.Random(rng_seed), coordinate by coordinate
+    band = _thin_band()
+    rnd = random.Random(20140917).random
+    want = []
+    while len(want) < 32:
+        point = {c: lo + (hi - lo) * rnd() for c, (lo, hi) in band.box.items()}
+        if band.contains(point):
+            want.append(point)
+    assert list(ZeroTestConfig(rng_seed=20140917).points(band)) == want
+
+
+def test_a_zero_test_seeds_one_stream(monkeypatch):
+    built = []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    out = is_zero_on(flatexp(x) * flatexp(-x), _thin_band(), ZeroTestConfig(rng_seed=5))
+    assert out.detail == "max |value| 0.000e+00 over 32 samples"
+    assert built == [5]
 
 
 _BIG = rat(10 ** 400)
@@ -1008,6 +1041,32 @@ def test_carried_interval_powers_match_the_loop_from_the_base(a, b, k):
     for i in range(2, k + 1):
         ends, r = symbolic._iv_pow(a, r, i)
         assert [e.hex() for e in ends] == [e.hex() for e in _iv_pow_by_loop(a, i)], (a, i)
+
+
+def _iv_mul_of_four_products(a, b):
+    """The interval product from all four end products: the reference that
+    ``symbolic._iv_mul``'s choice by sign must match bit for bit."""
+    ps = [p * q for p in a for q in b if p and q]
+    lo, hi = (math.nextafter(min(ps), -math.inf), math.nextafter(max(ps), math.inf)) if ps else (0.0, 0.0)
+    return (min(lo, 0.0), max(hi, 0.0)) if len(ps) < 4 else (lo, hi)
+
+
+def test_interval_product_matches_the_four_products():
+    # every interval over ends that underflow, overflow or are signed zeros,
+    # then random degenerate, one-signed, mixed and zero-ended intervals
+    pool = [0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0,
+            1e200, -1e200, 1.7e308, -1.7e308]
+    grid = [(lo, hi) for lo in pool for hi in pool if lo <= hi]
+    rng = random.Random(27)
+    ivs = []
+    for _ in range(2000):
+        w, u, v = rng.uniform(-4.0, 4.0), rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)
+        zero = rng.choice((0.0, -0.0))
+        ivs += [(w, w), (u, u + v), (-u - v, -u), (-u, v), (zero, u), (-u, zero)]
+    pairs = [(a, b) for a in grid for b in grid] + [(rng.choice(ivs), rng.choice(ivs)) for _ in range(20000)]
+    for a, b in pairs:
+        want = _iv_mul_of_four_products(a, b)
+        assert [e.hex() for e in symbolic._iv_mul(a, b)] == [e.hex() for e in want], (a, b)
 
 
 _TRUE_IDENTITIES = (

@@ -18,6 +18,7 @@ from gvcheck import (
     sym,
     tokenize,
 )
+from gvcheck.cli import main
 from gvcheck.syntax import parse_number
 from conftest import XYZ
 
@@ -68,6 +69,22 @@ def test_tokenize_scientific_notation():
     # a bare trailing 'e' is not part of the number
     assert [(t.kind, t.text) for t in tokenize("2e")[:-1]] == [("NUM", "2"), ("IDENT", "e")]
     assert [t.text for t in tokenize("3e-")[:-1]] == ["3", "e", "-"]
+
+
+@pytest.mark.parametrize("statement, col", [
+    ("check zero x - \u0663 on R", 16),  # ARABIC-INDIC DIGIT THREE: isdigit(), int() reads 3
+    ("check zero \u00b2 on R", 12),  # SUPERSCRIPT TWO: isdigit(), but no decimal digit
+])
+def test_number_literals_take_ascii_digits_only(tmp_path, capsys, statement, col):
+    with pytest.raises(ParseError) as err:
+        tokenize(statement)
+    assert err.value.col == col
+    doc = tmp_path / "digits.fol"
+    doc.write_text("chart x\nregion R = all\n%s\n" % statement, encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", str(doc)])
+    assert exit_.value.code == 5
+    assert capsys.readouterr().err == "%s: line 3, col %d: unexpected character %r\n" % (doc, col, statement[col - 1])
 
 
 def test_parse_number_is_exact():

@@ -139,6 +139,22 @@ def test_zeroset_membership_and_sampling():
     assert m0.sample_set(11, 10) == [{"x": 0.0, "y": 0.0}]  # anchors only
 
 
+def test_window_draws_come_from_one_stream_per_call(monkeypatch):
+    built = []
+
+    class Counted(testfn.Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(testfn, "Random", Counted)
+    m0 = ClosedSetSpec(XY, WINDOW, "balls", balls=(({"x": 0.0, "y": 0.0}, 0.5),))
+    assert len(m0.sample_complement(11, 16)) == 16
+    assert built == [11]
+    assert len(m0.sample_complement(12, 16)) == 16
+    assert built == [11, 12]
+
+
 def test_ball_union_membership():
     m0 = ClosedSetSpec(XY, square_box(XY), "balls", balls=(({"x": 0.0, "y": 0.0}, 0.5),))
     assert m0.contains({"x": 0.3, "y": 0.0})
@@ -157,9 +173,9 @@ def test_ball_anchors_are_the_same_on_every_python():
     # sum() compensates from Python 3.12 on, and moves these anchors by an ulp
     xyz = ("x", "y", "z")
     m0 = ClosedSetSpec(xyz, square_box(xyz), "balls", balls=(({"x": 0.0, "y": 0.0, "z": 0.0}, 1.0),))
-    assert [a[c].hex() for a in m0.boundary_anchors(6) for c in xyz] == [
-        "0x1.973114b08478bp-1", "0x1.16d6d8bf49a82p-1", "-0x1.10ac2aeafb4cbp-2",
-        "0x1.249b5dcaa8578p-3", "0x1.9e68154410c8cp-6", "-0x1.fa94f0aa3f499p-1",
+    assert [a[c].hex() for a in m0.boundary_anchors(10) for c in xyz] == [
+        "-0x1.4a94de828feacp-1", "0x1.5a9d15d459399p-1", "0x1.69c46173eb5b5p-2",
+        "-0x1.021c79a2cd1fdp-3", "-0x1.f195f2b85778bp-1", "-0x1.97b2a96c18407p-3",
     ]
 
 
