@@ -85,15 +85,16 @@ def validate_foliation(fol: Foliation, cfg: ZeroTestConfig) -> Outcome:
     """Semantic checks behind the foliation presentation.
 
     * decomposition-product: wedge of the transverse 1-forms equals nu;
-    * independence: the transverse 1-forms are pointwise independent at
-      sampled points (normalized Gram determinant);
+    * independence: the transverse 1-forms are pointwise independent, by
+      interval enclosures of their wedge's coefficients, else at sampled
+      points (:func:`~gvcheck.forms.dependent_sample`);
     * integrability: d(w) ^ nu == 0 for every transverse generator w
       (the Frobenius condition for the annihilator ideal).
     """
     product = wedge_all(fol.coords, fol.decomposition)
     entries = [("decomposition-product", forms_equal(product, fol.nu, fol.region, cfg))]
     if fol.decomposition:
-        dependent = dependent_sample(fol.decomposition, fol.region, cfg)
+        dependent = dependent_sample(fol.decomposition, product, fol.region, cfg)
         entries.append(("independence", Outcome.from_witness(dependent, "generators dependent at sample")))
     for k, w in enumerate(fol.decomposition):
         residual = wedge(ext_d(w), fol.nu)

@@ -5,8 +5,8 @@ coefficients keyed by strictly increasing index tuples into the chart's
 coordinate list.  Degree-0 forms wrap a single scalar at the empty
 tuple.  All operations (wedge, exterior derivative, pullback) are exact;
 numeric evaluation is only used by the sampled equality fallback and
-the independence precondition of :func:`ideal_member`, both in pure
-Python; that precondition is first tried by interval enclosures.
+the generator independence test :func:`dependent_sample`, both in pure
+Python; that test first tries interval enclosures.
 """
 from __future__ import annotations
 
@@ -384,9 +384,12 @@ def gram_independent(gens, point):
     return abs(_det(gram)) > GRAM_TOL
 
 
-def dependent_sample(gens, region, cfg):
-    """The first of at most 8 sampled points of the region where the
-    1-forms are not independent, or None when every probe passes."""
+def dependent_sample(gens, minors, region, cfg):
+    """None when :func:`certified_independent` proves the 1-forms independent
+    (``minors`` is their wedge), else the first of at most 8 sampled points
+    of the region where they are not, or None when every probe passes."""
+    if certified_independent(gens, minors, region):
+        return None
     probes = (point for _, point in zip(range(8), cfg.points(region)))  # range first: no ninth draw
     return next((point for point in probes if not gram_independent(gens, point)), None)
 
@@ -409,7 +412,7 @@ def ideal_member(b: DiffForm, gens, region, cfg=None):
 
     Uses the wedge criterion: b lies in the ideal generated by pointwise
     independent 1-forms g_1..g_q iff b ^ g_1 ^ ... ^ g_q == 0.  Their independence
-    is proved by :func:`certified_independent`, else probed by :func:`dependent_sample`.
+    is checked by :func:`dependent_sample`.
     """
     if cfg is None:
         cfg = ZeroTestConfig()
@@ -420,7 +423,7 @@ def ideal_member(b: DiffForm, gens, region, cfg=None):
     if not gens:
         return vanishes_on(b, region, cfg)
     minors = wedge_all(b.coords, gens)
-    dependent = None if certified_independent(gens, minors, region) else dependent_sample(gens, region, cfg)
+    dependent = dependent_sample(gens, minors, region, cfg)
     if dependent is not None:
         raise PreconditionError(
             "ideal generators are linearly dependent at a sample", witness=dict(dependent)

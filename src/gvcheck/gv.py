@@ -13,7 +13,7 @@ from .errors import GluingError, GvError, PreconditionError, UnsupportedShapeErr
 from .foliations import Foliation, FoliationFamily, PiecewiseForm, _overlap_or_none, stratum
 from .forms import (
     DiffForm,
-    differential,
+    basis_form,
     ext_d,
     form_power,
     forms_equal,
@@ -22,7 +22,6 @@ from .forms import (
     scalar_form,
     vanishes_on,
     wedge,
-    wedge_all,
     zero_form,
 )
 from .regions import Region
@@ -112,11 +111,11 @@ def solve_theta(
 
     Both foliations must be adapted with the sup's transverse
     coordinates a subset of the sub's.  The candidate is
-    theta = (h_sub/h_sup) * d(tilde coordinates), and the sign is read
-    by exact comparison of normalized forms: nu_sub == nu_sup ^ theta
-    gives (theta, +1) and nu_sub == -(nu_sup ^ theta) gives (-theta, -1),
-    the wedge-ordering correction.  Raises when neither holds.  The only
-    sampling is the sup gauge's nonvanishing check on the overlap.
+    theta = (h_sub/h_sup) * d(tilde coordinates), and nu_sup ^ theta is
+    nu_sub up to the sign of the permutation that takes the sub's
+    transverse coordinates to the sup's followed by tilde: the result is
+    (theta, +1) or (-theta, -1), the wedge-ordering correction.  The
+    only sampling is the sup gauge's nonvanishing check on the overlap.
     """
     h1 = adapted_gauge(f_sub)
     h2 = adapted_gauge(f_sup)
@@ -129,17 +128,9 @@ def solve_theta(
     if not tilde:
         raise UnsupportedShapeError("codimension gap must be positive to factor")
     _require_nonvanishing(h2, overlap, cfg, "gauge of %r vanishes at an overlap sample" % f_sup.name)
-    coords = f_sub.coords
-    base = wedge_all(coords, tuple(differential(coords, c) for c in tilde))
-    theta0 = base * (h1 / h2)
-    product = wedge(f_sup.nu, theta0)
-    if f_sub.nu == product:
-        return theta0, 1
-    if f_sub.nu == -product:
-        return -theta0, -1
-    raise GvError(
-        "factorization failed for both signs: nu of %r is not +-(nu of %r) ^ theta" % (f_sub.name, f_sup.name)
-    )
+    theta = basis_form(f_sub.coords, tilde) * (h1 / h2)
+    sign = perm_sign([f_sub.transverse.index(c) for c in f_sup.transverse + tilde])
+    return (theta if sign > 0 else -theta), sign
 
 
 def transition_mu(mu1: DiffForm, mu2: DiffForm, q1: int, q2: int) -> DiffForm:

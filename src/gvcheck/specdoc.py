@@ -781,8 +781,8 @@ def _check_theta(p: _StatementParser):
     expected = p.form_expression() if p.accept("==") else None
 
     def run(cfg):
-        # solve_theta returns only a proved factorization (it raises otherwise),
-        # so the row's verdict is that of the optional comparison
+        # solve_theta's factorization holds by construction (it raises only on
+        # a precondition), so the row's verdict is that of the optional comparison
         overlap = intersect(sub.region, sup.region, name="overlap")
         theta, sign = solve_theta(sub, sup, overlap, cfg)
         entries = ()
@@ -802,6 +802,8 @@ def _check_flatness(p: _StatementParser):
     expr = p.scalar_expression()
     p.expect("near")
     m0 = p.lookup(p.doc.closedsets, "closed set")
+    if m0.kind != "complement-of-balls" and not (m0.anchors or m0.balls):
+        p.reject("flatness check needs anchors or a ball description of the set")
     return lambda cfg: (flatness_check(expr, m0, cfg), to_latex(expr))
 
 

@@ -13,7 +13,7 @@ literals are exact: ``1/3`` stays a rational, ``0.3`` means 3/10.
 """
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
+import re
 from fractions import Fraction
 
 from .errors import GvError
@@ -48,65 +48,39 @@ class Token:
         self.col = col
 
 
-_OPS = ("==", "->", "+", "-", "*", "/", "^", "(", ")", ",", ">", "<", "=", ";", ":")
-_DIGITS = "0123456789"  # str.isdigit() also takes '²' and '٣'
+_TOKEN = re.compile(r"""
+    (?P<SKIP>[ \t]+|(?s:\#.*))  # blanks, or a comment to the end
+  | (?P<NUM>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)  # [0-9]: \d takes '٣'
+  | (?P<IDENT>\w+)
+  | (?P<OP>==|->|[-+*/^(),><=;:])
+""", re.VERBOSE)
 
 
 def tokenize(text: str) -> list:
-    """Split one statement into tokens; raises ParseError on junk."""
+    """Split one statement into tokens; raises ParseError on junk.
+
+    One master pattern reads the tokens left to right, its alternatives
+    tried in order: blanks or a comment, an ASCII number, a word, an
+    operator.  A word that starts with neither a letter nor ``_``, such
+    as the digit '²' that no number takes, is junk at that character.
+    """
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t":
-            i += 1
-            continue
-        if c == "#":
-            break
-        col = i + 1
-        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k] in _DIGITS:
-                    while k < n and text[k] in _DIGITS:
-                        k += 1
-                    j = k
-            out.append(Token("NUM", text[i:j], col))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("IDENT", text[i:j], col))
-            i = j
-            continue
-        for op in _OPS:
-            if text.startswith(op, i):
-                out.append(Token("OP", op, col))
-                i += len(op)
-                break
-        else:
-            raise ParseError("unexpected character %r" % c, col=col)
-    out.append(Token("END", "", n + 1))
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        kind = m and m.lastgroup
+        if kind is None or kind == "IDENT" and not (text[pos].isalpha() or text[pos] == "_"):
+            raise ParseError("unexpected character %r" % text[pos], col=pos + 1)
+        if kind != "SKIP":
+            out.append(Token(kind, m.group(), pos + 1))
+        pos = m.end()
+    out.append(Token("END", "", len(text) + 1))
     return out
 
 
 def parse_number(text: str) -> Fraction:
     """Exact value of a numeric literal (integer or decimal)."""
-    try:
-        return Fraction(Decimal(text))
-    except InvalidOperation:
-        raise ParseError("bad number literal %r" % text) from None
+    return Fraction(text)
 
 
 class Environment:

@@ -36,7 +36,10 @@ def square_box(coords, half=2.0):
 
 class CountingRegion:
     """A stub region on XY whose i-th draw is the point (xs[i], 0); it
-    logs the stream it is given at every draw."""
+    logs the stream it is given at every draw.  Its box, which interval
+    enclosures read, is the square of half-width 2."""
+
+    box = square_box(XY)
 
     def __init__(self, xs):
         self.xs = xs
@@ -45,6 +48,19 @@ class CountingRegion:
     def sample_point(self, rnd):
         self.drawn.append(rnd)
         return {"x": self.xs[len(self.drawn) - 1], "y": 0.0}
+
+
+def counting(region):
+    """``region`` with a count of its draws, in ``drawn``."""
+
+    class Counting(Region):
+        drawn = 0
+
+        def sample_point(self, rnd):
+            Counting.drawn += 1
+            return Region.sample_point(self, rnd)
+
+    return Counting(region.coords, region.constraints, region.box, name=region.name)
 
 
 @pytest.fixture

@@ -177,6 +177,7 @@ class TestInvalidSettings:
         assert capsys.readouterr().err == "%s: line 2, col %d: zero denominator\n" % (spec, col)
 
     TOO_LARGE = "exponent %d of x exceeds 32767, the largest a monomial field holds"
+    NO_BASE_POINT = "flatness check needs anchors or a ball description of the set"
 
     @pytest.mark.parametrize("statement, token, message", [
         ("foliation L on R leafdim 0 nu dx transverse q", "q", "unknown coordinate 'q'"),
@@ -205,6 +206,9 @@ class TestInvalidSettings:
         ("check zero x - x on R as dup\ncheck zero x on R as dup", "dup", "duplicate check label 'dup'"),
         ("check zero x - x on R as a-b\ncheck zero x on R\ncheck zero x on R as a-b", "a-b",
          "duplicate check label 'a-b'"),
+        # a flatness check without a base point lacks input; it refutes nothing
+        ("closedset Z = zeroset x\ncheck flatness x near Z", "Z", NO_BASE_POINT),
+        ("closedset Z = balls\ncheck flatness x near Z", "Z", NO_BASE_POINT),
     ])
     def test_document_errors_exit_five(self, statement, token, message, tmp_path, capsys):
         # errors a parser can see are diagnostics, never a refuted check

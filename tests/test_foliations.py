@@ -25,7 +25,7 @@ from gvcheck import (
     zero_form,
 )
 from gvcheck.verdicts import point_str
-from conftest import XY, XYZ, square_box
+from conftest import XY, XYZ, counting, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")
 
@@ -99,6 +99,21 @@ def test_validate_flags_dependent_generators(space, cfg):
     rep = validate_foliation(fol, cfg)
     assert rep.entry("independence").status is Verdict.FAIL
     assert rep.entry("independence").witness is not None
+
+
+def test_certified_generators_draw_no_sample(space, cfg):
+    region = counting(space)
+    rep = validate_foliation(spiral(region), cfg)
+    assert rep.proved
+    assert region.drawn == 0
+
+
+def test_generators_that_vanish_in_the_box_are_probed_eight_times(plane, cfg):
+    radial = differential(XY, "x") * x + differential(XY, "y") * y  # zero at the origin
+    region = counting(plane)
+    rep = validate_foliation(Foliation("R", region, 1, radial, (radial,)), cfg)
+    assert rep.proved
+    assert region.drawn == 8
 
 
 def test_validate_refutes_contact_form(space, cfg):

@@ -395,12 +395,12 @@ def test_det_exact_cases():
 
 
 def test_independence_probe_draws_at_most_eight_points(cfg):
-    dx = differential(XY, "x")
+    g = differential(XY, "x") * sym("x")  # zero at x = 0, inside the box: no certificate
     region = CountingRegion([1.0] * 32)
-    assert dependent_sample((dx,), region, cfg) is None
+    assert dependent_sample((g,), g, region, cfg) is None
     assert len(region.drawn) == 8
     region = CountingRegion([1.0, 0.0] + [1.0] * 30)
-    assert dependent_sample((dx * sym("x"),), region, cfg) == {"x": 0.0, "y": 0.0}
+    assert dependent_sample((g,), g, region, cfg) == {"x": 0.0, "y": 0.0}
     assert len(region.drawn) == 2
 
 

@@ -1,4 +1,5 @@
 """The Godbillon-Vey layer: gauges, witnesses, factorization, gluing, weights."""
+import itertools
 import random
 
 import pytest
@@ -13,8 +14,10 @@ from gvcheck import (
     Region,
     UnsupportedShapeError,
     Verdict,
+    ZeroTestConfig,
     adapted_gauge,
     basis_form,
+    box_region,
     check_basic,
     check_minimal_vanishing,
     check_overlap_identities,
@@ -37,7 +40,7 @@ from gvcheck import (
     wedge,
     zero_form,
 )
-from conftest import XY, XYZ, random_polynomial, square_box
+from conftest import XY, XYZ, counting, random_polynomial, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")
 
@@ -194,21 +197,13 @@ def test_solve_theta_finds_the_sign(space, cfg):
 
 def test_solve_theta_reads_the_sign_without_sampling(space, cfg):
     """Only the sup gauge's nonvanishing check draws points: the sign
-    comes from exact comparison, not from a sampled refutation."""
-
-    class CountingSpace(Region):
-        drawn = 0
-
-        def sample_point(self, rnd):
-            CountingSpace.drawn += 1
-            return Region.sample_point(self, rnd)
-
-    counting = CountingSpace(space.coords, space.constraints, space.box, name="counting")
+    comes from the permutation, not from a sampled refutation."""
+    region = counting(space)
     curves, sheets = nested_pair(space)
-    theta, sign = solve_theta(curves, sheets, counting, cfg)
+    theta, sign = solve_theta(curves, sheets, region, cfg)
     assert sign == -1
     assert theta == d3("y") * (-exp(x))
-    assert CountingSpace.drawn == cfg.sample_count
+    assert region.drawn == cfg.sample_count
 
 
 def test_solve_theta_plain_orientation(space, cfg):
@@ -224,6 +219,34 @@ def test_solve_theta_plain_orientation(space, cfg):
     theta, sign = solve_theta(curves, sheets, space, cfg)
     assert sign == 1
     assert theta == d3("z")
+
+
+XYZW = ("x", "y", "z", "w")
+
+
+def adapted(region, name, transverse, h):
+    """nu = h * d(transverse[0]) ^ d(transverse[1]) ^ ..., in the order given."""
+    gens = tuple(differential(XYZW, c) for c in transverse)
+    nu = basis_form(XYZW, transverse) * h
+    return Foliation(name, region, 4 - len(transverse), nu, (gens[0] * h,) + gens[1:], transverse)
+
+
+def test_solve_theta_factors_every_transverse_ordering():
+    chart = box_region(XYZW, square_box(XYZW), name="chart")
+    cfg = ZeroTestConfig(sample_count=1)  # the sup gauge's nonvanishing check is not under test
+    h_sub, h_sup = 1 + x ** 2, 2 + y ** 2
+    cases = 0
+    for k in (2, 3, 4):
+        for sub_t in itertools.permutations(XYZW, k):
+            sub = adapted(chart, "sub", sub_t, h_sub)
+            for sup_t in itertools.chain.from_iterable(itertools.permutations(sub_t, j) for j in range(1, k)):
+                sup = adapted(chart, "sup", sup_t, h_sup)
+                theta, sign = solve_theta(sub, sup, chart, cfg)
+                assert sub.nu == wedge(sup.nu, theta)
+                tilde = tuple(c for c in sub_t if c not in sup_t)
+                assert theta * rat(sign) == basis_form(XYZW, tilde) * (h_sub / h_sup)
+                cases += 1
+    assert cases == 1200
 
 
 def test_solve_theta_preconditions(space, cfg):

