@@ -42,15 +42,24 @@ def perm_sign(seq):
     return -1 if inversions & 1 else 1
 
 
+_MERGED: dict = {}  # (left, right) -> _merge_sign(left, right)
+
+
 def _merge_sign(left, right):
     """Sign of sorting the concatenation of two strictly increasing tuples.
 
-    Returns (sign, merged) with sign 0 when an index repeats.
+    Returns (sign, merged) with sign 0 when an index repeats; each pair
+    is worked out once.
     """
-    merged = left + right
-    if len(set(merged)) != len(merged):
-        return 0, ()
-    return perm_sign(merged), tuple(sorted(merged))
+    out = _MERGED.get((left, right))
+    if out is None:
+        merged = left + right
+        if len(set(merged)) != len(merged):
+            out = 0, ()
+        else:
+            out = perm_sign(merged), tuple(sorted(merged))
+        _MERGED[(left, right)] = out
+    return out
 
 
 def _paren_text(cs):
@@ -301,17 +310,24 @@ class CoordinateMap:
 def pullback(m: CoordinateMap, a: DiffForm) -> DiffForm:
     """Pullback of a form on the target chart along the map.
 
-    Commutes with wedge and with the exterior derivative.
+    Commutes with wedge and with the exterior derivative.  Each component's
+    differential is built once, and each coefficient of the result is
+    the sum of its terms over all of ``a``'s coefficients, cancelled once.
     """
     if tuple(a.coords) != m.target:
         raise ChartError("form chart %s does not match map target %s" % (a.coords, m.target))
-    out = zero_form(m.source, a.degree)
+    dphi = {}  # target index -> d(phi_i) on the source chart
+    terms = {}
     for idx, c in a.coeffs.items():
-        term = scalar_form(m.source, substitute(c, m.components))
+        forms = [scalar_form(m.source, substitute(c, m.components))]
         for i in idx:
-            term = wedge(term, ext_d(scalar_form(m.source, m.components[a.coords[i]])))
-        out = out + term
-    return out
+            d = dphi.get(i)
+            if d is None:
+                d = dphi[i] = ext_d(scalar_form(m.source, m.components[a.coords[i]]))
+            forms.append(d)
+        for j, t in wedge_all(m.source, forms).coeffs.items():
+            terms.setdefault(j, []).append(t)
+    return DiffForm(m.source, a.degree, {j: add_all(ts) for j, ts in terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .forms import (
     zero_form,
 )
 from .regions import Region
-from .symbolic import ONE, ScalarExpr, ZeroTestConfig, certified_nonzero, evaluate, normalize, rat
+from .symbolic import ONE, ScalarExpr, ZeroTestConfig, certified_nonzero, enclose, evaluate, normalize, rat
 from .verdicts import Outcome
 
 _GAUGE_ADVICE = "consider a different Frobenius witness (gauge change mu -> mu + f*nu)"
@@ -64,7 +64,14 @@ def adapted_gauge(fol: Foliation) -> ScalarExpr:
 
 def _require_nonvanishing(h, region, cfg, message):
     """Raise ``message`` with the first sampled point where h is not
-    :func:`certified_nonzero`, or the evaluation error h raises there."""
+    :func:`certified_nonzero`, or the evaluation error h raises there.
+
+    No point is drawn when h's enclosure over the region's box excludes 0:
+    enclosures are inclusion-isotonic, so each sample's would exclude it too.
+    """
+    lo, hi = enclose(h, region.box) or (0.0, 0.0)
+    if lo > 0.0 or hi < 0.0:
+        return
     for point in cfg.points(region):
         if not certified_nonzero(h, point):
             evaluate(h, point)

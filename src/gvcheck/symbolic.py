@@ -26,9 +26,13 @@ polynomial multiplication and division in Maple 14", 2009):
 * A fraction is canonical when its numerator shares no divisor with any
   factor or with ``scale``; every result is cancelled to that form when
   it is built (:func:`_make`).  A product cancels each numerator against
-  the other operand's factors only, and :func:`add_all` cancels a sum of
-  many terms once, not after each addition.  A modular screen proves
-  most numerator-factor pairs coprime without a gcd; otherwise the
+  the other operand's factors only.  A sum of many terms is cancelled
+  once, not after each addition (:func:`_sum`); derivatives and
+  substitutions sum uncancelled terms, each a plain product of
+  numerators and of denominators.  A modular screen proves most
+  numerator-factor pairs coprime without a gcd: each factor keeps its
+  screen after the first use, and a numerator's image is computed once
+  per cancellation, and again only after a division.  Otherwise the
   factor is tried by exact division, and then the primitive gcd of
   Brown's PRS (J. ACM 1971) splits it.  Atoms stay independent
   indeterminates, so equal rational functions over them get equal forms.
@@ -234,12 +238,11 @@ class Poly:
     found again in a dict of factors however it was built.
     """
 
-    __slots__ = ("terms", "_support", "_h")
+    __slots__ = ("terms", "_support", "_h", "_screen")
 
     def __init__(self, terms):
         self.terms = terms
-        self._support = None
-        self._h = None
+        self._support = self._h = self._screen = None
 
     def __eq__(self, other):
         return self.terms == other.terms
@@ -508,34 +511,53 @@ def _gcd_degree(a, b):
     return len(a) - 1
 
 
-def _common(num, f):
-    """(g, num / g) for the primitive gcd g of ``num`` and the factor ``f``,
-    or None when they are coprime.
+def _screen(f):
+    """The coprimality screen of the factor ``f``, kept on it after the first
+    call: (bit offset, f's :func:`_image` there) for the first generator, in
+    generator order, of which some power has an integer coefficient in f,
+    or False when there is none or f's image there loses f's degree."""
+    screen = f._screen
+    if screen is None:
+        screen = False
+        for g, _ in _mono_items(f.support()):
+            off = g.unit.bit_length() - 1
+            if any(_is_const(c) for c in _coeffs(f, off).values()):
+                fi = _image(f, off)
+                if fi[-1]:
+                    screen = (off, fi)
+                break
+        f._screen = screen
+    return screen
 
-    Polynomials with no generator in common are coprime.  The screen is
-    a proof: when f's coefficient of some power of one
-    generator is an integer, f (primitive over the integers) is primitive
-    in that generator, and if the images of num and f (other generators
-    at their screen values, f keeping its degree) are coprime mod _PRIME,
-    any common factor is free of that generator and so divides f's
-    content, 1.  Otherwise f itself is tried by exact division, and then
-    the gcd is computed.
+
+def _common(num, f, images):
+    """(g, num / g) for the primitive gcd g of ``num`` and the factor ``f``,
+    or None when they are coprime.  ``images`` maps a bit offset to
+    num's :func:`_image` there, filled on first use.
+
+    Polynomials with no generator in common are coprime.  The screen
+    (:func:`_screen`) is a proof: f's coefficient of some power of its
+    generator is an integer, so f (primitive over the integers) is
+    primitive in that generator, and if the images of num and f there
+    (other generators at their screen values, f keeping its degree) are
+    coprime mod _PRIME, any common factor is free of that generator and
+    so divides f's content, 1.  Otherwise f itself is tried by exact
+    division, and then the gcd is computed.
     """
     if _shared_gen(f, num) is None:
         return None
-    for g, _ in _mono_items(f.support()):
-        off = g.unit.bit_length() - 1
-        if any(_is_const(c) for c in _coeffs(f, off).values()):
-            fi = _image(f, off)
-            deg = len(fi) - 1
-            if fi[deg]:
-                d = _gcd_degree(_image(num, off), fi)
-                if d == 0:
-                    return None
-                q = _divide(num, f) if d == deg else None
-                if q is not None:
-                    return f, q
-            break
+    screen = _screen(f)
+    if screen:
+        off, fi = screen
+        ni = images.get(off)
+        if ni is None:
+            ni = images[off] = _image(num, off)
+        d = _gcd_degree(ni[:], fi[:])
+        if d == 0:
+            return None
+        q = _divide(num, f) if d == len(fi) - 1 else None
+        if q is not None:
+            return f, q
     g = _gcd(num, f)
     return None if _is_const(g) else (g, _divide(num, g))
 
@@ -544,9 +566,12 @@ def _cancel(num, factors, todo):
     """Divide ``num`` by what it shares with each factor in the list ``todo``.
 
     ``factors`` ({f: e}) is updated in place: a factor f that shares only
-    a proper divisor g with ``num`` is split into g and f / g.  Returns the
-    reduced numerator.
+    a proper divisor g with ``num`` is split into g and f / g.  The images
+    of ``num`` that the factors' screens read are computed once per
+    numerator, and again only after it is divided.  Returns the reduced
+    numerator.
     """
+    images = {}
     while todo:
         f = todo.pop()
         e = factors.get(f)
@@ -557,12 +582,14 @@ def _cancel(num, factors, todo):
             k = min(e, _content(num) // unit & _FIELD_MASK)
             if k:
                 num = Poly({m - k * unit: c for m, c in num.terms.items()})
+                images = {}
                 factors[f] = e - k
             continue
-        found = _common(num, f)
+        found = _common(num, f, images)
         if found is None:
             continue
         g, num = found
+        images = {}
         del factors[f]
         if g != f:  # f^e = g^e (f/g)^e
             h = _divide(f, g)
@@ -693,9 +720,7 @@ class ScalarExpr:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ZERO
-        dens = dict(self._dens)
-        for f, e in other._dens.items():
-            dens[f] = dens.get(f, 0) + e
+        dens = _dens_product(self._dens, other._dens)
         # each numerator is already coprime to its own factors
         a = _cancel(self.num, dens, [f for f in other._dens if f not in self._dens])
         b = _cancel(other.num, dens, [f for f in self._dens if f not in other._dens])
@@ -754,38 +779,54 @@ def _coerce(v):
     return NotImplemented
 
 
-def _lift(e, dens, scale):
-    """The numerator of ``e`` over the denominator scale * prod f^k for f, k in dens."""
-    num = e.num
-    if scale != e._scale:
-        num = num.mul(Poly({0: scale // e._scale}))
+def _dens_product(a, b):
+    """The factors of the product of two denominators: exponents added,
+    ``a``'s factors first."""
+    dens = dict(a)
+    for f, e in b.items():
+        dens[f] = dens.get(f, 0) + e
+    return dens
+
+
+def _lift(term, dens, scale):
+    """The numerator of the (num, dens, scale) ``term`` over the denominator
+    scale * prod f^k for f, k in dens."""
+    num, own, s = term
+    if scale != s:
+        num = num.mul(Poly({0: scale // s}))
     for f, k in dens.items():
-        k -= e._dens.get(f, 0)
+        k -= own.get(f, 0)
         if k:
             num = num.mul(f.pow(k))
     return num
 
 
-def add_all(terms):
-    """The sum of a sequence of expressions over the lcm of their
-    denominators (the largest exponent of each factor), cancelled once
-    rather than after each addition.  A lone term, canonical already,
-    comes back as it is."""
-    if len(terms) == 1:
-        return terms[0]
+def _sum(terms):
+    """The canonical sum of (num, dens, scale) fractions, which need not be
+    cancelled: lifted over the lcm of their denominators (the largest
+    exponent of each factor) and cancelled once."""
     dens = {}
     scale = 1
-    for t in terms:
-        for f, e in t._dens.items():
+    for _, own, s in terms:
+        for f, e in own.items():
             if dens.get(f, 0) < e:
                 dens[f] = e
-        scale = math.lcm(scale, t._scale)
+        scale = math.lcm(scale, s)
     out = {}
     get = out.get
     for t in terms:
         for m, c in _lift(t, dens, scale).terms.items():
             out[m] = get(m, 0) + c
     return _make(Poly({m: c for m, c in out.items() if c}), dens, scale)
+
+
+def add_all(terms):
+    """The sum of a sequence of expressions, cancelled once rather than
+    after each addition (:func:`_sum`).  A lone term, canonical already,
+    comes back as it is."""
+    if len(terms) == 1:
+        return terms[0]
+    return _sum([(t.num, t._dens, t._scale) for t in terms])
 
 
 def _make(num, dens, scale, todo=None):
@@ -915,36 +956,49 @@ def _atom_derivative(gen):
 def _poly_partial(poly, name, d=1):
     """d(poly / d) / d name for a positive integer d, by the chain rule:
     the sum of d poly / d g * dg / d name over the generators g."""
-    parts = {}  # generator -> terms of d poly / d generator
-    dgens = {}
+    dgens = {}  # generator that depends on name -> dg / d name, None for name itself
+    for g, _ in _mono_items(poly.support()):
+        if isinstance(g, CoordGen):
+            if g.name == name:
+                dgens[g] = None
+        else:
+            darg = partial(g.arg, name)
+            if not darg.is_zero:
+                dgens[g] = _atom_derivative(g) * darg
+    fields = [(g, g.unit.bit_length() - 1) for g in dgens]
+    parts = {}  # generator -> terms of d poly / d generator, in order of first use
     for mono, c in poly.terms.items():
-        for g, e in _mono_items(mono):
-            dgen = dgens.get(g)
-            if dgen is None:
-                if isinstance(g, CoordGen):
-                    dgen = ONE if g.name == name else ZERO
-                else:
-                    darg = partial(g.arg, name)
-                    dgen = darg if darg.is_zero else _atom_derivative(g) * darg
-                dgens[g] = dgen
-            if not dgen.is_zero:
+        for g, off in fields:
+            e = mono >> off & _FIELD_MASK
+            if e:
                 parts.setdefault(g, {})[mono - g.unit] = c * e
-    return add_all([_make(Poly(t), _NO_FACTORS, d) * dgens[g] for g, t in parts.items()])
+    out = []
+    for g, t in parts.items():
+        part = _make(Poly(t), _NO_FACTORS, d)
+        out.append(part if dgens[g] is None else part * dgens[g])
+    return add_all(out)
 
 
 def partial(e, name):
-    """Exact partial derivative of ``e`` with respect to coordinate ``name``."""
+    """Exact partial derivative of ``e`` with respect to coordinate ``name``.
+
+    For a fraction, the quotient rule's terms are summed uncancelled and
+    the sum is cancelled once (:func:`_sum`)."""
     e = normalize(e)
     if e.is_polynomial:
         return _poly_partial(e.num, name, e._scale)
-    # d(N / (s prod f^k)) = dN / (s prod f^k) - (N / (s prod f^k)) sum k df / f,
+    # d(N / (s prod f^k)) = dN / (s prod f^k) - sum k N df / (s f prod f^k),
     # so each factor's exponent grows by at most one
-    terms = [_poly_partial(e.num, name) * ScalarExpr(_P_ONE, e._dens, e._scale)]
-    for f, k in e._dens.items():
+    num, dens, scale = e.num, e._dens, e._scale
+    dn = _poly_partial(num, name)
+    terms = [] if dn.is_zero else [(dn.num, _dens_product(dn._dens, dens), dn._scale * scale)]
+    for f, k in dens.items():
         df = _poly_partial(f, name)
         if not df.is_zero:
-            terms.append(-e * df * ScalarExpr(Poly({0: k}), {f: 1}))
-    return add_all(terms)
+            fdens = _dens_product(dens, df._dens)
+            fdens[f] += 1
+            terms.append((Poly({m: -k * c for m, c in num.mul(df.num).terms.items()}), fdens, df._scale * scale))
+    return _sum(terms)
 
 
 def free_coords(e):
@@ -967,7 +1021,9 @@ def substitute(e, mapping):
     """Substitute expressions for coordinate symbols (exact composition).
 
     ``mapping`` maps coordinate names to ScalarExpr (or numbers);
-    unmentioned coordinates stay themselves.
+    unmentioned coordinates stay themselves.  Each monomial's image is
+    the uncancelled product of its generators' images, and a polynomial's
+    images are summed and cancelled once (:func:`_sum`).
     """
     e = normalize(e)
     table = {k: normalize(v) for k, v in mapping.items()}
@@ -991,11 +1047,14 @@ def substitute(e, mapping):
     def sub_poly(p):
         terms = []
         for mono, c in p.terms.items():
-            term = const(c)
+            num, dens, scale = Poly({0: c}), {}, 1
             for g, k in _mono_items(mono):
-                term = term * power(g, k)
-            terms.append(term)
-        return add_all(terms)
+                image = power(g, k)
+                num = num.mul(image.num)
+                dens = _dens_product(dens, image._dens)
+                scale *= image._scale
+            terms.append((num, dens, scale))
+        return _sum(terms)
 
     def sub_expr(x):
         out = sub_poly(x.num) / x._scale

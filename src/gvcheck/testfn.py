@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from random import Random
 
-from .errors import CoverageError, PreconditionError
+from .errors import CoverageError, SamplingError
 from .symbolic import (
     ScalarExpr,
     ZERO,
@@ -275,7 +275,8 @@ def flatness_check(phi, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
     for orders 1 and 2, the base point itself for order 2), and each
     distinct point is evaluated once: 7 evaluations per base point, the
     first of each in the order the estimates ask for it.  A structural
-    entry records when every term of phi carries a flat atom.
+    entry records when every term of phi carries a flat atom.  A set
+    with no base point raises :class:`SamplingError`.
     """
     phi = normalize(phi)
     entries = []
@@ -283,10 +284,8 @@ def flatness_check(phi, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
         flat = Outcome(Verdict.PASS, detail="every numerator term carries a flat atom factor")
         entries.append(("structural-flatness", flat))
     anchors = m0.boundary_anchors(cfg.rng_seed)
-    if not anchors:
-        raise PreconditionError(
-            "flatness check needs anchors or a ball description of the set"
-        )
+    if not anchors:  # a set with no sampled point refutes nothing
+        raise SamplingError("flatness check has no base point: the sample of the set is empty")
     names = sorted(m0.coords)
     probes = []
     rng = Random(cfg.rng_seed ^ 0xF1A7)

@@ -220,6 +220,16 @@ class TestInvalidSettings:
         col = statement.splitlines()[-1].rindex(token) + 1
         assert capsys.readouterr().err == "%s: line %d, col %d: %s\n" % (spec, line, col, message)
 
+    def test_flatness_near_a_set_with_no_sampled_point_is_undecided(self, tmp_path, capsys):
+        # the balls fill the window, so the set's sample, and with it the
+        # check's base points, is empty: nothing is refuted
+        spec = tmp_path / "doc.fol"
+        spec.write_text("chart x\nbox x -1 1\nclosedset Z = complement balls (0, 5)\ncheck flatness x near Z\n")
+        assert run_cli(["check", str(spec)]) == 2
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith("[UNDECIDED] check-1-flatness (flatness)")
+        assert row.endswith(" -- SamplingError: flatness check has no base point: the sample of the set is empty")
+
     CODIM_ONE = "chart x y z\nregion R = all\nfoliation H on R leafdim 2 nu dy\n"
 
     @pytest.mark.parametrize("statement, col, message", [

@@ -29,6 +29,7 @@ from gvcheck import (
     pullback,
     rat,
     scalar_form,
+    substitute,
     sym,
     wedge,
     wedge_all,
@@ -187,6 +188,39 @@ def test_pullback_commutes_with_wedge_and_d():
         b = random_form(rng, XY, q, depth=1)
         assert (pullback(m, wedge(a, b)) - wedge(pullback(m, a), pullback(m, b))).is_zero
         assert (pullback(m, ext_d(a)) - ext_d(pullback(m, a))).is_zero
+
+
+def reference_pullback(m, a):
+    """Pullback as a running sum of wedges, each component's differential built per use."""
+    out = zero_form(m.source, a.degree)
+    for idx, c in a.coeffs.items():
+        term = scalar_form(m.source, substitute(c, m.components))
+        for i in idx:
+            term = wedge(term, ext_d(scalar_form(m.source, m.components[a.coords[i]])))
+        out = out + term
+    return out
+
+
+def random_rational_map(rng, coords):
+    """A self-map of the chart whose components are polynomials, quotients or exp multiples."""
+    comps = {}
+    for c in coords:
+        p = random_map(rng, coords, depth=1).components[c]
+        roll = rng.random()
+        comps[c] = p if roll < 0.4 else p / (1 + sym(c) ** 2) if roll < 0.8 else p * exp(sym(rng.choice(coords)))
+    return CoordinateMap(coords, coords, comps)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 3))
+def test_pullback_matches_its_reference(seed, degree):
+    rng = random.Random(seed)
+    m = random_rational_map(rng, XYZ)
+    a = random_form(rng, XYZ, degree, depth=2)
+    got, want = pullback(m, a), reference_pullback(m, a)
+    assert got == want
+    assert str(got) == str(want)
+    assert [c.key for c in got.coeffs.values()] == [want.coeffs[i].key for i in got.coeffs]
 
 
 def test_map_validation():

@@ -40,6 +40,7 @@ from gvcheck import (
     wedge,
     zero_form,
 )
+from gvcheck.gv import _require_nonvanishing
 from conftest import XY, XYZ, counting, random_polynomial, square_box
 
 x, y, z = sym("x"), sym("y"), sym("z")
@@ -196,14 +197,32 @@ def test_solve_theta_finds_the_sign(space, cfg):
 
 
 def test_solve_theta_reads_the_sign_without_sampling(space, cfg):
-    """Only the sup gauge's nonvanishing check draws points: the sign
-    comes from the permutation, not from a sampled refutation."""
+    """No point is drawn: the sign comes from the permutation, not from a
+    sampled refutation, and the sup gauge's enclosure excludes 0."""
     region = counting(space)
     curves, sheets = nested_pair(space)
     theta, sign = solve_theta(curves, sheets, region, cfg)
     assert sign == -1
     assert theta == d3("y") * (-exp(x))
-    assert region.drawn == cfg.sample_count
+    assert region.drawn == 0
+
+
+def test_a_gauge_certified_over_the_box_draws_no_sample(plane, cfg):
+    region = counting(plane)
+    _require_nonvanishing(exp(y), region, cfg, "gauge vanishes")
+    assert region.drawn == 0
+
+
+def test_a_gauge_that_vanishes_in_the_box_raises_at_a_witness(plane, cfg):
+    # flatexp(x) is 0 wherever x <= 0: its box enclosure holds 0, so the
+    # samples are searched, and the first with x <= 0 is the witness
+    region = counting(plane)
+    with pytest.raises(PreconditionError, match="gauge vanishes") as err:
+        _require_nonvanishing(flatexp(x), region, cfg, "gauge vanishes")
+    points = list(cfg.points(plane))
+    first = next(i for i, p in enumerate(points) if p["x"] <= 0.0)
+    assert err.value.witness == points[first]
+    assert region.drawn == first + 1
 
 
 def test_solve_theta_plain_orientation(space, cfg):

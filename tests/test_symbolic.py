@@ -355,6 +355,169 @@ def test_substitute_agrees_with_evaluation():
 
 
 # ---------------------------------------------------------------------------
+# derivatives and substitutions against references that cancel every term
+
+
+def reference_add_all(terms):
+    """The sum of expressions over the lcm of their denominators, cancelled once."""
+    if len(terms) == 1:
+        return terms[0]
+    dens, scale = {}, 1
+    for t in terms:
+        for f, e in t._dens.items():
+            if dens.get(f, 0) < e:
+                dens[f] = e
+        scale = math.lcm(scale, t._scale)
+    out = {}
+    for t in terms:
+        for m, c in symbolic._lift((t.num, t._dens, t._scale), dens, scale).terms.items():
+            out[m] = out.get(m, 0) + c
+    return symbolic._make(symbolic.Poly({m: c for m, c in out.items() if c}), dens, scale)
+
+
+def reference_poly_partial(poly, name, d=1):
+    """The chain rule, one canonical product per generator."""
+    parts, dgens = {}, {}
+    for mono, c in poly.terms.items():
+        for g, e in _mono_items(mono):
+            dgen = dgens.get(g)
+            if dgen is None:
+                if isinstance(g, CoordGen):
+                    dgen = symbolic.ONE if g.name == name else symbolic.ZERO
+                else:
+                    darg = reference_partial(g.arg, name)
+                    dgen = darg if darg.is_zero else symbolic._atom_derivative(g) * darg
+                dgens[g] = dgen
+            if not dgen.is_zero:
+                parts.setdefault(g, {})[mono - g.unit] = c * e
+    return reference_add_all([symbolic._make(symbolic.Poly(t), {}, d) * dgens[g] for g, t in parts.items()])
+
+
+def reference_partial(e, name):
+    """The quotient rule, each term a cancelled product."""
+    if e.is_polynomial:
+        return reference_poly_partial(e.num, name, e._scale)
+    terms = [reference_poly_partial(e.num, name) * ScalarExpr(symbolic.Poly({0: 1}), e._dens, e._scale)]
+    for f, k in e._dens.items():
+        df = reference_poly_partial(f, name)
+        if not df.is_zero:
+            terms.append(-e * df * ScalarExpr(symbolic.Poly({0: k}), {f: 1}))
+    return reference_add_all(terms)
+
+
+def reference_substitute(e, mapping):
+    """Composition, each monomial's image a cancelled product."""
+    table = {k: normalize(v) for k, v in mapping.items()}
+    powers = {}
+
+    def power(g, k):
+        p = powers.get((g, k))
+        if p is None:
+            base = powers.get((g, 1))
+            if base is None:
+                if isinstance(g, CoordGen):
+                    base = table.get(g.name, sym(g.name))
+                else:
+                    base = symbolic._atom_expr(g.kind, sub_expr(g.arg))
+                powers[(g, 1)] = base
+            p = powers[(g, k)] = base if k == 1 else base**k
+        return p
+
+    def sub_poly(p):
+        terms = []
+        for mono, c in p.terms.items():
+            term = rat(c)
+            for g, k in _mono_items(mono):
+                term = term * power(g, k)
+            terms.append(term)
+        return reference_add_all(terms)
+
+    def sub_expr(x):
+        out = sub_poly(x.num) / x._scale
+        for f, k in x._dens.items():
+            out = out / sub_poly(f) ** k
+        return out
+
+    return sub_expr(e)
+
+
+# denominators with repeated, shared and reducible factors; flatexp's
+# derivative adds its argument squared
+_FRACTION_LEAVES = (
+    "x", "y", "1 + x**2", "x/(1 + x**2)**2", "y/(x**2 - y**2)", "1/(x + y)", "(x - y)/(x*y - y)", "x/(1 + x*y)",
+    "exp(x)/(1 + x**2)", "log(1 + y**2)/(x - y)", "flatexp(x)", "flatexp(x/(1 + y**2))",
+)
+_SUBSTITUTIONS = (
+    {"x": x + y},
+    {"x": 1 / (1 + y * y), "y": x - y},
+    {"x": exp(y), "y": (x + y) / (x - y)},
+    {"y": flatexp(x) / (1 + x * x)},
+    {"x": x * x - y * y, "y": log(x)},
+)
+
+
+def _leaf(text):
+    return eval(text, {"x": x, "y": y, "exp": exp, "log": log, "flatexp": flatexp})
+
+
+@st.composite
+def fraction_recipes(draw, depth=3):
+    """A random fraction tree over :data:`_FRACTION_LEAVES`, built by :func:`build_fraction`."""
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.integers(0, 3)) == 0:
+            return ("const", draw(st.integers(-6, 6)), draw(st.integers(1, 5)))
+        return ("leaf", draw(st.sampled_from(_FRACTION_LEAVES)))
+    op = draw(st.sampled_from(("+", "-", "*", "/", "/", "^", "^", "exp", "log", "flatexp")))
+    left = draw(fraction_recipes(depth - 1))
+    if op in ATOM_KINDS:
+        return (op, left)
+    if op == "^":
+        return (op, left, draw(st.integers(0, 3)))
+    return (op, left, draw(fraction_recipes(depth - 1)))
+
+
+def build_fraction(recipe):
+    kind = recipe[0]
+    if kind == "const":
+        return rat(recipe[1], recipe[2])
+    if kind == "leaf":
+        return _leaf(recipe[1])
+    a = build_fraction(recipe[1])
+    if kind in ATOM_KINDS:
+        return {"exp": exp, "log": log, "flatexp": flatexp}[kind](a)
+    if kind == "^":
+        return a ** recipe[2]
+    b = build_fraction(recipe[2])
+    if kind == "/":
+        return a if b.is_zero else a / b
+    return {"+": a + b, "-": a - b, "*": a * b}[kind]
+
+
+def _same(got, want):
+    assert got == want
+    assert str(got) == str(want)
+    assert got.key == want.key
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fraction_recipes(), st.sampled_from(_SUBSTITUTIONS))
+def test_derivatives_and_substitutions_match_their_references(recipe, mapping):
+    e = build_fraction(recipe)
+    for name in XY:
+        _same(partial(e, name), reference_partial(e, name))
+    _same(substitute(e, mapping), reference_substitute(e, mapping))
+
+
+def test_repeated_and_shared_factors_match_their_references():
+    u = x * x - y * y
+    for e in (x / (1 + x * x) ** 2, (x + y) / (u * (x - y)), flatexp(x / u) / (x + y), log(1 + x * x) / u ** 2):
+        for name in XY:
+            _same(partial(e, name), reference_partial(e, name))
+        for mapping in _SUBSTITUTIONS:
+            _same(substitute(e, mapping), reference_substitute(e, mapping))
+
+
+# ---------------------------------------------------------------------------
 # the tri-state zero test
 
 

@@ -10,7 +10,7 @@ from gvcheck import (
     BumpSpec,
     ClosedSetSpec,
     CoverageError,
-    PreconditionError,
+    SamplingError,
     Verdict,
     ZeroTestConfig,
     bump,
@@ -341,8 +341,9 @@ def test_flatness_evaluates_each_probe_point_once(closed_set, cfg, monkeypatch):
 
 
 def test_flatness_requires_anchors(cfg):
+    # a set with no base point refutes nothing: the check is undecided
     bare = ClosedSetSpec(XY, WINDOW, "zeroset", expr=x * x + y * y)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(SamplingError, match="the sample of the set is empty"):
         flatness_check(x, bare, cfg)
 
 
