@@ -152,7 +152,7 @@ class FoliationFamily:
         )
 
 
-def _overlap_or_none(a: Region, b: Region, cfg):
+def overlap_or_none(a: Region, b: Region, cfg):
     """Intersection region plus a sampled nonemptiness witness, or None.
 
     Overlap emptiness is decided by sampling only, so "no overlap
@@ -202,7 +202,7 @@ def check_family(fam: FoliationFamily, cfg: ZeroTestConfig) -> Outcome:
     for i, fi in enumerate(ordered):
         for fj in ordered[i + 1:]:
             label = "overlap-nesting[%s<%s]" % (fi.name, fj.name)
-            ov = _overlap_or_none(fi.region, fj.region, cfg)
+            ov = overlap_or_none(fi.region, fj.region, cfg)
             if ov is None:
                 entries.append((label, Outcome.from_witness(None, passed="no overlap detected")))
                 continue
@@ -287,7 +287,7 @@ def check_piecewise(pw: PiecewiseForm, cfg: ZeroTestConfig) -> Outcome:
         for j in range(i + 1, len(pw.pieces)):
             rj, fj = pw.pieces[j]
             label = "agree[%s,%s]" % (ri.name or i, rj.name or j)
-            ov = _overlap_or_none(ri, rj, cfg)
+            ov = overlap_or_none(ri, rj, cfg)
             if ov is None:
                 entries.append((label, Outcome.from_witness(None, passed="no overlap detected")))
                 continue

@@ -10,7 +10,7 @@ mu by a basic function before building the GV form.
 from __future__ import annotations
 
 from .errors import GluingError, GvError, PreconditionError, UnsupportedShapeError
-from .foliations import Foliation, FoliationFamily, PiecewiseForm, _overlap_or_none, stratum
+from .foliations import Foliation, FoliationFamily, PiecewiseForm, overlap_or_none, stratum
 from .forms import (
     DiffForm,
     basis_form,
@@ -213,7 +213,7 @@ def _minimal_vanishing(fam, mu, cfg):
     for f in fam.members:
         if f.leaf_dim <= f_min.leaf_dim:
             continue
-        ov = _overlap_or_none(f_min.region, f.region, cfg)
+        ov = overlap_or_none(f_min.region, f.region, cfg)
         label_pow = "power-vanishing[%s]" % f.name
         label_gv = "gv-vanishing[%s]" % f.name
         if ov is None:

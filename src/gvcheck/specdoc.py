@@ -539,17 +539,23 @@ def _stmt_closedset(p: _StatementParser):
             balls.append(p.ball())
     else:
         p.fail("expected 'zeroset', 'balls' or 'complement'")
-    anchors = []
+    anchors, starts = [], []
     if p.accept("anchors"):
         while p.at("("):
             anchors.append(p.point())
+            starts.append(p.start)
     box = dict(p.doc.box)
     if p.accept("window"):
         box.update(p.separated(lambda: _window_bounds(p)))
     p.expect_end()
-    p.doc.closedsets[name] = ClosedSetSpec(
-        p.doc.coords, box, kind, expr=expr, balls=tuple(balls), anchors=tuple(anchors)
-    )
+    try:
+        p.doc.closedsets[name] = ClosedSetSpec(
+            p.doc.coords, box, kind, expr=expr, balls=tuple(balls), anchors=tuple(anchors)
+        )
+    except ValueError as e:  # the other rules are checked above: an anchor is off its zero set
+        bare = ClosedSetSpec(p.doc.coords, box, kind, expr=expr)
+        col = next(s for s, a in zip(starts, anchors) if not bare.contains(a))
+        raise ParseError(str(e), col=col) from None
 
 
 def _stmt_bump(p: _StatementParser):

@@ -2,8 +2,10 @@
 
 A :class:`ScalarExpr` is kept in a canonical fraction ``num / den`` where
 both sides are sparse polynomials over an extended generator set:
-coordinate symbols plus interned transcendental atoms ``exp``, ``log``
-and ``flatexp``.  Every expression is built reduced, so
+coordinate symbols plus transcendental atoms ``exp``, ``log`` and
+``flatexp``.  Generators are interned, one object per coordinate name
+and per atom kind and argument key, so identity is their equality and
+their hash.  Every expression is built reduced, so
 structural equality decides semantic equality on the rational fragment.
 
 Representation (packed monomials as in Monagan & Pearce, "Sparse
@@ -120,18 +122,11 @@ def _new_field(gen):
 
 
 class CoordGen:
-    __slots__ = ("name", "skey", "_h", "unit", "ev")
+    __slots__ = ("name", "skey", "unit", "ev")
 
     def __init__(self, name):
         self.name = name
         self.skey = (0, name)
-        self._h = hash(self.skey)
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, CoordGen) and other.name == self.name)
 
     def __repr__(self):
         return self.name
@@ -144,20 +139,13 @@ class AtomGen:
     renderings after the first (see ``__repr__`` and :func:`_gen_latex`).
     """
 
-    __slots__ = ("kind", "arg", "skey", "_h", "unit", "ev", "_text", "_latex")
+    __slots__ = ("kind", "arg", "skey", "unit", "ev", "_text", "_latex")
 
     def __init__(self, kind, arg):
         self.kind = kind
         self.arg = arg
         self.skey = (1, _KIND_INDEX[kind], arg.key)
-        self._h = hash(self.skey)
         self._text = self._latex = None
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, AtomGen) and other.skey == self.skey)
 
     def __repr__(self):
         text = self._text

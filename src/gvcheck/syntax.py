@@ -206,13 +206,7 @@ class ExprParser:
                 return a ** _int_exponent(b, t.col, negative_ok=True)
             if op == "*":
                 if fa and fb:
-                    raise ParseError(
-                        "use ^ for the wedge of two forms", col=t.col
-                    )
-                if fa:
-                    return a * b
-                if fb:
-                    return b * a
+                    raise ParseError("use ^ for the wedge of two forms", col=t.col)
                 return a * b
             if op == "/":
                 if fb:

@@ -6,8 +6,7 @@ vanishing on the set.  The constructions here are the classical ones
 over flatexp: the sigmoid psi0(u) = flatexp(u^2)/(1 + flatexp(u^2)), the
 quotient smooth step, radial bumps with a fixed 2:1 support ratio, and
 finite sums of bumps covering the complement of the set.  Flatness is
-decided numerically by finite-difference decay near the set, with a
-structural shortcut when every numerator term carries a flatexp factor.
+estimated numerically by finite-difference decay near the set.
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ from .symbolic import (
     ScalarExpr,
     ZERO,
     ZeroTestConfig,
-    _mono_items,
     certified_nonzero,
     const,
     evaluate,
@@ -30,7 +28,7 @@ from .symbolic import (
     rat,
     sym,
 )
-from .verdicts import Outcome, Verdict
+from .verdicts import Outcome, Verdict, point_str
 
 FLAT_DISTANCES = (0.1, 0.01, 0.001)
 FLAT_TOL = 1e-6
@@ -112,7 +110,9 @@ class ClosedSetSpec:
 
     ``box`` is the window used to sample the complement and, where
     possible, the set itself.  ``anchors`` are explicit points on (or
-    adjacent to) the set, used by the flatness check.
+    adjacent to) the set, used by the flatness check.  A ``zeroset``
+    anchor that :meth:`contains` certifies off the set is a
+    ``ValueError``.
     """
 
     __slots__ = ("coords", "box", "kind", "expr", "balls", "anchors")
@@ -137,6 +137,10 @@ class ClosedSetSpec:
         self.kind = kind
         self.expr = expr
         self.anchors = tuple(dict(a) for a in anchors)
+        if kind == "zeroset":
+            off = next((a for a in self.anchors if not self.contains(a)), None)
+            if off is not None:
+                raise ValueError("anchor %s is off the zero set of %s" % (point_str(off), expr))
 
     def _rejection(self, out: list, seed: int, count: int, keep) -> list:
         """Extend ``out`` with the window draws that ``keep`` accepts, drawn
@@ -231,16 +235,6 @@ def check_cover(phi, balls, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
     return Outcome.of(entries)
 
 
-def _has_flat_atom(e: ScalarExpr) -> bool:
-    """True when every numerator term carries a flatexp factor."""
-    if e.is_zero:
-        return True
-    for mono in e.num.terms:
-        if not any(getattr(g, "kind", None) == "flatexp" for g, _ in _mono_items(mono)):
-            return False
-    return True
-
-
 def _directional_fd(phi, base, direction, h, order, values):
     """Central finite difference of the given order along a direction.
 
@@ -274,15 +268,11 @@ def flatness_check(phi, m0: ClosedSetSpec, cfg: ZeroTestConfig) -> Outcome:
     than the farthest one.  The three orders share probe points (+-step
     for orders 1 and 2, the base point itself for order 2), and each
     distinct point is evaluated once: 7 evaluations per base point, the
-    first of each in the order the estimates ask for it.  A structural
-    entry records when every term of phi carries a flat atom.  A set
-    with no base point raises :class:`SamplingError`.
+    first of each in the order the estimates ask for it.  A set with no
+    base point raises :class:`SamplingError`.
     """
     phi = normalize(phi)
     entries = []
-    if _has_flat_atom(phi):
-        flat = Outcome(Verdict.PASS, detail="every numerator term carries a flat atom factor")
-        entries.append(("structural-flatness", flat))
     anchors = m0.boundary_anchors(cfg.rng_seed)
     if not anchors:  # a set with no sampled point refutes nothing
         raise SamplingError("flatness check has no base point: the sample of the set is empty")

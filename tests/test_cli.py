@@ -220,6 +220,25 @@ class TestInvalidSettings:
         col = statement.splitlines()[-1].rindex(token) + 1
         assert capsys.readouterr().err == "%s: line %d, col %d: %s\n" % (spec, line, col, message)
 
+    @pytest.mark.parametrize("anchors", ["(1, 0)", "(0, 0) (1, 0)"])
+    def test_a_zeroset_anchor_off_its_set_exits_five(self, anchors, tmp_path, capsys):
+        # flatness would be probed at the anchor, away from the set: that
+        # refuted a function flat on the whole set
+        spec = tmp_path / "doc.fol"
+        statement = "closedset Z = zeroset x^2 + y^2 anchors " + anchors
+        spec.write_text("chart x y\n%s\ncheck flatness flatexp(1/4 - (x - 1)^2 - y^2) near Z\n" % statement)
+        assert run_cli(["check", str(spec)]) == 5
+        col = statement.rindex("(1, 0)") + 1
+        message = "anchor {x: 1, y: 0} is off the zero set of x^2 + y^2"
+        assert capsys.readouterr().err.splitlines()[0] == "%s: line 2, col %d: %s" % (spec, col, message)
+
+    def test_a_zeroset_anchor_within_rounding_of_its_set_is_accepted(self, tmp_path):
+        # the float of 1/3 misses the set, but its enclosure holds 0
+        spec = tmp_path / "doc.fol"
+        spec.write_text("chart x y\nclosedset Z = zeroset 3*x - 1 anchors (0.3333333333333333, 0)\n"
+                        "check flatness flatexp(x - 1) near Z\n")
+        assert run_cli(["check", str(spec)]) == 0
+
     def test_flatness_near_a_set_with_no_sampled_point_is_undecided(self, tmp_path, capsys):
         # the balls fill the window, so the set's sample, and with it the
         # check's base points, is empty: nothing is refuted

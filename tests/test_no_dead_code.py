@@ -6,7 +6,8 @@ as a name, an attribute or an import alias.  A definition does not count
 as a reference to itself, so code that nothing calls shows up here.
 Likewise every module-level import in a module of ``src/gvcheck`` other
 than ``__init__.py``, whose imports are the package's exports, must be
-used by that module.  Each row of the README's "Library layout" table
+used by that module, and none imports an underscore name from a
+sibling module.  Each row of the README's "Library layout" table
 names only what its module defines, and the README's list of document
 functions is the grammar's.
 """
@@ -89,6 +90,19 @@ def test_every_import_is_used():
         if f.endswith(".py") and f != "__init__.py":
             unused += ["%s: %s" % (f, name) for name in _unused_imports(os.path.join(PACKAGE, f))]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # an underscore name is its module's own: a sibling that needs it
+    # needs it public, under a name without the underscore
+    private = []
+    for f in sorted(os.listdir(PACKAGE)):
+        if f.endswith(".py"):
+            for node in ast.walk(_parse(os.path.join(PACKAGE, f))):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    names = [a.name for a in node.names if a.name.startswith("_")]
+                    private += ["%s: %s.%s" % (f, node.module, n) for n in names]
+    assert private == []
 
 
 def _defined_names(path):

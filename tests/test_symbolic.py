@@ -180,6 +180,21 @@ def test_atoms_are_interned_structurally():
     assert not (exp(x) - exp(y)).is_zero
 
 
+def test_an_atom_is_one_object_however_it_is_reached():
+    # interning makes identity the generators' equality, so neither
+    # generator class defines its own
+    def generator(e):
+        (mono,) = e.num.terms
+        ((g, _),) = _mono_items(mono)
+        return g
+
+    parsed, _ = gvcheck.parse_expression(gvcheck.tokenize("exp(x + 1)"), 0, gvcheck.Environment(XY, {}, {}))
+    reached = [parsed, substitute(exp(x + y), {"y": rat(1)}), partial(exp(x + 1), "x")]
+    assert all(generator(e) is generator(exp(x + 1)) for e in reached)
+    for cls in (symbolic.CoordGen, symbolic.AtomGen):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+
+
 def test_evaluate_atoms():
     p = {"x": 2.0, "y": -3.0}
     assert evaluate(exp(x), p) == pytest.approx(math.exp(2.0))
