@@ -2,12 +2,16 @@
 
 For a reference function f whose zero set S is the coordinate slice
 {t = 0}, the twisted differential d_f w = f*dw - p*df^w acts on p-forms;
-f^p * w maps the ordinary complex into it.  Forms on S extend to the
-full chart through a collar: a slice form involves neither t nor dt, so
-it is its own pullback along t -> 0, and it is extended by multiplying
-it by a cutoff in t that is 1 near S and supported in a slightly larger
-band.  The exactness checks verify user-supplied primitives and
-decompositions; nothing here computes cohomology.
+f^p * w maps the ordinary complex into it.  A collar owns its f, and
+the checks through it weight by that f.  That f vanishes on {t = 0} is
+checked exactly when the collar is built; that 0 is a regular value of
+f there is only sampled, from the gradient's norm on the slice.  Forms
+on S extend to the full chart through the collar: a slice form
+involves neither t nor dt, so it is its own pullback along t -> 0, and
+it is extended by multiplying it by a cutoff in t that is 1 near S and
+supported in a slightly larger band.  The exactness checks verify
+user-supplied primitives and decompositions; nothing here computes
+cohomology.
 """
 from __future__ import annotations
 
@@ -33,9 +37,9 @@ from .symbolic import (
     evaluate,
     free_coords,
     left_sum,
-    mix_seed,
     normalize,
     rat,
+    substitute,
     sym,
 )
 from .testfn import smooth_step
@@ -47,11 +51,11 @@ REGULAR_VALUE_FLOOR = 1e-6
 class TubularData:
     """A collar around the slice S = {t = 0} of the chart.
 
-    ``f`` is the reference function cutting out S, ``t`` the transverse
-    coordinate, and eps < eps_outer the half-widths of the inner and
-    outer bands.  The cutoff ``rho`` (built on construction) is 1 for
-    |t| <= eps and 0 for |t| >= eps_outer; a slice form is extended to
-    the chart by multiplying it by ``rho``.
+    ``f`` is the reference function, which must vanish on S exactly,
+    ``t`` the transverse coordinate, and eps < eps_outer the half-widths
+    of the inner and outer bands.  The cutoff ``rho`` (built on
+    construction) is 1 for |t| <= eps and 0 for |t| >= eps_outer; a
+    slice form is extended to the chart by multiplying it by ``rho``.
     """
 
     __slots__ = ("region", "f", "t", "eps", "eps_outer", "rho")
@@ -63,8 +67,11 @@ class TubularData:
         outer = Fraction(eps_outer)
         if not (outer > eps > 0):
             raise ValueError("need eps_outer > eps > 0")
+        f = normalize(f)
+        if not substitute(f, {t: 0}).is_zero:
+            raise ValueError("%s does not vanish on the slice {%s = 0}" % (f, t))
         self.region = region
-        self.f = normalize(f)
+        self.f = f
         self.t = t
         self.eps = eps
         self.eps_outer = outer
@@ -74,7 +81,7 @@ class TubularData:
 
     def validate(self, cfg: ZeroTestConfig) -> Outcome:
         """Sampled cutoff invariants: 1 on the inner band, 0 outside the outer."""
-        rng = Random(mix_seed(cfg.rng_seed, 0x7B))
+        rng = Random(cfg.rng_seed ^ 0x7B)
         draws = range(cfg.sample_count)
         eps, outer = float(self.eps), float(self.eps_outer)
         inner = ({self.t: rng.uniform(-eps, eps)} for _ in draws)
@@ -128,21 +135,16 @@ def tilde_extend(beta: DiffForm, td: TubularData) -> DiffForm:
     return beta * td.rho
 
 
-def iso_decompose(
-    f: ScalarExpr,
-    alpha: DiffForm,
-    beta: DiffForm,
-    td: TubularData,
-    cfg: ZeroTestConfig,
-):
-    """Assemble f^p alpha + f^(p-1) df ^ beta~ and verify its pedigree.
+def iso_decompose(alpha: DiffForm, beta: DiffForm, td: TubularData, cfg: ZeroTestConfig):
+    """Assemble f^p alpha + f^(p-1) df ^ beta~, with f the collar's
+    function, and verify its pedigree.
 
     alpha (degree p) and beta (degree p-1, slice form) must both be
     closed — a refuted closedness raises; an undecided one is reported.
     The assembled form is then checked to be d_f-closed on the region.
     Returns (form, report).
     """
-    f = normalize(f)
+    f = td.f
     p = alpha.degree
     if not beta.is_zero and beta.degree != p - 1:
         raise DegreeError(
@@ -196,7 +198,6 @@ def _regular_value_check(dphi: DiffForm, td: TubularData, cfg: ZeroTestConfig):
 
 def check_exactness_pipeline(
     fol: Foliation,
-    phi: ScalarExpr,
     mu: DiffForm,
     td: TubularData,
     tau: DiffForm,
@@ -204,8 +205,9 @@ def check_exactness_pipeline(
 ) -> Outcome:
     """End-to-end verdicts for a weighted GV form and its primitive.
 
-    Preconditions (each refutation raises with a witness): phi is basic
-    for the foliation, and 0 is a regular value of phi along the slice.
+    The weight phi is the collar's f.  Preconditions (each refutation
+    raises with a witness): phi is basic for the foliation, and 0 is a
+    regular value of phi along the slice.
     With q the codimension and nu_bar = (phi*mu) ^ (d(phi*mu))^q, the
     verdicts are:
 
@@ -215,7 +217,7 @@ def check_exactness_pipeline(
     * exactness:    d(tau) == phi^q * nu_bar (the twisted-level object
       phi^q nu_bar is the form the supplied primitive integrates).
     """
-    phi = normalize(phi)
+    phi = td.f
     basic, dphi = require_basic(phi, fol, cfg)
     floor = _regular_value_check(dphi, td, cfg)
     nu_bar, _, rows = weighted_gv_form(phi, mu, fol, basic, cfg)

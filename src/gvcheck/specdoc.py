@@ -595,6 +595,7 @@ def _stmt_tubular(p: _StatementParser):
     region = p.on_region()
     p.expect("f")
     f = p.scalar_expression()
+    at_f = p.start
     p.expect("t")
     t = p.coordinate()
     p.expect("eps")
@@ -606,7 +607,10 @@ def _stmt_tubular(p: _StatementParser):
     p.expect_end()
     if outer <= eps:
         p.reject("need eps_outer > eps > 0")
-    p.doc.tubulars[name] = TubularData(region, f, t, eps, outer)
+    try:
+        p.doc.tubulars[name] = TubularData(region, f, t, eps, outer)
+    except ValueError as e:  # the other rules are checked above: f does not vanish on the slice
+        raise ParseError(str(e), col=at_f) from None
 
 
 # check kinds: each reader parses a check's arguments and returns its run, cfg ->
@@ -839,29 +843,23 @@ def _check_exactness(p: _StatementParser):
 def _check_exactness_pipeline(p: _StatementParser):
     fol = p.lookup(p.doc.foliations, "foliation")
     mu = p.witness(fol, one_leaf_zero=False)
-    p.expect("weight")
-    weight = p.scalar_expression()
     p.expect("via")
     td = p.lookup(p.doc.tubulars, "collar")
     p.expect("primitive")
     primitive = p.form_expression()
-    return lambda cfg: (
-        check_exactness_pipeline(fol, weight, mu, td, primitive, cfg), r"\varphi = %s" % to_latex(weight)
-    )
+    return lambda cfg: (check_exactness_pipeline(fol, mu, td, primitive, cfg), r"\varphi = %s" % to_latex(td.f))
 
 
 def _check_iso(p: _StatementParser):
     p.expect("via")
     td = p.lookup(p.doc.tubulars, "collar")
-    p.expect("weight")
-    weight = p.scalar_expression()
     p.expect("alpha")
     alpha = p.form_expression()
     p.expect("beta")
     beta = p.form_expression()
 
     def run(cfg):
-        composite, report = iso_decompose(weight, alpha, beta, td, cfg)
+        composite, report = iso_decompose(alpha, beta, td, cfg)
         return report, composite.to_latex()
     return run
 

@@ -87,8 +87,8 @@ _KIND_INDEX = {k: i for i, k in enumerate(ATOM_KINDS)}
 
 def mix_seed(seed, index):
     """Derive a per-index sub-seed from a master seed (splitmix64 step):
-    each check's seed in the runner, the tubular cutoff's stream, and the
-    generators' screen values."""
+    each check's seed in the runner, and the generators' screen values.
+    A check's own sampled searches draw from ``Random(seed ^ tag)``."""
     z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

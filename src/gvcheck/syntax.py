@@ -25,7 +25,7 @@ FUNCTIONS = (*_SCALAR_FUNCTIONS, "d")
 RESERVED = set(FUNCTIONS) | {
     "on", "in", "at", "of", "for", "with", "expect", "anchors", "window",
     "zeroset", "balls", "complement", "center", "radius", "primitive",
-    "weight", "tubular", "rank", "all", "saturated", "transverse", "gens",
+    "tubular", "rank", "all", "saturated", "transverse", "gens",
     "nu", "leafdim", "via", "near", "alpha", "beta", "eps", "outer",
 }
 

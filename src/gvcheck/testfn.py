@@ -53,7 +53,7 @@ class BumpSpec:
     B(center, 2*radius).  When a chart box is supplied, the support ball
     must fit inside it."""
 
-    __slots__ = ("center", "radius", "box")
+    __slots__ = ("center", "radius")
 
     def __init__(self, center: dict, radius, box: dict | None = None):
         r = rat(radius) if not isinstance(radius, ScalarExpr) else radius
@@ -62,7 +62,6 @@ class BumpSpec:
             raise ValueError("bump radius must be a positive rational constant")
         self.center = center
         self.radius = r
-        self.box = box
         if box is not None:
             for name, c in center.items():
                 lo, hi = box[name]

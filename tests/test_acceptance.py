@@ -276,7 +276,7 @@ def test_criterion_09_exactness_pipeline_and_critical_weight_control(cfg):
     mu = volume_witness()
     tau = d3("y", "z") * (y ** 3 * exp(-x) ** 3 * rat(-1, 3))
     td = TubularData(region, phi, "y", Fraction(1, 4), Fraction(1, 2))
-    rep = check_exactness_pipeline(fol, phi, mu, td, tau, cfg)
+    rep = check_exactness_pipeline(fol, mu, td, tau, cfg)
     assert [name for name, _ in rep.entries] == [
         "basic",
         "identity",
@@ -294,7 +294,7 @@ def test_criterion_09_exactness_pipeline_and_critical_weight_control(cfg):
     td2 = TubularData(region, phi2, "y", Fraction(1, 4), Fraction(1, 2))
     assert check_basic(phi2, fol2, region, cfg).proved
     with pytest.raises(PreconditionError, match="degenerates"):
-        check_exactness_pipeline(fol2, phi2, d3("x") * rat(-1, 2), td2, tau, cfg)
+        check_exactness_pipeline(fol2, d3("x") * rat(-1, 2), td2, tau, cfg)
 
 
 def test_criterion_10_wedge_criterion_matches_pointwise_oracle(cfg):

@@ -232,6 +232,42 @@ class TestInvalidSettings:
         message = "anchor {x: 1, y: 0} is off the zero set of x^2 + y^2"
         assert capsys.readouterr().err.splitlines()[0] == "%s: line 2, col %d: %s" % (spec, col, message)
 
+    @staticmethod
+    def weighted_pipeline(old, new):
+        """The gallery's weighted pipeline with one line replaced."""
+        with open(gallery_path("weighted_pipeline.fol"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        index = lines.index(old)
+        lines[index] = new
+        return "\n".join(lines) + "\n", index + 1
+
+    def test_a_collar_whose_f_misses_its_slice_exits_five(self, tmp_path, capsys):
+        # the pipeline through col weights by col's f, so x would weight it;
+        # neither x nor the old weight y*exp(-x) vanishes on {z = 0}
+        line = "tubular col on R f x t z eps 1/4 outer 1/2"
+        text, lineno = self.weighted_pipeline("tubular col on R f y*exp(-x) t y eps 1/4 outer 1/2", line)
+        spec = tmp_path / "doc.fol"
+        spec.write_text(text)
+        assert run_cli(["check", str(spec)]) == 5
+        col = line.index(" x ") + 2
+        message = "x does not vanish on the slice {z = 0}"
+        assert capsys.readouterr().err.splitlines()[0] == "%s: line %d, col %d: %s" % (spec, lineno, col, message)
+
+    @pytest.mark.parametrize("old, new, found", [
+        ("check exactness-pipeline F via col primitive tau as full-pipeline",
+         "check exactness-pipeline F weight phi via col primitive tau as full-pipeline", "via"),
+        ("check iso via slab alpha dx^dz beta dx as two-term-decomposition",
+         "check iso via slab weight y alpha dx^dz beta dx as two-term-decomposition", "alpha"),
+    ])
+    def test_an_old_weight_clause_exits_five(self, old, new, found, tmp_path, capsys):
+        # the collar owns the weight, so a check no longer takes one
+        text, lineno = self.weighted_pipeline(old, new)
+        spec = tmp_path / "doc.fol"
+        spec.write_text(text)
+        assert run_cli(["check", str(spec)]) == 5
+        message = "expected %r, found 'weight'" % found
+        assert capsys.readouterr().err == "%s: line %d, col %d: %s\n" % (spec, lineno, new.index("weight") + 1, message)
+
     def test_a_zeroset_anchor_within_rounding_of_its_set_is_accepted(self, tmp_path):
         # the float of 1/3 misses the set, but its enclosure holds 0
         spec = tmp_path / "doc.fol"

@@ -1,11 +1,14 @@
 """Tests for the plain-text document format."""
 
+import os
+import re
 from fractions import Fraction
 
 import pytest
 
 from gvcheck import ZeroTestConfig, parse_spec, run_checks
-from gvcheck.specdoc import DEFAULT_BOX, Diagnostic
+from gvcheck.specdoc import CHECKS, DEFAULT_BOX, Diagnostic
+from gvcheck.syntax import RESERVED
 from gvcheck.symbolic import rat, sym
 from gvcheck.forms import basis_form
 
@@ -360,7 +363,7 @@ class TestCheckParsing:
         ("check gv-form W == 0", 17),
         ("check gv-weighted x for W", 26),
         ("check overlap-identities W W", 29),
-        ("check exactness-pipeline W weight x via td primitive 0", 28),
+        ("check exactness-pipeline W via td primitive 0", 28),
     ])
     def test_zero_mu_default_is_for_families_only(self, check, col):
         # a one-leaf foliation gets the zero witness only as a family member
@@ -489,6 +492,8 @@ class TestDiagnosticColumns:
         ("tubular td on R f y t y eps 1/2 outer 1/4", 39, "need eps_outer > eps > 0"),
         ("tubular td on R f y t y eps 1/2 outer 1/2", 39, "need eps_outer > eps > 0"),
         ("tubular td on R f y t y eps 0 outer 1/2", 29, "need eps_outer > eps > 0"),
+        ("tubular td on R f x t y eps 1/4 outer 1/2", 19, "x does not vanish on the slice {y = 0}"),
+        ("tubular td on R f y + 1 t y eps 1/4 outer 1/2", 19, "1 + y does not vanish on the slice {y = 0}"),
         ("bump b = center (0, 0) radius -1", 31, "bump radius must be a positive rational constant"),
     ])
     def test_constructor_check_is_reported_at_the_value(self, line, col, message):
@@ -523,3 +528,31 @@ class TestDiagnosticColumns:
             line.index("7") + 1,
             "rank 7 is not the leaf dimension of any member of family fam (leaf dimensions: 1)",
         )]
+
+
+def readme_format_blocks():
+    """The statement example and the check directives: the ```text
+    blocks of the README's "Document format" section, in order."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Document format", 1)[1].split("\n## ", 1)[0]
+    statements, directives = re.findall(r"```text\n(.*?)```", section, re.S)
+    return statements, directives
+
+
+class TestReadmeGrammar:
+    """The README's document format is the one the parser reads."""
+
+    def test_statement_example_parses(self):
+        doc = parse_ok(readme_format_blocks()[0])
+        assert doc.tubulars
+
+    def test_check_directives_are_the_check_kinds_with_reserved_keywords(self):
+        kinds, keywords = [], set()
+        for line in readme_format_blocks()[1].splitlines():
+            for directive in line.split("check ")[1:]:
+                # placeholders, a point, brackets and operators are not keywords
+                kind, *words = re.sub(r"<[^>]*>|\(\.\.\)|[\[\]]|==", " ", directive).split()
+                kinds.append(kind)
+                keywords.update(words)
+        assert sorted(kinds) == sorted(CHECKS)
+        assert keywords and keywords <= RESERVED, sorted(keywords - RESERVED)
