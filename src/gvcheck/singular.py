@@ -2,16 +2,14 @@
 
 For a reference function f whose zero set S is the coordinate slice
 {t = 0}, the twisted differential d_f w = f*dw - p*df^w acts on p-forms;
-f^p * w maps the ordinary complex into it.  A collar owns its f, and
-the checks through it weight by that f.  That f vanishes on {t = 0} is
-checked exactly when the collar is built; that 0 is a regular value of
-f there is only sampled, from the gradient's norm on the slice.  Forms
-on S extend to the full chart through the collar: a slice form
-involves neither t nor dt, so it is its own pullback along t -> 0, and
-it is extended by multiplying it by a cutoff in t that is 1 near S and
-supported in a slightly larger band.  The exactness checks verify
-user-supplied primitives and decompositions; nothing here computes
-cohomology.
+f^p * w maps the ordinary complex into it.  A collar owns its f, and the
+checks through it weight by that f: that f vanishes on {t = 0} is checked
+exactly, that 0 is a regular value there is only sampled (the gradient).
+Forms on S extend through the collar: a slice form involves neither t
+nor dt, so it is its own pullback along t -> 0, and it is extended by
+multiplying it by a cutoff in t that is 1 near S and supported in a
+slightly larger band.  The exactness checks verify user-supplied
+primitives and decompositions; nothing here computes cohomology.
 """
 from __future__ import annotations
 
@@ -67,11 +65,14 @@ class TubularData:
         outer = Fraction(eps_outer)
         if not (outer > eps > 0):
             raise ValueError("need eps_outer > eps > 0")
-        f = normalize(f)
-        if not substitute(f, {t: 0}).is_zero:
+        try:
+            on_slice = substitute(f, {t: 0})
+        except ZeroDivisionError:
+            raise ValueError("%s is undefined on the slice {%s = 0}" % (f, t)) from None
+        if not on_slice.is_zero:
             raise ValueError("%s does not vanish on the slice {%s = 0}" % (f, t))
         self.region = region
-        self.f = f
+        self.f = normalize(f)
         self.t = t
         self.eps = eps
         self.eps_outer = outer

@@ -609,7 +609,7 @@ def _stmt_tubular(p: _StatementParser):
         p.reject("need eps_outer > eps > 0")
     try:
         p.doc.tubulars[name] = TubularData(region, f, t, eps, outer)
-    except ValueError as e:  # the other rules are checked above: f does not vanish on the slice
+    except ValueError as e:  # the other rules are checked above: f is defined and vanishes on the slice
         raise ParseError(str(e), col=at_f) from None
 
 

@@ -874,17 +874,13 @@ def _atom_expr(kind, arg):
 def exp(u):
     """Atom exp(u).  exp(0) folds to 1."""
     u = normalize(u)
-    if u.is_zero:
-        return ONE
-    return _atom_expr("exp", u)
+    return ONE if u.is_zero else _atom_expr("exp", u)
 
 
 def log(u):
     """Atom log(u).  log(1) folds to 0.  Evaluation requires u > 0."""
     u = normalize(u)
-    if u.is_one:
-        return ZERO
-    return _atom_expr("log", u)
+    return ZERO if u.is_one else _atom_expr("log", u)
 
 
 def psi0(u):
@@ -1009,12 +1005,14 @@ def substitute(e, mapping):
     """Substitute expressions for coordinate symbols (exact composition).
 
     ``mapping`` maps coordinate names to ScalarExpr (or numbers);
-    unmentioned coordinates stay themselves.  Each monomial's image is
+    unmentioned coordinates stay themselves, and atoms are rebuilt by
+    their folding constructors (exp(0) is 1).  Each monomial's image is
     the uncancelled product of its generators' images, and a polynomial's
     images are summed and cancelled once (:func:`_sum`).
     """
     e = normalize(e)
     table = {k: normalize(v) for k, v in mapping.items()}
+    atoms = {"exp": exp, "log": log, "flatexp": flatexp}  # kind -> folding constructor
     powers = {}  # (generator, exponent) -> image ** exponent, each built once
 
     def power(g, k):
@@ -1027,7 +1025,7 @@ def substitute(e, mapping):
                     if base is None:
                         base = ScalarExpr(_poly_gen(g))
                 else:
-                    base = _atom_expr(g.kind, sub_expr(g.arg))
+                    base = atoms[g.kind](sub_expr(g.arg))
                 powers[(g, 1)] = base
             p = powers[(g, k)] = base if k == 1 else base**k
         return p

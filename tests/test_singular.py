@@ -26,6 +26,7 @@ from gvcheck import (
     gv_form,
     gv_weighted,
     iso_decompose,
+    log,
     phi_map,
     rat,
     scalar_form,
@@ -76,18 +77,29 @@ def test_tubular_f_must_vanish_on_the_slice(space):
     with pytest.raises(ValueError, match=r"^y\*exp\(-x\) does not vanish on the slice \{z = 0\}$"):
         collar(space, y * exp(-x), t="z")
     assert collar(space, y * exp(-x)).f == y * exp(-x)
+    assert collar(space, exp(z) - 1, t="z").f == exp(z) - 1
+    assert collar(space, log(1 + z), t="z").f == log(1 + z)
+    with pytest.raises(ValueError, match=r"^x / \(z\) is undefined on the slice \{z = 0\}$"):
+        collar(space, x / z, t="z")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2 ** 32), st.booleans(), st.sampled_from("xyz"), st.fractions().filter(bool))
-def test_tubular_accepts_exactly_the_functions_that_vanish_on_the_slice(seed, atom, t, c):
+@given(
+    st.integers(0, 2 ** 32),
+    st.booleans(),
+    st.sampled_from("xyz"),
+    st.sampled_from([lambda u: u, lambda u: exp(u) - 1, lambda u: log(1 + u)]),
+    st.fractions().filter(bool),
+)
+def test_tubular_accepts_exactly_the_functions_that_vanish_on_the_slice(seed, atom, t, outer, c):
     rng = random.Random(seed)
     g = random_polynomial(rng, XYZ, depth=2)
     g = exp(g) if atom else g
+    f = outer(sym(t) * g)
     space = box_region(XYZ, square_box(XYZ), name="space")
-    assert collar(space, sym(t) * g, t=t).f == sym(t) * g
+    assert collar(space, f, t=t).f == f
     with pytest.raises(ValueError, match="does not vanish on the slice"):
-        collar(space, sym(t) * g + rat(c), t=t)
+        collar(space, f + rat(c), t=t)
 
 
 def test_cutoff_is_exact_on_the_bands(space):

@@ -475,6 +475,11 @@ class TestDiagnosticColumns:
             (6, line.index(token) + 1, message)
         ]
 
+    @pytest.mark.parametrize("f", ["exp(y) - 1", "log(1 + y)", "flatexp(-y^2)", "x*y"])
+    def test_collar_whose_f_vanishes_on_the_slice_parses_clean(self, f):
+        _, diagnostics = parse_spec(self.FAMILY + "tubular td on R f %s t y eps 1/4 outer 1/2\n" % f)
+        assert diagnostics == []
+
     def test_bump_leaving_the_box_names_its_center_as_written(self):
         _, diagnostics = parse_spec("chart x y\nbump b = center (1.9, 0) radius 1\n")
         assert [str(d) for d in diagnostics] == [
@@ -494,6 +499,7 @@ class TestDiagnosticColumns:
         ("tubular td on R f y t y eps 0 outer 1/2", 29, "need eps_outer > eps > 0"),
         ("tubular td on R f x t y eps 1/4 outer 1/2", 19, "x does not vanish on the slice {y = 0}"),
         ("tubular td on R f y + 1 t y eps 1/4 outer 1/2", 19, "1 + y does not vanish on the slice {y = 0}"),
+        ("tubular td on R f x/y t y eps 1/4 outer 1/2", 19, "x / (y) is undefined on the slice {y = 0}"),
         ("bump b = center (0, 0) radius -1", 31, "bump radius must be a positive rational constant"),
     ])
     def test_constructor_check_is_reported_at_the_value(self, line, col, message):

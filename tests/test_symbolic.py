@@ -349,6 +349,13 @@ def test_substitute_is_exact():
     assert (inner - exp(x + y)).is_zero
 
 
+def test_substitute_folds_constant_atoms_as_parsing_does():
+    assert substitute(exp(x) - 1, {"x": 0}).is_zero
+    assert substitute(log(1 + x), {"x": 0}).is_zero
+    assert substitute(flatexp(-x), {"x": 1}).is_zero
+    assert substitute(flatexp(x) + exp(y * x), {"x": 0}).is_one
+
+
 def test_substitute_agrees_with_evaluation():
     rng = random.Random(42)
     agreed = 0
